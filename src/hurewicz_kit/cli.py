@@ -242,27 +242,48 @@ def cmd_witness(args) -> int:
     return 0
 
 
+# Flags of ``verify`` with their defaults, then per suite the flags it reads
+# and the faults it can inject; anything else given to a suite is a usage error.
+_VERIFY_FLAGS = {
+    "depth": 3,
+    "horizon": 10_000,
+    "samples": 50,
+    "seed": 0,
+    "trials": 10_000,
+    "max_chain": 1,
+    "max_s_len": 3,
+    "max_entry": 4,
+    "max_u_len": 12,
+}
+_BRANCH_FAULTS = (dep.FAULT_REWRITE_OFF_BY_ONE, dep.FAULT_DROP_NON_ONES)
+_SUITE_OPTIONS = {
+    "departure": (("depth", "horizon", "seed", "samples"), _BRANCH_FAULTS),
+    "no-isolated": (("depth", "horizon", "seed", "samples"), _BRANCH_FAULTS),
+    "arrival-scan": (("depth", "horizon", "seed", "max_chain"), ()),
+    "good-suite": (("max_s_len", "max_entry", "horizon", "max_u_len"), ()),
+    "cascade": (("trials", "seed"), (verifier.FAULT_EPSILON_NONSTRICT,)),
+    "mutation": (("seed",), ()),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("departure", "no-isolated"):
-        kwargs.update(depth=args.depth, horizon=args.horizon, seed=args.seed,
-                      samples=args.samples)
-        if args.inject_fault and args.suite == "departure":
-            kwargs["fault"] = args.inject_fault
-        if args.suite == "no-isolated" and args.inject_fault:
-            kwargs["fault"] = args.inject_fault
-    elif args.suite == "arrival-scan":
-        kwargs.update(depth=args.depth, horizon=args.horizon, seed=args.seed,
-                      max_chain=args.max_chain)
-    elif args.suite == "good-suite":
-        kwargs.update(max_s_len=args.max_s_len, max_entry=args.max_entry,
-                      horizon=args.horizon, max_u_len=args.max_u_len)
-    elif args.suite == "cascade":
-        kwargs.update(trials=args.trials, seed=args.seed)
-        if args.inject_fault:
-            kwargs["fault"] = args.inject_fault
-    elif args.suite == "mutation":
-        kwargs.update(seed=args.seed)
+    flags, faults = _SUITE_OPTIONS[args.suite]
+    given = vars(args)
+    stray = [_flag(f) for f in _VERIFY_FLAGS if f in given and f not in flags]
+    if stray:
+        raise ValueError(f"suite {args.suite} does not take {', '.join(stray)}")
+    kwargs = {f: given.get(f, _VERIFY_FLAGS[f]) for f in flags}
+    if args.inject_fault is not None:
+        if args.inject_fault not in faults:
+            raise ValueError(
+                f"suite {args.suite} cannot inject fault {args.inject_fault} "
+                f"(it honours: {', '.join(faults) or 'none'})"
+            )
+        kwargs["fault"] = args.inject_fault
     report = verifier.SUITES[args.suite](**kwargs)
     _emit(report.to_json_bytes().decode(), args.out)
     summary = (
@@ -342,15 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite (JSON report)")
     p.add_argument("suite", choices=sorted(verifier.SUITES))
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--max-chain", type=int, default=1)
-    p.add_argument("--max-s-len", type=int, default=3)
-    p.add_argument("--max-entry", type=int, default=4)
-    p.add_argument("--max-u-len", type=int, default=12)
+    for name in _VERIFY_FLAGS:
+        # absent unless given, so a flag the suite ignores can be refused
+        p.add_argument(_flag(name), type=int, default=argparse.SUPPRESS)
     p.add_argument("--inject-fault", choices=verifier.ALL_FAULTS, default=None,
                    help="deliberately corrupt one rule to demonstrate detection")
     p.add_argument("--out")

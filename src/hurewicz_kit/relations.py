@@ -12,13 +12,12 @@ branch to the constraints below L.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .alphabet import DEFAULT_DEPTH_CAP, enumerate_nodes
+from .alphabet import DEFAULT_DEPTH_CAP, alphabets, enumerate_nodes
 from .departure import BranchIndex, e_inv
-from .prime_coding import encode, make_code_value
+from .prime_coding import encode, is_code, make_code_value
 
 
 @dataclass(frozen=True)
@@ -145,20 +144,66 @@ class RelationGraph:
 
 
 def t_graph(p: int, cap: int = DEFAULT_DEPTH_CAP) -> RelationGraph:
-    """Complete relation graph over the depth-p nodes.
+    """Complete relation graph over the depth-p nodes, built by generating each
+    node's candidate partners instead of testing every pair.
 
-    The relation demands s <=_lex t, so an unordered pair carries at most one
-    direction; nodes come enumerated in lexicographic order already.
+    Completeness: ``_witness_search(s, t)`` is empty unless every position q
+    where s and t differ has ``s[q] == 1`` and ``t[q] == code(s|q ⌢ 1)``, and
+    q is a rewritten index, i.e. the code of a nonempty sequence (an index
+    outside that set never leaves the search's to-do set).  So t is fixed by
+    the nonempty set D of positions it rewrites, D is a subset of the coded
+    positions q < p with ``s[q] == 1``, and every node related to s is one of
+    these candidates.  Each candidate is a node: code(s|q ⌢ 1) belongs to A_q
+    because s|q is a depth-q node.  Nodes are the product of the sorted
+    alphabets with 1 first, so t's index is s's index plus, for q in D, the
+    rewritten value's position in A_q times the product of the later alphabet
+    sizes; it exceeds s's index, matching the relation's lexicographic
+    direction.  The exact witness search still decides every candidate, and
+    edges come out in increasing (i, j) order, as a scan over all pairs
+    would give them.  Cost: nodes × candidates searches, with at most 2^k - 1
+    candidates per node for k coded positions below p.
     """
+    levels = alphabets(p, cap)
     nodes = enumerate_nodes(p, cap)
     loops = tuple(i for i, nd in enumerate(nodes) if rel_R(nd, nd))
+    coded = [q for q in range(1, p) if is_code(q)]  # 0 codes the empty sequence
+    weight = [1] * p
+    for q in range(p - 2, -1, -1):
+        weight[q] = weight[q + 1] * len(levels[q + 1])
+    position = {q: {m: k for k, m in enumerate(levels[q])} for q in coded}
     edges = []
-    for i, j in itertools.combinations(range(len(nodes)), 2):
-        ws = _witness_search(nodes[i], nodes[j])
-        if ws:
-            rank = min(e_inv(w.branch.s) for w in ws)
-            edges.append((i, j, rank))
+    for i, s in enumerate(nodes):
+        partners = [i]
+        for q in coded:
+            if s[q] == 1:
+                step = position[q][_expected_rewrite(s[:q])] * weight[q]
+                partners += [j + step for j in partners]
+        for j in sorted(partners[1:]):
+            ws = _witness_search(s, nodes[j])
+            if ws:
+                edges.append((i, j, min(e_inv(w.branch.s) for w in ws)))
     return RelationGraph(p, tuple(nodes), tuple(edges), loops)
+
+
+def _shortest_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int] | None:
+    """Vertices of a shortest src-dst path found by BFS, or None when dst is
+    unreachable."""
+    prev = {src: src}
+    frontier = [src]
+    while frontier and dst not in prev:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in prev:
+                    prev[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if dst not in prev:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def t_chain(s: tuple, t: tuple, g: RelationGraph) -> list[tuple] | None:
@@ -168,26 +213,8 @@ def t_chain(s: tuple, t: tuple, g: RelationGraph) -> list[tuple] | None:
     index = {nd: i for i, nd in enumerate(g.nodes)}
     if s not in index or t not in index:
         raise ValueError("nodes not in the graph")
-    src, dst = index[s], index[t]
-    if src == dst:
-        return [s]
-    adj = g.adjacency()
-    prev: dict[int, int] = {src: src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    if v == dst:
-                        path = [v]
-                        while path[-1] != src:
-                            path.append(prev[path[-1]])
-                        return [g.nodes[i] for i in reversed(path)]
-                    nxt.append(v)
-        frontier = nxt
-    return None
+    path = _shortest_path(g.adjacency(), index[s], index[t])
+    return None if path is None else [g.nodes[i] for i in path]
 
 
 @dataclass(frozen=True)
@@ -232,33 +259,9 @@ def verify_forest(g: RelationGraph) -> ForestReport:
     adj: dict[int, list[int]] = {i: [] for i in range(len(g.nodes))}
     for i, j, _ in g.edges:
         if not uf.union(i, j):
-            path = _bfs_path(adj, i, j)
+            path = _shortest_path(adj, i, j)
             cycle = tuple(g.nodes[k] for k in path + [i])
             return ForestReport(False, len(g.nodes), len(g.edges), len(g.loops), cycle)
         adj[i].append(j)
         adj[j].append(i)
     return ForestReport(True, len(g.nodes), len(g.edges), len(g.loops), None)
-
-
-def _bfs_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
-    prev = {src: src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    if v == dst:
-                        path = [v]
-                        while path[-1] != src:
-                            path.append(prev[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(v)
-        frontier = nxt
-    raise AssertionError("no path despite union-find merge")
-
-
-def graph_from_edges(length: int, nodes, edges, loops=()) -> RelationGraph:
-    """Assemble a graph from explicit data (checker sanity cases)."""
-    return RelationGraph(length, tuple(nodes), tuple(edges), tuple(loops))

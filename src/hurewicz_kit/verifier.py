@@ -341,6 +341,10 @@ def _density_check(depth, horizon, branches, cons_map, fault) -> Check:
             for s in stems:
                 # reads are decidable at any index under the tail convention
                 outcome, t = dep.find_branch(s, x, horizon=10**15)
+                if outcome is Tri.UNKNOWN:
+                    # the scan left the index horizon: no verdict either way
+                    check.skip()
+                    continue
                 if outcome is not Tri.YES:
                     check.fail(stem=s, node=node, outcome=outcome.value)
                     continue

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, brute-force enumeration of coded sequences, and a
 relation decision that builds explicit points and pushes them through the
-branch maps instead of reasoning about constraint truncations.
+branch maps instead of reasoning about constraint truncations, and a
+relation graph built by testing every pair of nodes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 import math
 
 from hurewicz_kit import departure as dep
-from hurewicz_kit.alphabet import PointPrefix
+from hurewicz_kit import relations as rel
+from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
 from hurewicz_kit.base import Tri
 from hurewicz_kit.prime_coding import make_code_value_sparse
 
@@ -136,3 +138,16 @@ def oracle_psi(s: tuple, t: tuple, max_rank: int = 40, max_entry: int = 6):
             if all(y.coord(i) == t[i] for i in range(L)):
                 return n
     return None
+
+
+def pair_scan_graph(p: int) -> rel.RelationGraph:
+    """The depth-p relation graph by running the exact witness search on every
+    pair of nodes (i < j); quadratic, so practical up to depth 4."""
+    nodes = enumerate_nodes(p)
+    loops = tuple(i for i, nd in enumerate(nodes) if rel.rel_R(nd, nd))
+    edges = []
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        ws = rel.rel_witnesses(nodes[i], nodes[j])
+        if ws:
+            edges.append((i, j, min(dep.e_inv(w.branch.s) for w in ws)))
+    return rel.RelationGraph(p, tuple(nodes), tuple(edges), loops)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hurewicz_kit import cli
+from hurewicz_kit import cli, verifier
 
 
 def run(capsys, *argv):
@@ -113,6 +113,29 @@ def test_verify_exit_codes(capsys):
         "--inject-fault", "epsilon-nonstrict",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "suite, fault",
+    [("cascade", "drop-non-ones"), ("departure", "epsilon-nonstrict")],
+)
+def test_verify_refuses_fault_the_suite_ignores(capsys, suite, fault):
+    code, out, err = run(capsys, "verify", suite, "--inject-fault", fault)
+    assert code == 2 and out == ""
+    assert f"cannot inject fault {fault}" in err
+
+
+def test_verify_refuses_flag_the_suite_ignores(capsys):
+    code, out, err = run(capsys, "verify", "mutation", "--depth", "2", "--trials", "3")
+    assert code == 2 and out == ""
+    assert "does not take --depth, --trials" in err
+
+
+def test_verify_options_cover_every_suite():
+    assert set(cli._SUITE_OPTIONS) == set(verifier.SUITES)
+    for flags, faults in cli._SUITE_OPTIONS.values():
+        assert set(flags) <= set(cli._VERIFY_FLAGS)
+        assert set(faults) <= set(verifier.ALL_FAULTS)
 
 
 def test_verify_departure_small(capsys):

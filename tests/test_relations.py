@@ -7,7 +7,7 @@ from hurewicz_kit import departure as dep
 from hurewicz_kit import relations as rel
 from hurewicz_kit.prime_coding import encode
 
-from oracles import j_code, oracle_psi, oracle_related
+from oracles import j_code, oracle_psi, oracle_related, pair_scan_graph
 
 
 def test_examples():
@@ -130,12 +130,25 @@ def test_forest_reports():
     for p in (2, 3):
         report = rel.verify_forest(rel.t_graph(p))
         assert report.acyclic and report.cycle is None
-    triangle = rel.graph_from_edges(
-        1, ((1,), (2,), (3,)), ((0, 1, 0), (1, 2, 0), (0, 2, 0))
+    triangle = rel.RelationGraph(
+        1, ((1,), (2,), (3,)), ((0, 1, 0), (1, 2, 0), (0, 2, 0)), ()
     )
     report = rel.verify_forest(triangle)
     assert not report.acyclic
     assert report.cycle is not None and len(report.cycle) >= 3
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_generated_graph_matches_pair_scan(p):
+    # nodes, edges with their ranks and order, and loops all agree exactly
+    assert rel.t_graph(p) == pair_scan_graph(p)
+
+
+@pytest.mark.parametrize("p", (3, 4))
+def test_edge_count_closed_form(p):
+    # 2 is the only coded position below 4, and every node with s[2] = 1
+    # relates to exactly one partner: its rewrite there
+    assert len(rel.t_graph(p).edges) == al.node_count(p) // len(al.alphabet_at(2))
 
 
 def test_depth_four_edge_structure():

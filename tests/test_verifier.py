@@ -1,6 +1,10 @@
 import json
 
+from hurewicz_kit import alphabet as al
+from hurewicz_kit import departure as dep
 from hurewicz_kit import verifier as vf
+from hurewicz_kit.base import Tri
+from hurewicz_kit.prime_coding import encode
 
 
 def test_departure_suite_small_green():
@@ -109,6 +113,18 @@ def test_inconclusive_distinct_from_failure():
     # a horizon too small to place extensions is reported as inconclusive
     r = vf.verify_no_isolated(depth=1, horizon=40, samples=3, seed=0, extensions=6)
     assert r.failed == 0
+
+
+def test_density_unknown_branch_is_inconclusive():
+    # greedy discovery for this stem leaves the 10^15 index horizon at the
+    # all-ones point, so the density check has no verdict for it
+    stem = (2, 0, 0, 0, 0, 0)
+    outcome, _ = dep.find_branch(stem, al.point_from_node(()), horizon=10**15)
+    assert outcome is Tri.UNKNOWN
+    r = vf.verify_departure(depth=0, horizon=encode(stem) + 1, include=("density",))
+    (density,) = r.checks
+    assert density.failed == 0 and not density.counterexamples
+    assert density.inconclusive == 1 and density.passed > 0
 
 
 def test_departure_depth_zero_vacuous_pass():

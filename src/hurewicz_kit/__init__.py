@@ -40,7 +40,6 @@ from .alphabet import (
 from .departure import (
     BranchIndex,
     CylinderConstraint,
-    RewriteMap,
     apply,
     apply_fn,
     apply_inverse,
@@ -50,7 +49,6 @@ from .departure import (
     e_inv,
     find_branch,
     in_domain,
-    rewrites,
 )
 from .relations import (
     EffectiveWitness,

@@ -223,7 +223,9 @@ def cmd_sigma(args) -> int:
 
 def cmd_witness(args) -> int:
     s, t = _parse_node(args.s), _parse_node(args.t)
-    u = bytes(int(ch) for ch in args.u) if args.u else b""
+    if set(args.u) - {"0", "1"}:
+        raise ValueError(f"--u is a binary word of 0s and 1s: {args.u!r}")
+    u = bytes(int(ch) for ch in args.u)
     x, k = good.disagreement_witness(s, t, u)
     a = good.sigma(s, k)
     b = good.sigma(t, k)

@@ -63,13 +63,23 @@ class CylinderConstraint:
     ones: tuple[int, ...]
     non_ones: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class RewriteMap:
-    """The coordinates a branch rewrites, in increasing order; the value written
-    at q is the code of (input prefix of length q) ⌢ 1."""
-
-    modified: tuple[int, ...]
+    def membership(self, x: PointPrefix) -> Tri:
+        """Domain membership on the decidable range: a readable violation is
+        decisive (NO) even if other constrained indices are unreadable."""
+        unknown = False
+        for q in self.ones:
+            v = x.coord(q)
+            if v is Tri.UNKNOWN:
+                unknown = True
+            elif v != 1:
+                return Tri.NO
+        for q in self.non_ones:
+            v = x.coord(q)
+            if v is Tri.UNKNOWN:
+                unknown = True
+            elif v == 1:
+                return Tri.NO
+        return Tri.UNKNOWN if unknown else Tri.YES
 
 
 @lru_cache(maxsize=65536)
@@ -86,28 +96,9 @@ def constraints(b: BranchIndex, fault: str | None = None) -> CylinderConstraint:
     return CylinderConstraint(tuple(ones), tuple(sorted(non_ones)))
 
 
-def rewrites(b: BranchIndex) -> RewriteMap:
-    return RewriteMap(constraints(b).ones)
-
-
 def in_domain(x: PointPrefix, b: BranchIndex, fault: str | None = None) -> Tri:
-    """Domain membership on the decidable range: a readable violation is
-    decisive (NO) even if other constrained indices are unreadable."""
-    cons = constraints(b, fault=fault)
-    unknown = False
-    for q in cons.ones:
-        v = x.coord(q)
-        if v is Tri.UNKNOWN:
-            unknown = True
-        elif v != 1:
-            return Tri.NO
-    for q in cons.non_ones:
-        v = x.coord(q)
-        if v is Tri.UNKNOWN:
-            unknown = True
-        elif v == 1:
-            return Tri.NO
-    return Tri.UNKNOWN if unknown else Tri.YES
+    """Membership of x in the domain of b (``CylinderConstraint.membership``)."""
+    return constraints(b, fault=fault).membership(x)
 
 
 def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPrefix:
@@ -250,11 +241,6 @@ def branches_within(horizon: int) -> list[BranchIndex]:
             k = len(w) // 2
             out.append(BranchIndex(w[:k], w[k:]))
     return out
-
-
-def glued_slot(n: int) -> tuple[int, ...]:
-    """The s part served by slot n of the glued family (alias of e)."""
-    return e(n)
 
 
 def apply_fn(n: int, x: PointPrefix) -> tuple[Tri, PointPrefix | None]:

@@ -80,9 +80,7 @@ def _witness_search(s: tuple, t: tuple) -> list[EffectiveWitness]:
 def rel_R(s: tuple, t: tuple) -> bool:
     """Whether some branch map sends a point of the s-cylinder into the
     t-cylinder (equal lengths; forces s lexicographically <= t)."""
-    if len(s) != len(t):
-        raise ValueError("relation needs equal-length nodes")
-    return bool(_witness_search(s, t))
+    return bool(rel_witnesses(s, t))
 
 
 def rel_witnesses(s: tuple, t: tuple) -> list[EffectiveWitness]:
@@ -158,7 +156,7 @@ def t_graph(p: int, cap: int = DEFAULT_DEPTH_CAP) -> RelationGraph:
     alphabets with 1 first, so t's index is s's index plus, for q in D, the
     rewritten value's position in A_q times the product of the later alphabet
     sizes; it exceeds s's index, matching the relation's lexicographic
-    direction.  The exact witness search still decides every candidate, and
+    direction.  ``psi`` decides every candidate and gives its rank, and
     edges come out in increasing (i, j) order, as a scan over all pairs
     would give them.  Cost: nodes × candidates searches, with at most 2^k - 1
     candidates per node for k coded positions below p.
@@ -179,9 +177,9 @@ def t_graph(p: int, cap: int = DEFAULT_DEPTH_CAP) -> RelationGraph:
                 step = position[q][_expected_rewrite(s[:q])] * weight[q]
                 partners += [j + step for j in partners]
         for j in sorted(partners[1:]):
-            ws = _witness_search(s, nodes[j])
-            if ws:
-                edges.append((i, j, min(e_inv(w.branch.s) for w in ws)))
+            rank = psi(s, nodes[j]).rank
+            if rank is not None:
+                edges.append((i, j, rank))
     return RelationGraph(p, tuple(nodes), tuple(edges), loops)
 
 

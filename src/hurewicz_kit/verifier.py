@@ -149,23 +149,6 @@ def _sample_domain_point(cons: dep.CylinderConstraint, rng: random.Random) -> Po
     return PointPrefix(length, overrides.items(), tail_ones=True)
 
 
-def _in_domain_cons(x: PointPrefix, cons: dep.CylinderConstraint) -> Tri:
-    unknown = False
-    for q in cons.ones:
-        v = x.coord(q)
-        if v is Tri.UNKNOWN:
-            unknown = True
-        elif v != 1:
-            return Tri.NO
-    for q in cons.non_ones:
-        v = x.coord(q)
-        if v is Tri.UNKNOWN:
-            unknown = True
-        elif v == 1:
-            return Tri.NO
-    return Tri.UNKNOWN if unknown else Tri.YES
-
-
 # --- departure suite ---------------------------------------------------------
 
 _DEPARTURE_GROUPS = ("branch-axioms", "density", "relations")
@@ -289,7 +272,7 @@ def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
             rng2 = random.Random(seed * 2_000_003 + b.top_index())
             for _ in range(samples):
                 x = _sample_domain_point(cons, rng2)
-                if _in_domain_cons(x, pcons) is not Tri.YES:
+                if pcons.membership(x) is not Tri.YES:
                     nested.fail(child=b, parent=parent, point=x)
                     continue
                 fd = first_disagreement(
@@ -356,7 +339,7 @@ def _density_check(depth, horizon, branches, cons_map, fault) -> Check:
                 hits = sum(
                     1
                     for b in by_stem.get(s, ())
-                    if _in_domain_cons(x, cons_map[b]) is Tri.YES
+                    if cons_map[b].membership(x) is Tri.YES
                 )
                 check.require(
                     hits == expected,
@@ -370,39 +353,59 @@ def _density_check(depth, horizon, branches, cons_map, fault) -> Check:
 
 
 def _relation_checks(relations_depth: int) -> list[Check]:
+    """The relation axioms at depths up to ``relations_depth``, read off the
+    relation graph ``t_graph(p)`` built once per depth.
+
+    The related pairs of depth-p nodes are the loops (s R s) and the edges of
+    the graph: relatedness forces s before t in node order, so (i, j) with
+    i < j is the only orientation a distinct pair can be related in, and the
+    graph lists every such pair (see ``t_graph``; ``tests/oracles`` checks it
+    against a scan of all pairs up to depth 4).  ``psi`` has a rank exactly
+    on related pairs, so the appended pairs (s⌢j, t⌢j) with a rank are the
+    loops and edges whose two nodes end in the same label, and the rank of
+    their truncation (s, t) is that of its loop or edge at the depth below,
+    or None when (s, t) is unrelated.
+    """
     self_rank = Check("self-relation-rank-zero")
     profile = Check("self-relation-profile")
     append = Check("append-preserves-rank")
     forest = Check("chain-forest")
+    parent_nodes: tuple = ()
+    parent_ranks: dict = {}
     for p in range(relations_depth + 1):
-        nodes = alph.enumerate_nodes(p)
-        for nd in nodes:
-            related = rel.rel_R(nd, nd)
+        g = rel.t_graph(p)
+        loops = set(g.loops)
+        ranks = {(i, j): r for i, j, r in g.edges}  # related index pair -> psi
+        for i, nd in enumerate(g.nodes):
+            related = i in loops
             profile.require(
                 related == rel.self_related_profile(nd), node=nd, related=related
             )
             if related:
-                self_rank.require(rel.psi(nd, nd).rank == 0, node=nd)
-        if p < relations_depth:
-            labels = alph.alphabet_at(p)
-            for ss in nodes:
-                for tt in nodes:
-                    base = rel.psi(ss, tt).rank
-                    for j in labels:
-                        child = rel.psi(ss + (j,), tt + (j,))
-                        if child.rank is None:
-                            continue
-                        if child.rank == base:
-                            append.ok()
-                        else:
-                            append.fail(
-                                s=ss,
-                                t=tt,
-                                label=render_value(j) if j != 1 else 1,
-                                child_rank=child.rank,
-                                parent_rank=base,
-                            )
-        g = rel.t_graph(p)
+                ranks[i, i] = rel.psi(nd, nd).rank
+                self_rank.require(ranks[i, i] == 0, node=nd)
+        if p:
+            # node i of depth p is parent node i // width with label i % width
+            labels = alph.alphabet_at(p - 1)
+            width = len(labels)
+            appended = sorted(
+                (i // width, j // width, i % width, r)
+                for (i, j), r in ranks.items()
+                if i % width == j % width
+            )
+            for a, b, k, r in appended:
+                base = parent_ranks.get((a, b))
+                if r == base:
+                    append.ok()
+                else:
+                    append.fail(
+                        s=parent_nodes[a],
+                        t=parent_nodes[b],
+                        label=render_value(labels[k]) if labels[k] != 1 else 1,
+                        child_rank=r,
+                        parent_rank=base,
+                    )
+        parent_nodes, parent_ranks = g.nodes, ranks
         report = rel.verify_forest(g)
         forest.require(
             report.acyclic,

@@ -4,7 +4,7 @@ Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, brute-force enumeration of coded sequences, and a
 relation decision that builds explicit points and pushes them through the
 branch maps instead of reasoning about constraint truncations, and a
-relation graph built by testing every pair of nodes.
+relation graph and relation checks built by testing every pair of nodes.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 
+from hurewicz_kit import alphabet as alph
 from hurewicz_kit import departure as dep
 from hurewicz_kit import relations as rel
 from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
 from hurewicz_kit.base import Tri
-from hurewicz_kit.prime_coding import make_code_value_sparse
+from hurewicz_kit.prime_coding import make_code_value_sparse, render_value
+from hurewicz_kit.verifier import Check
 
 
 def sieve_primes(bound: int) -> list[int]:
@@ -151,3 +153,50 @@ def pair_scan_graph(p: int) -> rel.RelationGraph:
         if ws:
             edges.append((i, j, min(dep.e_inv(w.branch.s) for w in ws)))
     return rel.RelationGraph(p, tuple(nodes), tuple(edges), loops)
+
+
+def pair_scan_relation_checks(relations_depth: int) -> list[Check]:
+    """The verifier's relation checks by calling ``psi`` on every pair of
+    nodes and every appended label (quadratic times the alphabet size, so
+    practical up to depth 4)."""
+    self_rank = Check("self-relation-rank-zero")
+    profile = Check("self-relation-profile")
+    append = Check("append-preserves-rank")
+    forest = Check("chain-forest")
+    for p in range(relations_depth + 1):
+        nodes = alph.enumerate_nodes(p)
+        for nd in nodes:
+            related = rel.rel_R(nd, nd)
+            profile.require(
+                related == rel.self_related_profile(nd), node=nd, related=related
+            )
+            if related:
+                self_rank.require(rel.psi(nd, nd).rank == 0, node=nd)
+        if p < relations_depth:
+            labels = alph.alphabet_at(p)
+            for ss in nodes:
+                for tt in nodes:
+                    base = rel.psi(ss, tt).rank
+                    for j in labels:
+                        child = rel.psi(ss + (j,), tt + (j,))
+                        if child.rank is None:
+                            continue
+                        if child.rank == base:
+                            append.ok()
+                        else:
+                            append.fail(
+                                s=ss,
+                                t=tt,
+                                label=render_value(j) if j != 1 else 1,
+                                child_rank=child.rank,
+                                parent_rank=base,
+                            )
+        g = rel.t_graph(p)
+        report = rel.verify_forest(g)
+        forest.require(
+            report.acyclic,
+            length=p,
+            edges=report.edge_count,
+            cycle=report.cycle,
+        )
+    return [self_rank, profile, append, forest]

@@ -101,6 +101,12 @@ def test_witness(capsys):
     assert code == 0 and "disagreement at output index" in out
 
 
+def test_witness_refuses_non_binary_word(capsys):
+    code, out, err = run(capsys, "witness", "--s", "1", "--t", "2", "--u", "0120")
+    assert code == 2 and out == ""
+    assert "binary word" in err
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "cascade", "--trials", "5", "--seed", "0"

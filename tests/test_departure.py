@@ -230,4 +230,4 @@ def test_branch_by_rank_and_slot():
     for n in range(5):
         for p in range(3):
             b = dep.branch_by_rank(n, p)
-            assert b.s == dep.e(n) == dep.glued_slot(n)
+            assert b.s == dep.e(n)

@@ -1,10 +1,16 @@
+import hashlib
 import json
 
+import pytest
+
 from hurewicz_kit import alphabet as al
+from hurewicz_kit import cli
 from hurewicz_kit import departure as dep
 from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import Tri
 from hurewicz_kit.prime_coding import encode
+
+from oracles import pair_scan_relation_checks
 
 
 def test_departure_suite_small_green():
@@ -130,3 +136,56 @@ def test_density_unknown_branch_is_inconclusive():
 def test_departure_depth_zero_vacuous_pass():
     r = vf.verify_departure(depth=0, horizon=120, samples=4, seed=0)
     assert r.failed == 0
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_relation_checks_match_pair_scan(depth):
+    fast = [c.as_dict() for c in vf._relation_checks(depth)]
+    assert fast == [c.as_dict() for c in pair_scan_relation_checks(depth)]
+
+
+# SHA-256 of the relation-suite reports and of the relations command output,
+# recorded before the relation checks were read off the generated graph
+_RELATION_SUITE_SHA256 = (
+    "5ba7146b5a788bd8d6485831e30289ae06875ac3d47111d51aa50ca1204862ef",
+    "ab0d1e2b13bbfe11264e61e89dccf6a0a20236d5081ae015e382365bd6cddab1",
+    "66ec81271f4c6c092600bfeb74f6872389f0ca18550b35462c7f9c23eb214d25",
+    "ad2c03c397262495eb96ec283a2291ea183b478946ae52cbd8ca7dfd963bfe55",
+    "dff2edd3d3c6b9c835a8b7a6097706520416a306b8ab925cb87c08ac802be1a6",
+)
+_RELATIONS_COMMAND_SHA256 = {
+    "json": (
+        "24ad154e119213eee226e7d3baa0462ef3c41d7350f3273e9807df3a981dd9b5",
+        "6711ec77c8edeec2e72ec760881e938e8abf3c90263e3875048946338b2dd1cc",
+        "da910c1107670d23ed80c9b1dc7189e4c7d46ddce927cb64782fcc414d6168db",
+        "a37cca437f49c7219027833c29a15ae139ae5e6accce2a080820591a8d3695c3",
+        "77b82f59879fb839313c4f70f4cafef37110180715a0716999d03319a3b5f7a9",
+    ),
+    "dot": (
+        "fa8a35023dd3d534b4431a5cac231901dc97726728e39f23aa60d40ae58a5504",
+        "6ad2afa30eaa7ab577aacefa8d113d2ce1d43faeb5a1841f2ac7354ef5cf8ada",
+        "5510a714ccb7cad653cb469eb134f0949f56f7e2403d27db9347bc0f1c059edf",
+        "3d708506c7f673c1f6a3caff94ec767d4441f0a8954683ff28fcd6f087740f79",
+        "c6763795d8c047a91a8dd38de603e1db900c047b784d15d1227e273a91ab5f94",
+    ),
+    "text": (
+        "0d4611bd25377b9d67f01aeeb4909271b5f6c24d0c30f9eff7c7e1619fcdd791",
+        "76efe22999d2a55b8c69269e192774c7e7545e93d28ad7f567e380e5f088a6d1",
+        "ba5e25a6434847c52132e9d48aa7eca494eb0c2818ead637fb4dc58745b1683b",
+        "56bce48cfb5ce4a15b113257db9ff9b2336b9424be805981340ca14fc25a8c40",
+        "63df572eea82db0aaad3b7ebfd3b684486bb4765e5ecb52fd066d4e4e2ebedd2",
+    ),
+}
+
+
+def test_relation_outputs_match_recorded_hashes(capsys):
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    for d, want in enumerate(_RELATION_SUITE_SHA256):
+        r = vf.verify_departure(include=("relations",), relations_depth=d)
+        assert sha(r.to_json_bytes()) == want, d
+    for fmt, hashes in _RELATIONS_COMMAND_SHA256.items():
+        for d, want in enumerate(hashes):
+            assert cli.main(["relations", "--length", str(d), "--format", fmt]) == 0
+            assert sha(capsys.readouterr().out.encode()) == want, (d, fmt)

@@ -125,13 +125,15 @@ class RelationGraph:
     """Symmetric closure of the relation on depth-``length`` nodes.
 
     Edges are index pairs into ``nodes`` (i < j) with the relating slot rank;
-    loops are kept apart; unique-chain verification ignores them.
+    loops are kept apart, with their ranks in ``loop_ranks`` (same order);
+    unique-chain verification ignores them.
     """
 
     length: int
     nodes: tuple
     edges: tuple  # (i, j, psi_rank)
     loops: tuple  # node indices with s R s
+    loop_ranks: tuple  # psi_rank of each loop
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
@@ -156,14 +158,20 @@ def t_graph(p: int, cap: int = DEFAULT_DEPTH_CAP) -> RelationGraph:
     alphabets with 1 first, so t's index is s's index plus, for q in D, the
     rewritten value's position in A_q times the product of the later alphabet
     sizes; it exceeds s's index, matching the relation's lexicographic
-    direction.  ``psi`` decides every candidate and gives its rank, and
-    edges come out in increasing (i, j) order, as a scan over all pairs
-    would give them.  Cost: nodes × candidates searches, with at most 2^k - 1
-    candidates per node for k coded positions below p.
+    direction.  ``psi`` decides every candidate and each node's loop and
+    gives their ranks, and edges come out in increasing (i, j) order, as a
+    scan over all pairs would give them.  Cost: nodes × (candidates + 1)
+    searches, with at most 2^k - 1 candidates per node for k coded positions
+    below p.
     """
     levels = alphabets(p, cap)
     nodes = enumerate_nodes(p, cap)
-    loops = tuple(i for i, nd in enumerate(nodes) if rel_R(nd, nd))
+    loops, loop_ranks = [], []
+    for i, nd in enumerate(nodes):
+        rank = psi(nd, nd).rank
+        if rank is not None:
+            loops.append(i)
+            loop_ranks.append(rank)
     coded = [q for q in range(1, p) if is_code(q)]  # 0 codes the empty sequence
     weight = [1] * p
     for q in range(p - 2, -1, -1):
@@ -180,7 +188,7 @@ def t_graph(p: int, cap: int = DEFAULT_DEPTH_CAP) -> RelationGraph:
             rank = psi(s, nodes[j]).rank
             if rank is not None:
                 edges.append((i, j, rank))
-    return RelationGraph(p, tuple(nodes), tuple(edges), loops)
+    return RelationGraph(p, tuple(nodes), tuple(edges), tuple(loops), tuple(loop_ranks))
 
 
 def _shortest_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int] | None:

@@ -374,15 +374,15 @@ def _relation_checks(relations_depth: int) -> list[Check]:
     parent_ranks: dict = {}
     for p in range(relations_depth + 1):
         g = rel.t_graph(p)
-        loops = set(g.loops)
+        loop_rank = dict(zip(g.loops, g.loop_ranks))
         ranks = {(i, j): r for i, j, r in g.edges}  # related index pair -> psi
         for i, nd in enumerate(g.nodes):
-            related = i in loops
+            related = i in loop_rank
             profile.require(
                 related == rel.self_related_profile(nd), node=nd, related=related
             )
             if related:
-                ranks[i, i] = rel.psi(nd, nd).rank
+                ranks[i, i] = loop_rank[i]
                 self_rank.require(ranks[i, i] == 0, node=nd)
         if p:
             # node i of depth p is parent node i // width with label i % width
@@ -670,6 +670,10 @@ def verify_cascade(
     """Seeded cascade samples: admissibility by construction, then the derived
     separation inequality on every eligible triple, in exact arithmetic.
     Includes negative controls that the strict radius check must reject."""
+    if trials < 0 or max_depth < 1 or max_branching < 1:
+        raise ValueError(
+            "cascade needs trials >= 0 and max_depth, max_branching >= 1"
+        )
     params = {
         "trials": trials,
         "seed": seed,

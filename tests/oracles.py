@@ -3,16 +3,20 @@
 Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, brute-force enumeration of coded sequences, and a
 relation decision that builds explicit points and pushes them through the
-branch maps instead of reasoning about constraint truncations, and a
-relation graph and relation checks built by testing every pair of nodes.
+branch maps instead of reasoning about constraint truncations, a relation
+graph and relation checks built by testing every pair of nodes, and the
+cascade generator, radius and admissibility check in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 from hurewicz_kit import alphabet as alph
+from hurewicz_kit import cascade as cs
 from hurewicz_kit import departure as dep
 from hurewicz_kit import relations as rel
 from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
@@ -147,12 +151,16 @@ def pair_scan_graph(p: int) -> rel.RelationGraph:
     pair of nodes (i < j); quadratic, so practical up to depth 4."""
     nodes = enumerate_nodes(p)
     loops = tuple(i for i, nd in enumerate(nodes) if rel.rel_R(nd, nd))
+    loop_ranks = tuple(
+        min(dep.e_inv(w.branch.s) for w in rel.rel_witnesses(nodes[i], nodes[i]))
+        for i in loops
+    )
     edges = []
     for i, j in itertools.combinations(range(len(nodes)), 2):
         ws = rel.rel_witnesses(nodes[i], nodes[j])
         if ws:
             edges.append((i, j, min(dep.e_inv(w.branch.s) for w in ws)))
-    return rel.RelationGraph(p, tuple(nodes), tuple(edges), loops)
+    return rel.RelationGraph(p, tuple(nodes), tuple(edges), loops, loop_ranks)
 
 
 def pair_scan_relation_checks(relations_depth: int) -> list[Check]:
@@ -200,3 +208,83 @@ def pair_scan_relation_checks(relations_depth: int) -> list[Check]:
             cycle=report.cycle,
         )
     return [self_rank, profile, append, forest]
+
+
+def gen_cascade_fraction(seed: int, depth: int, branching: int) -> cs.CascadeSample:
+    """Deterministic-from-seed sample satisfying both admissibility conditions
+    by construction: ancestor gaps drawn first, children placed strictly
+    inside the admissible radius and off every ancestor position."""
+    if depth < 0 or branching < 0:
+        raise ValueError("depth and branching must be naturals")
+    rng = random.Random(seed)
+    values: dict[tuple, Fraction] = {(): Fraction(0)}
+
+    def eps_of(node: tuple, child_label: int) -> Fraction:
+        best = Fraction(1, 2**child_label)
+        for i in range(len(node)):
+            best = min(best, abs(values[node[: i + 1]] - values[node[:i]]) / 4)
+        for j in range(1, child_label):
+            best = min(best, abs(values[node + (j,)] - values[node]) / 4)
+        return best
+
+    def grow(node: tuple, level: int) -> None:
+        if level == depth:
+            return
+        ancestors = {values[node[:i]] for i in range(len(node) + 1)}
+        for k in range(1, branching + 1):
+            eps = eps_of(node, k)
+            while True:
+                r = Fraction(rng.randrange(1, 128), 128)
+                sign = 1 if rng.randrange(2) else -1
+                pos = values[node] + sign * eps * r / 2
+                if pos not in ancestors:
+                    break
+            values[node + (k,)] = pos
+        for k in range(1, branching + 1):
+            grow(node + (k,), level + 1)
+
+    grow((), 0)
+    return cs.CascadeSample.from_values(values)
+
+
+def epsilon_fraction(sample: cs.CascadeSample, child: tuple) -> Fraction:
+    """The admissible-radius minimum for a child node s⌢k.
+
+    The ancestor chain of s must be covered by the sample (missing entries
+    raise); sibling terms run over the labels below k that the sample holds,
+    which in a complete family is every positive label below k.
+    """
+    if not child:
+        raise ValueError("the root has no admissible radius")
+    s, k = child[:-1], child[-1]
+    present = set(sample.nodes)
+    best = Fraction(1, 2**k)
+    for i in range(len(s)):
+        best = min(best, sample.d(s[: i + 1], s[:i]) / 4)
+    for j in range(k):
+        sib = s + (j,)
+        if sib in present:
+            best = min(best, sample.d(sib, s) / 4)
+    return best
+
+
+def check_admissibility_fraction(
+    sample: cs.CascadeSample, strict: bool = True
+) -> cs.ConditionReport:
+    """Both admissibility conditions over every non-root node of the sample.
+
+    ``strict=False`` relaxes the radius bound to <= (a deliberate fault mode
+    used by the mutation harness; the genuine condition is strict)."""
+    violations = []
+    for node in sample.nodes:
+        if not node:
+            continue
+        parent = node[:-1]
+        eps = epsilon_fraction(sample, node)
+        gap = sample.d(node, parent)
+        if (gap >= eps) if strict else (gap > eps):
+            violations.append(("radius", node, gap, eps))
+        for i in range(len(node)):
+            if sample.d(node, node[:i]) == 0:
+                violations.append(("ancestor-collision", node, node[:i]))
+    return cs.ConditionReport(not violations, tuple(violations))

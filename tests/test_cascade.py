@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 
 from hurewicz_kit import cascade as cs
+from hurewicz_kit.base import CapacityError
+
+import oracles
 
 
 def test_epsilon_trivial():
@@ -108,17 +111,36 @@ def test_triple_enumeration_count():
         assert s[:i] == t[:i] and s[i] < t[i]
 
 
+def _moved(sample, node, onto, shift=Fraction(0)):
+    """The sample's positions with ``node`` placed at ``onto``'s plus ``shift``."""
+    values = dict(sample.values)
+    values[node] = values[onto] + shift
+    return cs.CascadeSample.from_values(values)
+
+
+def _slow_scan(sample):
+    triples = list(cs.eligible_triples(sample))
+    bad = [(s, t, i) for s, t, i in triples if not cs.check_separation(sample, s, t, i)]
+    return len(triples), bad
+
+
 def test_fast_scan_agrees_with_slow_scan():
     for seed in range(6):
         sample = cs.gen_cascade(seed, 3, 2)
+        assert cs.check_separation_all(sample) == _slow_scan(sample)
+    # samples that break the inequality, below the root and below level-1
+    # parents: the sorted-merge test must trip and list the same violators
+    base = cs.gen_cascade(11, 3, 3)
+    violating = [
+        cs.violating_sample(),
+        _moved(base, (2, 1), (1, 1)),
+        _moved(base, (3,), (2, 1), Fraction(1, 2**200)),
+        _moved(base, (1, 2, 1), (1, 1, 3)),
+        _moved(base, (2, 3, 2), (2, 2)),
+    ]
+    for sample in violating:
         checked, bad = cs.check_separation_all(sample)
-        slow = [
-            (s, t, i)
-            for s, t, i in cs.eligible_triples(sample)
-            if not cs.check_separation(sample, s, t, i)
-        ]
-        assert checked == sum(1 for _ in cs.eligible_triples(sample))
-        assert bool(bad) == bool(slow)
+        assert bad and (checked, bad) == _slow_scan(sample)
 
 
 def test_from_table_route():
@@ -141,3 +163,68 @@ def test_sampled_implication_holds():
         assert cs.check_admissibility(sample).ok
         _, bad = cs.check_separation_all(sample)
         assert not bad
+
+
+_SHAPES = [(d, b) for d in range(1, 5) for b in range(1, 5)]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 2718281))
+def test_generator_matches_fraction_oracle(seed):
+    for depth, branching in _SHAPES:
+        sample = cs.gen_cascade(seed, depth, branching)
+        oracle = oracles.gen_cascade_fraction(seed, depth, branching)
+        assert sample.values == oracle.values, (depth, branching)
+        # the integer form is the one from_values derives by LCM
+        assert sample == oracle, (depth, branching)
+
+
+def _admissibility_cases():
+    base = cs.gen_cascade(3, 3, 3)
+    yield cs.gen_cascade(5, 4, 4)
+    yield cs.gen_cascade(8, 2, 3)
+    yield cs.tight_child_sample()
+    yield cs.violating_sample()
+    yield cs.CascadeSample.from_values({(): Fraction(0), (1,): Fraction(0)})
+    yield _moved(base, (2,), ())  # onto its parent
+    yield _moved(base, (1, 2, 1), (1, 2))
+    yield _moved(base, (3,), (1,))  # onto an earlier sibling
+    yield _moved(base, (2, 3), (2, 2))
+    yield _moved(base, (2, 2, 3), (2, 2, 1))
+
+
+def test_admissibility_matches_fraction_oracle():
+    for sample in _admissibility_cases():
+        for strict in (True, False):
+            report = cs.check_admissibility(sample, strict=strict)
+            assert report == oracles.check_admissibility_fraction(sample, strict=strict)
+        for node in sample.nodes[1:]:
+            assert cs.epsilon(sample, node) == oracles.epsilon_fraction(sample, node)
+
+
+def test_admissibility_cases_cover_each_violation():
+    reports = [cs.check_admissibility(s) for s in _admissibility_cases()]
+    kinds = {v[0] for r in reports for v in r.violations}
+    assert kinds == {"radius", "ancestor-collision"}
+    assert [r.ok for r in reports[:2]] == [True, True]
+    assert not any(r.ok for r in reports[2:])
+
+
+def test_generator_refuses_oversized_shapes_before_work():
+    with pytest.raises(CapacityError):
+        cs.gen_cascade(0, 9, 9)  # about 4.3e8 nodes
+    with pytest.raises(CapacityError):
+        cs.gen_cascade(0, 10**9, 1)
+    # node count times scale bits: a 323-node chain of 3230-bit numerators
+    # fits the cap, one more level does not
+    assert len(cs.gen_cascade(0, 323, 1).nodes) == 324
+    with pytest.raises(CapacityError):
+        cs.gen_cascade(0, 324, 1)
+
+
+def test_samples_must_be_trees():
+    with pytest.raises(ValueError):
+        cs.CascadeSample.from_values({(): Fraction(0), (1, 1): Fraction(1, 4)})
+    with pytest.raises(ValueError):
+        cs.CascadeSample.from_values({(): Fraction(0), (-1,): Fraction(1, 4)})
+    with pytest.raises(ValueError):
+        cs.CascadeSample.from_table([(1,), (2,)], {((1,), (2,)): 1})

@@ -107,6 +107,12 @@ def test_witness_refuses_non_binary_word(capsys):
     assert "binary word" in err
 
 
+def test_verify_cascade_refuses_negative_trials(capsys):
+    code, out, err = run(capsys, "verify", "cascade", "--trials", "-3")
+    assert code == 2 and out == ""
+    assert "trials >= 0" in err
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "cascade", "--trials", "5", "--seed", "0"

@@ -131,7 +131,7 @@ def test_forest_reports():
         report = rel.verify_forest(rel.t_graph(p))
         assert report.acyclic and report.cycle is None
     triangle = rel.RelationGraph(
-        1, ((1,), (2,), (3,)), ((0, 1, 0), (1, 2, 0), (0, 2, 0)), ()
+        1, ((1,), (2,), (3,)), ((0, 1, 0), (1, 2, 0), (0, 2, 0)), (), ()
     )
     report = rel.verify_forest(triangle)
     assert not report.acyclic

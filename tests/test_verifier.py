@@ -189,3 +189,40 @@ def test_relation_outputs_match_recorded_hashes(capsys):
         for d, want in enumerate(hashes):
             assert cli.main(["relations", "--length", str(d), "--format", fmt]) == 0
             assert sha(capsys.readouterr().out.encode()) == want, (d, fmt)
+
+
+# SHA-256 of cascade-suite and mutation reports, recorded while the cascade
+# checker still computed in Fraction arithmetic
+_CASCADE_SHA256 = {
+    "trials=64 seed=0": (
+        lambda: vf.verify_cascade(trials=64, seed=0),
+        "8eb81004a9b18a1591ac7daf85ef9cbde5b2e24605a5940202cb083b0c96496b",
+    ),
+    "trials=64 seed=5": (
+        lambda: vf.verify_cascade(trials=64, seed=5),
+        "05d6db6f24e051d3a2fae459a1891d3903aa01d665dff7d2f8fb8250b1373981",
+    ),
+    "trials=20 seed=0 epsilon-nonstrict": (
+        lambda: vf.verify_cascade(trials=20, seed=0, fault=vf.FAULT_EPSILON_NONSTRICT),
+        "3b00fe13f79a525184fb845f7184765db33c5bbd67bd3ebc5f3fa908ff2b1762",
+    ),
+    "mutation seed=0": (
+        lambda: vf.mutation_report(seed=0),
+        "6ab8f06e527eb74a11b8b7c34ebe6778b17909e1031d67c92b515dba67fa4900",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _CASCADE_SHA256)
+def test_cascade_reports_match_recorded_hashes(case):
+    run, want = _CASCADE_SHA256[case]
+    assert hashlib.sha256(run().to_json_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"trials": -3}, {"max_depth": 0}, {"max_branching": 0}],
+)
+def test_cascade_refuses_nonsensical_parameters(params):
+    with pytest.raises(ValueError):
+        vf.verify_cascade(**params)

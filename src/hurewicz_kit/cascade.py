@@ -146,6 +146,7 @@ def check_admissibility(sample: CascadeSample, strict: bool = True) -> Condition
     used by the mutation harness; the genuine condition is strict)."""
     unit, gap = _metric(sample)
     reaches = operator.ge if strict else operator.gt
+    collisions = _ancestor_collisions(sample)
     chain = {(): math.inf}  # node -> least consecutive gap from the root to it
     earlier: dict = {}  # parent -> least gap of the children walked so far
     violations = []
@@ -157,12 +158,48 @@ def check_admissibility(sample: CascadeSample, strict: bool = True) -> Condition
         low = min(chain[parent], earlier.get(parent, math.inf))
         if reaches(g * (1 << k), unit) or reaches(4 * g, low):
             violations.append(("radius", node, Fraction(g, unit), _radius(k, low, unit)))
-        for i in range(len(node)):
-            if gap(node, node[:i]) == 0:
-                violations.append(("ancestor-collision", node, node[:i]))
+        for a in collisions.get(node, ()):
+            violations.append(("ancestor-collision", node, a))
         chain[node] = min(chain[parent], g)
         earlier[parent] = min(earlier.get(parent, math.inf), g)
     return ConditionReport(not violations, tuple(violations))
+
+
+def _ancestor_collisions(sample: CascadeSample) -> dict:
+    """node -> its strict ancestors at distance 0 from it, root first; nodes
+    with none are left out.
+
+    On the positions route there is none when all positions differ, the usual
+    case; otherwise one depth-first walk keeps, for each position, the nodes
+    of the current root path standing there, so a node's colliding ancestors
+    are read off in one lookup and a chain costs linear time.  The table
+    route, which has no positions, reads every ancestor's entry."""
+    nodes = sample.nodes
+    if sample.nums is None:
+        found = {n: [n[:i] for i in range(len(n)) if sample.d(n, n[:i]) == 0] for n in nodes}
+        return {n: a for n, a in found.items() if a}
+    nums = sample.nums
+    if len(set(nums.values())) == len(nums):
+        return {}
+    children: dict[tuple, list] = {}
+    for n in nodes:  # in label order under each parent
+        if n:
+            children.setdefault(n[:-1], []).append(n)
+    on_path: dict = {}  # position -> the nodes of the current path there
+    found = {}
+    stack = [(n, True) for n in nodes[:1]]  # the root, first in level order
+    while stack:
+        node, entering = stack.pop()
+        here = on_path.setdefault(nums[node], [])
+        if not entering:
+            here.pop()
+            continue
+        if here:
+            found[node] = list(here)
+        here.append(node)
+        stack.append((node, False))
+        stack.extend((c, True) for c in reversed(children.get(node, ())))
+    return found
 
 
 def check_separation(sample: CascadeSample, s: tuple, t: tuple, i: int) -> bool:
@@ -254,6 +291,26 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
     return (checked, _scan_triples(sample)[1]) if hit else (checked, [])
 
 
+def check_sample_capacity(depth: int, branching: int) -> int:
+    """The bits E of the scale gen_cascade uses for this shape.  Raises
+    CapacityError when the sample would hold more than SAMPLE_BITS_CAP
+    numerator bits (node count times E); the cost of this test is bounded by
+    the cap, not by the shape."""
+    if depth < 0 or branching < 0:
+        raise ValueError("depth and branching must be naturals")
+    bits = 10 * depth * branching
+    count = width = 1
+    for _ in range(depth if branching else 0):
+        width *= branching
+        count += width
+        if count * bits > SAMPLE_BITS_CAP:
+            raise CapacityError(
+                f"a depth-{depth} branching-{branching} cascade sample has at "
+                f"least {count} nodes of {bits} bits; the cap is {SAMPLE_BITS_CAP} bits"
+            )
+    return bits
+
+
 def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     """Deterministic-from-seed sample satisfying both admissibility conditions
     by construction: ancestor gaps drawn first, children placed strictly
@@ -274,20 +331,9 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     numerators are then reduced to the least power-of-two scale.
 
     Raises CapacityError, before drawing anything, when the sample would hold
-    more than SAMPLE_BITS_CAP numerator bits (node count times E).
+    more than SAMPLE_BITS_CAP numerator bits (check_sample_capacity).
     """
-    if depth < 0 or branching < 0:
-        raise ValueError("depth and branching must be naturals")
-    bits = 10 * depth * branching
-    count = width = 1
-    for _ in range(depth if branching else 0):
-        width *= branching
-        count += width
-        if count * bits > SAMPLE_BITS_CAP:
-            raise CapacityError(
-                f"a depth-{depth} branching-{branching} cascade sample has at "
-                f"least {count} nodes of {bits} bits; the cap is {SAMPLE_BITS_CAP} bits"
-            )
+    bits = check_sample_capacity(depth, branching)
     rng = random.Random(seed)
     one = 1 << bits
     nums = {(): 0}

@@ -20,8 +20,9 @@ from .prime_coding import encode, nth_prime
 
 def _check_index(s) -> tuple[int, ...]:
     s = tuple(s)
-    if any(not isinstance(v, int) or v < 1 for v in s):
-        raise ValueError("index entries must be positive naturals")
+    for v in s:
+        if not isinstance(v, int) or v < 1:
+            raise ValueError("index entries must be positive naturals")
     return s
 
 
@@ -54,9 +55,26 @@ class IndexMap:
         q = succ // self._divs[best]
         return self._codes[best] * q - self._divs[best] - 1
 
+    def prefix(self, n: int) -> list[int]:
+        """[sigma_s(0), ..., sigma_s(n-1)], by a sieve over the level divisors:
+        level j rewrites every k with D_j | k+1, and deeper levels run later,
+        so each k keeps the value of the deepest level dividing k+1."""
+        if n < 0:
+            raise ValueError("prefix length must be a natural")
+        out = list(range(n))
+        for d, c in zip(self._divs, self._codes):
+            out[d - 1 :: d] = range(c - d - 1, c * (n // d) - d, c)
+        return out
+
+
+@lru_cache(maxsize=4096)
+def _index_map(s: tuple[int, ...]) -> IndexMap:
+    """The one IndexMap of a checked index."""
+    return IndexMap(s)
+
 
 def sigma(s, k: int) -> int:
-    return IndexMap(s)(k)
+    return _index_map(_check_index(s))(k)
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,19 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
         raise ValueError("indices must differ")
     if not isinstance(u, BitPrefix):
         u = BitPrefix(bytes(u))
+    a, b, k = _witness_core(s, t, len(u.bits))
+    word = bytearray(max(a, b) + 1)
+    word[: len(u.bits)] = u.bits
+    word[a] = 0
+    word[b] = 1
+    return BitPrefix(bytes(word)), k
+
+
+@lru_cache(maxsize=4096)
+def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[int, int, int]:
+    """(a, b, k) for distinct checked indices s and t and a word of length n:
+    the output index k and its two distinct source coordinates, a under the
+    index taking bit 0 and b under the one taking bit 1, both at least n."""
     m = next((i for i in range(min(len(s), len(t))) if s[i] != t[i]), None)
     if m is not None:
         if s[m] > t[m]:
@@ -132,17 +163,13 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
             s, t = t, s
         base = encode(t) // nth_prime(len(t) - 1)
         step = nth_prime(len(t) + 1)
-    sig_s, sig_t = IndexMap(s), IndexMap(t)
+    sig_s, sig_t = _index_map(s), _index_map(t)
     power = 1
     while True:
         k = base * power - 1
         a, b = sig_s(k), sig_t(k)
-        if a != b and min(a, b) >= len(u.bits):
-            word = bytearray(max(a, b) + 1)
-            word[: len(u.bits)] = u.bits
-            word[a] = 0
-            word[b] = 1
-            return BitPrefix(bytes(word)), k
+        if a != b and min(a, b) >= n:
+            return a, b, k
         power *= step
 
 
@@ -150,10 +177,7 @@ def agreement_below_bound(s, k: int, horizon: int) -> int | None:
     """First index below min(bound, horizon) where the index maps of s⌢k and s
     differ, or None; expected None by the convergence bound."""
     s = _check_index(s)
-    sig_parent = IndexMap(s)
-    sig_child = IndexMap(s + (k,))
-    limit = min(convergence_bound(s, k), horizon)
-    for n in range(limit):
-        if sig_parent(n) != sig_child(n):
-            return n
-    return None
+    sig_child = _index_map(_check_index(s + (k,)))
+    limit = max(0, min(convergence_bound(s, k), horizon))
+    pairs = zip(_index_map(s).prefix(limit), sig_child.prefix(limit))
+    return next((n for n, (p, c) in enumerate(pairs) if p != c), None)

@@ -582,32 +582,12 @@ def verify_good_sequence(
         "pair_max_entry": pair_max_entry,
         "max_u_len": max_u_len,
     }
-    injective = Check("index-map-injective")
-    fixes = Check("index-map-fixes-coprime")
+    negative = [name for name, v in params.items() if v < 0]
+    if negative:
+        raise ValueError(f"good-suite parameters must be naturals: {', '.join(negative)}")
+    injective, fixes = _index_map_checks(max_s_len, max_entry, horizon)
     agree = Check("extension-agreement-horizon")
     witness = Check("disagreement-witness")
-
-    for s in _index_family(max_s_len, max_entry):
-        sig = good.IndexMap(s)
-        seen: dict[int, int] = {}
-        collision = None
-        for k in range(horizon):
-            v = sig(k)
-            if v in seen:
-                collision = (seen[v], k, v)
-                break
-            seen[v] = k
-        injective.require(collision is None, s=s, collision=collision)
-        divisors = good._divisors(s)
-        bad = next(
-            (
-                k
-                for k in range(min(horizon, 2000))
-                if all((k + 1) % d for d in divisors) and sig(k) != k
-            ),
-            None,
-        )
-        fixes.require(bad is None, s=s, moved=bad)
 
     for s in _index_family(max_s_len - 1, max_entry):
         previous = None
@@ -619,27 +599,61 @@ def verify_good_sequence(
                 agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
             previous = b
 
-    pairs = [
-        (s, t)
-        for s in _index_family(pair_max_len, pair_max_entry)
-        for t in _index_family(pair_max_len, pair_max_entry)
-        if s != t
-    ]
-    for s, t in pairs:
-        for u in _all_words(max_u_len):
-            x, k = good.disagreement_witness(s, t, u)
-            a, b = good.h_eval(s, x, k), good.h_eval(t, x, k)
-            okay = (
-                a is not Tri.UNKNOWN
-                and b is not Tri.UNKNOWN
-                and a != b
-                and x.bits[: len(u)] == u
-            )
-            if okay:
-                witness.ok()
-            else:
-                witness.fail(s=s, t=t, u=u.hex(), k=k)
+    family = _index_family(pair_max_len, pair_max_entry)
+    words = list(_all_words(max_u_len))
+    for s in family:
+        for t in family:
+            if s == t:
+                continue
+            for u in words:
+                x, k = good.disagreement_witness(s, t, u)
+                a, b = good.h_eval(s, x, k), good.h_eval(t, x, k)
+                okay = (
+                    a is not Tri.UNKNOWN
+                    and b is not Tri.UNKNOWN
+                    and a != b
+                    and x.bits[: len(u)] == u
+                )
+                if okay:
+                    witness.ok()
+                else:
+                    witness.fail(s=s, t=t, u=u.hex(), k=k)
     return VerificationReport("good-suite", params, [injective, fixes, agree, witness])
+
+
+def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Check, Check]:
+    """Injectivity of each index map on [0, horizon), and that it fixes every
+    k below min(horizon, 2000) whose successor no level divisor divides.
+
+    The values come from one sieve per map (IndexMap.prefix).  A repeated value
+    shows as a set smaller than the horizon, and only then does the scan for
+    the first repeat run.  The coprime indices are found from the divisors
+    here, not from the sieve, so a position the sieve leaves unwritten or
+    writes wrongly is caught."""
+    injective = Check("index-map-injective")
+    fixes = Check("index-map-fixes-coprime")
+    for s in _index_family(max_s_len, max_entry):
+        values = good.IndexMap(s).prefix(horizon)
+        collision = None
+        if len(set(values)) != horizon:
+            seen: dict[int, int] = {}
+            for k, v in enumerate(values):
+                if v in seen:
+                    collision = (seen[v], k, v)
+                    break
+                seen[v] = k
+        injective.require(collision is None, s=s, collision=collision)
+        divisors = good._divisors(s)
+        bad = next(
+            (
+                k
+                for k in range(min(horizon, 2000))
+                if values[k] != k and all((k + 1) % d for d in divisors)
+            ),
+            None,
+        )
+        fixes.require(bad is None, s=s, moved=bad)
+    return injective, fixes
 
 
 def _index_family(max_len: int, max_entry: int):
@@ -681,6 +695,15 @@ def verify_cascade(
         "max_branching": max_branching,
         "fault": fault,
     }
+    # trial t draws shape (1 + t % D, 1 + (t // D) % B); every shape reached is
+    # at most as deep and as wide as the last full row's or the last trial's,
+    # so testing those two refuses an over-cap request before any trial runs
+    reached = min(trials, max_depth * max_branching)
+    rows, rest = divmod(reached, max_depth)
+    if rows:
+        casc.check_sample_capacity(max_depth, rows)
+    if rest:
+        casc.check_sample_capacity(rest, rows + 1)
     strict = fault != FAULT_EPSILON_NONSTRICT
     valid = Check("generated-samples-admissible")
     implication = Check("admissible-implies-separation")

@@ -4,8 +4,9 @@ Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, brute-force enumeration of coded sequences, and a
 relation decision that builds explicit points and pushes them through the
 branch maps instead of reasoning about constraint truncations, a relation
-graph and relation checks built by testing every pair of nodes, and the
-cascade generator, radius and admissibility check in ``Fraction`` arithmetic.
+graph and relation checks built by testing every pair of nodes, the
+cascade generator, radius and admissibility check in ``Fraction`` arithmetic,
+and the index-map checks, witnesses and agreement scan one index at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from fractions import Fraction
 from hurewicz_kit import alphabet as alph
 from hurewicz_kit import cascade as cs
 from hurewicz_kit import departure as dep
+from hurewicz_kit import good_sequence as good
 from hurewicz_kit import relations as rel
 from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
 from hurewicz_kit.base import Tri
 from hurewicz_kit.prime_coding import make_code_value_sparse, render_value
-from hurewicz_kit.verifier import Check
+from hurewicz_kit.verifier import Check, _index_family
 
 
 def sieve_primes(bound: int) -> list[int]:
@@ -288,3 +290,78 @@ def check_admissibility_fraction(
             if sample.d(node, node[:i]) == 0:
                 violations.append(("ancestor-collision", node, node[:i]))
     return cs.ConditionReport(not violations, tuple(violations))
+
+
+def per_k_index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> list[Check]:
+    """The verifier's injectivity and coprime-fixes checks by calling each
+    index map on every k in turn."""
+    injective = Check("index-map-injective")
+    fixes = Check("index-map-fixes-coprime")
+    for s in _index_family(max_s_len, max_entry):
+        sig = good.IndexMap(s)
+        seen: dict[int, int] = {}
+        collision = None
+        for k in range(horizon):
+            v = sig(k)
+            if v in seen:
+                collision = (seen[v], k, v)
+                break
+            seen[v] = k
+        injective.require(collision is None, s=s, collision=collision)
+        divisors = good._divisors(s)
+        bad = next(
+            (
+                k
+                for k in range(min(horizon, 2000))
+                if all((k + 1) % d for d in divisors) and sig(k) != k
+            ),
+            None,
+        )
+        fixes.require(bad is None, s=s, moved=bad)
+    return [injective, fixes]
+
+
+def disagreement_witness_uncached(s, t, u) -> tuple[good.BitPrefix, int]:
+    """disagreement_witness with the search for k redone for every word and
+    fresh index maps on every call."""
+    s = good._check_index(s)
+    t = good._check_index(t)
+    if s == t:
+        raise ValueError("indices must differ")
+    if not isinstance(u, good.BitPrefix):
+        u = good.BitPrefix(bytes(u))
+    m = next((i for i in range(min(len(s), len(t))) if s[i] != t[i]), None)
+    if m is not None:
+        if s[m] > t[m]:
+            s, t = t, s
+        base = good.encode(t[: m + 1]) // good.nth_prime(m)
+        step = good.nth_prime(m + 2)
+    else:
+        if len(s) > len(t):
+            s, t = t, s
+        base = good.encode(t) // good.nth_prime(len(t) - 1)
+        step = good.nth_prime(len(t) + 1)
+    sig_s, sig_t = good.IndexMap(s), good.IndexMap(t)
+    power = 1
+    while True:
+        k = base * power - 1
+        a, b = sig_s(k), sig_t(k)
+        if a != b and min(a, b) >= len(u.bits):
+            word = bytearray(max(a, b) + 1)
+            word[: len(u.bits)] = u.bits
+            word[a] = 0
+            word[b] = 1
+            return good.BitPrefix(bytes(word)), k
+        power *= step
+
+
+def agreement_below_bound_per_k(s, k: int, horizon: int) -> int | None:
+    """agreement_below_bound by calling both index maps on each index."""
+    s = good._check_index(s)
+    sig_parent = good.IndexMap(s)
+    sig_child = good.IndexMap(s + (k,))
+    limit = min(good.convergence_bound(s, k), horizon)
+    for n in range(limit):
+        if sig_parent(n) != sig_child(n):
+            return n
+    return None

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hurewicz_kit import cascade as cs
+from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError
 
 import oracles
@@ -190,6 +191,16 @@ def _admissibility_cases():
     yield _moved(base, (3,), (1,))  # onto an earlier sibling
     yield _moved(base, (2, 3), (2, 2))
     yield _moved(base, (2, 2, 3), (2, 2, 1))
+    yield _moved(base, (1, 2, 1), (1,))  # onto its grandparent
+    # a chain: (1, 1) sits on its grandparent, the root, and (1, 1, 1) on the
+    # root and on its parent
+    yield cs.CascadeSample.from_values(
+        {(): Fraction(0), (1,): Fraction(1, 4), (1, 1): Fraction(0), (1, 1, 1): Fraction(0)}
+    )
+    yield cs.CascadeSample.from_table(
+        [(), (1,), (1, 1)],
+        {((), (1,)): Fraction(1, 4), ((1,), (1, 1)): Fraction(1, 4), ((1, 1), ()): 0},
+    )
 
 
 def test_admissibility_matches_fraction_oracle():
@@ -219,6 +230,21 @@ def test_generator_refuses_oversized_shapes_before_work():
     assert len(cs.gen_cascade(0, 323, 1).nodes) == 324
     with pytest.raises(CapacityError):
         cs.gen_cascade(0, 324, 1)
+
+
+def test_verify_cascade_refuses_over_cap_shapes_before_any_trial(monkeypatch):
+    calls = []
+    true_gen = cs.gen_cascade
+    monkeypatch.setattr(cs, "gen_cascade", lambda *a: calls.append(a) or true_gen(*a))
+    # depth 9 and branching 9 is reached at trial 80; with 26 trials the
+    # last trial's shape, depth 8 and branching 3, is the one over the cap
+    for params in ({"max_depth": 9, "max_branching": 9}, {"trials": 26, "max_depth": 9}):
+        with pytest.raises(CapacityError):
+            vf.verify_cascade(**params)
+    assert calls == []
+    # shapes past the trial count are never drawn, so they are not refused
+    report = vf.verify_cascade(trials=3, max_depth=400, max_branching=9)
+    assert report.failed == 0 and [a[1:] for a in calls] == [(1, 1), (2, 1), (3, 1)]
 
 
 def test_samples_must_be_trees():

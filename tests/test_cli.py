@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from hurewicz_kit import cli, verifier
+from hurewicz_kit import cascade, cli, verifier
 
 
 def run(capsys, *argv):
@@ -111,6 +112,28 @@ def test_verify_cascade_refuses_negative_trials(capsys):
     code, out, err = run(capsys, "verify", "cascade", "--trials", "-3")
     assert code == 2 and out == ""
     assert "trials >= 0" in err
+
+
+def test_verify_good_suite_refuses_negative_parameters(capsys):
+    code, out, err = run(
+        capsys, "verify", "good-suite", "--horizon", "-5", "--max-u-len", "-1"
+    )
+    assert code == 2 and out == ""
+    assert "horizon" in err and "max_u_len" in err
+
+
+def test_verify_cascade_refuses_over_cap_shape_before_any_trial(capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the capacity test")
+
+    monkeypatch.setattr(cascade, "gen_cascade", no_trials)
+    monkeypatch.setitem(
+        verifier.SUITES, "cascade",
+        functools.partial(verifier.verify_cascade, max_depth=9, max_branching=9),
+    )
+    code, out, err = run(capsys, "verify", "cascade", "--trials", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("capacity error: a depth-9 branching-9")
 
 
 def test_verify_exit_codes(capsys):

@@ -1,9 +1,16 @@
 import pytest
 
 from hurewicz_kit import good_sequence as gs
+from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import Tri
 
-from oracles import j_code, prime
+from oracles import (
+    agreement_below_bound_per_k,
+    disagreement_witness_uncached,
+    j_code,
+    per_k_index_map_checks,
+    prime,
+)
 
 
 def naive_sigma(s, k):
@@ -32,6 +39,61 @@ def test_sigma_matches_naive():
         sig = gs.IndexMap(s)
         for k in range(3000):
             assert sig(k) == naive_sigma(s, k)
+
+
+def test_prefix_matches_naive():
+    # n = 0, 1, just below the first divisor, at it, and lengths no level
+    # divisor divides (997 and 2999 are primes above 5)
+    for s in vf._index_family(3, 4):
+        sig = gs.IndexMap(s)
+        first = gs._divisors(s)[0] if s else 1
+        for n in sorted({0, 1, first - 1, first, 997, 2999}):
+            assert sig.prefix(n) == [naive_sigma(s, k) for k in range(n)], (s, n)
+    with pytest.raises(ValueError):
+        gs.IndexMap((1,)).prefix(-1)
+
+
+def test_index_map_checks_match_per_k_sweeps(monkeypatch):
+    def as_dicts(checks):
+        return [c.as_dict() for c in checks]
+
+    assert as_dicts(vf._index_map_checks(3, 4, 3000)) == as_dicts(
+        per_k_index_map_checks(3, 4, 3000)
+    )
+    # maps built with every level divisor one too large collide and move
+    # indices whose successor no true divisor divides; both sweeps must
+    # report the same first collision and the same moved index
+    true_init = gs.IndexMap.__init__
+
+    def faulty_init(self, s):
+        true_init(self, s)
+        self._divs = tuple(d + 1 for d in self._divs)
+
+    monkeypatch.setattr(gs.IndexMap, "__init__", faulty_init)
+    faulty = as_dicts(vf._index_map_checks(2, 3, 500))
+    assert faulty == as_dicts(per_k_index_map_checks(2, 3, 500))
+    assert all(c["failed"] and c["counterexamples"] for c in faulty)
+
+
+def test_witness_matches_uncached_search():
+    family = vf._index_family(2, 3)
+    words = list(vf._all_words(7))
+    for s in family:
+        for t in family:
+            if s != t:
+                for u in words:
+                    assert gs.disagreement_witness(s, t, u) == (
+                        disagreement_witness_uncached(s, t, u)
+                    ), (s, t, u)
+
+
+def test_agreement_below_bound_matches_per_k_scan():
+    for s in vf._index_family(2, 4):
+        for k in range(1, 5):
+            for horizon in (-1, 0, 1, 3000):
+                assert gs.agreement_below_bound(s, k, horizon) == (
+                    agreement_below_bound_per_k(s, k, horizon)
+                ), (s, k, horizon)
 
 
 def test_sigma_rejects_zero_entries():

@@ -226,3 +226,45 @@ def test_cascade_reports_match_recorded_hashes(case):
 def test_cascade_refuses_nonsensical_parameters(params):
     with pytest.raises(ValueError):
         vf.verify_cascade(**params)
+
+
+# SHA-256 of good-suite reports, recorded while every index map was still
+# called one k at a time and every witness searched anew
+_GOOD_SUITE_SHA256 = {
+    "index-maps benchmark": (
+        dict(max_s_len=3, max_entry=4, horizon=3000, pair_max_len=2,
+             pair_max_entry=3, max_u_len=7),
+        "86739765f3f6d555ea12a3b9ad0b1573abe2f867dcbfb8e45be3ba95366fac2b",
+    ),
+    "small": (
+        dict(max_s_len=2, max_entry=2, horizon=2000, pair_max_len=1,
+             pair_max_entry=2, max_u_len=4),
+        "3abcf74a29e28db0fa2e5b4a681aaa750eb4d37916d8fe22ab96298bad0b037c",
+    ),
+    "determinism": (
+        dict(max_s_len=1, max_entry=2, horizon=500, pair_max_len=1,
+             pair_max_entry=2, max_u_len=3),
+        "117baa892d6bc05c4c793674e0cfe6a0e5be8bff9161b70809603c67d9dcc778",
+    ),
+    "acceptance gate 9": (
+        dict(max_s_len=2, max_entry=3, horizon=3000, pair_max_len=1,
+             pair_max_entry=2, max_u_len=5),
+        "333781dcf64099ce12a31038091014eb8606e6e684072f5a9d2b0e1f8c569624",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _GOOD_SUITE_SHA256)
+def test_good_suite_reports_match_recorded_hashes(case):
+    params, want = _GOOD_SUITE_SHA256[case]
+    report = vf.verify_good_sequence(**params)
+    assert hashlib.sha256(report.to_json_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "param",
+    ["max_s_len", "max_entry", "horizon", "pair_max_len", "pair_max_entry", "max_u_len"],
+)
+def test_good_suite_refuses_negative_parameters(param):
+    with pytest.raises(ValueError, match=param):
+        vf.verify_good_sequence(**{param: -1})

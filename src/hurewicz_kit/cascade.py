@@ -146,7 +146,9 @@ def check_admissibility(sample: CascadeSample, strict: bool = True) -> Condition
     used by the mutation harness; the genuine condition is strict)."""
     unit, gap = _metric(sample)
     reaches = operator.ge if strict else operator.gt
-    collisions = _ancestor_collisions(sample)
+    # generated samples never put a node on an ancestor's position, so the
+    # per-ancestor test runs only when two positions coincide
+    collide = sample.nums is None or len(set(sample.nums.values())) < len(sample.nums)
     chain = {(): math.inf}  # node -> least consecutive gap from the root to it
     earlier: dict = {}  # parent -> least gap of the children walked so far
     violations = []
@@ -158,48 +160,13 @@ def check_admissibility(sample: CascadeSample, strict: bool = True) -> Condition
         low = min(chain[parent], earlier.get(parent, math.inf))
         if reaches(g * (1 << k), unit) or reaches(4 * g, low):
             violations.append(("radius", node, Fraction(g, unit), _radius(k, low, unit)))
-        for a in collisions.get(node, ()):
-            violations.append(("ancestor-collision", node, a))
+        if collide:
+            for i in range(len(node)):
+                if gap(node, node[:i]) == 0:
+                    violations.append(("ancestor-collision", node, node[:i]))
         chain[node] = min(chain[parent], g)
         earlier[parent] = min(earlier.get(parent, math.inf), g)
     return ConditionReport(not violations, tuple(violations))
-
-
-def _ancestor_collisions(sample: CascadeSample) -> dict:
-    """node -> its strict ancestors at distance 0 from it, root first; nodes
-    with none are left out.
-
-    On the positions route there is none when all positions differ, the usual
-    case; otherwise one depth-first walk keeps, for each position, the nodes
-    of the current root path standing there, so a node's colliding ancestors
-    are read off in one lookup and a chain costs linear time.  The table
-    route, which has no positions, reads every ancestor's entry."""
-    nodes = sample.nodes
-    if sample.nums is None:
-        found = {n: [n[:i] for i in range(len(n)) if sample.d(n, n[:i]) == 0] for n in nodes}
-        return {n: a for n, a in found.items() if a}
-    nums = sample.nums
-    if len(set(nums.values())) == len(nums):
-        return {}
-    children: dict[tuple, list] = {}
-    for n in nodes:  # in label order under each parent
-        if n:
-            children.setdefault(n[:-1], []).append(n)
-    on_path: dict = {}  # position -> the nodes of the current path there
-    found = {}
-    stack = [(n, True) for n in nodes[:1]]  # the root, first in level order
-    while stack:
-        node, entering = stack.pop()
-        here = on_path.setdefault(nums[node], [])
-        if not entering:
-            here.pop()
-            continue
-        if here:
-            found[node] = list(here)
-        here.append(node)
-        stack.append((node, False))
-        stack.extend((c, True) for c in reversed(children.get(node, ())))
-    return found
 
 
 def check_separation(sample: CascadeSample, s: tuple, t: tuple, i: int) -> bool:

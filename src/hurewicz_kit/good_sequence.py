@@ -20,9 +20,8 @@ from .prime_coding import encode, nth_prime
 
 def _check_index(s) -> tuple[int, ...]:
     s = tuple(s)
-    for v in s:
-        if not isinstance(v, int) or v < 1:
-            raise ValueError("index entries must be positive naturals")
+    if any(not isinstance(v, int) or v < 1 for v in s):
+        raise ValueError("index entries must be positive naturals")
     return s
 
 
@@ -55,15 +54,16 @@ class IndexMap:
         q = succ // self._divs[best]
         return self._codes[best] * q - self._divs[best] - 1
 
-    def prefix(self, n: int) -> list[int]:
-        """[sigma_s(0), ..., sigma_s(n-1)], by a sieve over the level divisors:
-        level j rewrites every k with D_j | k+1, and deeper levels run later,
-        so each k keeps the value of the deepest level dividing k+1."""
-        if n < 0:
-            raise ValueError("prefix length must be a natural")
-        out = list(range(n))
+    def prefix(self, n: int, start: int = 0) -> list[int]:
+        """[sigma_s(start), ..., sigma_s(n-1)], by a sieve over the level
+        divisors: level j rewrites every k with D_j | k+1, and deeper levels
+        run later, so each k keeps the value of the deepest level dividing k+1."""
+        if n < 0 or start < 0:
+            raise ValueError("prefix bounds must be naturals")
+        out = list(range(start, n))
         for d, c in zip(self._divs, self._codes):
-            out[d - 1 :: d] = range(c - d - 1, c * (n // d) - d, c)
+            q = start // d + 1  # the least q with q*d - 1 >= start
+            out[q * d - 1 - start :: d] = range(c * q - d - 1, c * (n // d) - d, c)
         return out
 
 
@@ -173,11 +173,21 @@ def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[int, 
         power *= step
 
 
+# values compared per step by agreement_below_bound, bounding its memory
+_WINDOW = 1 << 14
+
+
 def agreement_below_bound(s, k: int, horizon: int) -> int | None:
     """First index below min(bound, horizon) where the index maps of s⌢k and s
-    differ, or None; expected None by the convergence bound."""
+    differ, or None; expected None by the convergence bound.  Both maps are
+    read _WINDOW values at a time, so memory does not grow with the horizon."""
     s = _check_index(s)
-    sig_child = _index_map(_check_index(s + (k,)))
-    limit = max(0, min(convergence_bound(s, k), horizon))
-    pairs = zip(_index_map(s).prefix(limit), sig_child.prefix(limit))
-    return next((n for n, (p, c) in enumerate(pairs) if p != c), None)
+    parent, child = _index_map(s), _index_map(_check_index(s + (k,)))
+    limit = min(convergence_bound(s, k), horizon)
+    for start in range(0, limit, _WINDOW):
+        stop = min(start + _WINDOW, limit)
+        pairs = zip(parent.prefix(stop, start), child.prefix(stop, start))
+        moved = next((n for n, (p, c) in enumerate(pairs, start) if p != c), None)
+        if moved is not None:
+            return moved
+    return None

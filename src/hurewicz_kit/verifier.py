@@ -633,7 +633,7 @@ def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Che
     injective = Check("index-map-injective")
     fixes = Check("index-map-fixes-coprime")
     for s in _index_family(max_s_len, max_entry):
-        values = good.IndexMap(s).prefix(horizon)
+        values = good._index_map(s).prefix(horizon)
         collision = None
         if len(set(values)) != horizon:
             seen: dict[int, int] = {}

@@ -43,14 +43,19 @@ def test_sigma_matches_naive():
 
 def test_prefix_matches_naive():
     # n = 0, 1, just below the first divisor, at it, and lengths no level
-    # divisor divides (997 and 2999 are primes above 5)
+    # divisor divides (997 and 2999 are primes above 5); then segments
+    # starting at 1, at the first divisor, past the end and mid-range
     for s in vf._index_family(3, 4):
         sig = gs.IndexMap(s)
         first = gs._divisors(s)[0] if s else 1
         for n in sorted({0, 1, first - 1, first, 997, 2999}):
             assert sig.prefix(n) == [naive_sigma(s, k) for k in range(n)], (s, n)
-    with pytest.raises(ValueError):
-        gs.IndexMap((1,)).prefix(-1)
+        for start, n in [(1, 997), (first, 2999), (998, 997), (1000, 2999)]:
+            want = [naive_sigma(s, k) for k in range(start, n)]
+            assert sig.prefix(n, start) == want, (s, start, n)
+    for bounds in [(-1,), (5, -1)]:
+        with pytest.raises(ValueError):
+            gs.IndexMap((1,)).prefix(*bounds)
 
 
 def test_index_map_checks_match_per_k_sweeps(monkeypatch):
@@ -69,9 +74,16 @@ def test_index_map_checks_match_per_k_sweeps(monkeypatch):
         true_init(self, s)
         self._divs = tuple(d + 1 for d in self._divs)
 
+    # the suite reads its maps from the per-index cache: empty it on both
+    # sides so the faulty maps are built here and not kept afterwards
+    gs._index_map.cache_clear()
     monkeypatch.setattr(gs.IndexMap, "__init__", faulty_init)
-    faulty = as_dicts(vf._index_map_checks(2, 3, 500))
-    assert faulty == as_dicts(per_k_index_map_checks(2, 3, 500))
+    try:
+        faulty = as_dicts(vf._index_map_checks(2, 3, 500))
+        assert faulty == as_dicts(per_k_index_map_checks(2, 3, 500))
+    finally:
+        monkeypatch.undo()
+        gs._index_map.cache_clear()
     assert all(c["failed"] and c["counterexamples"] for c in faulty)
 
 
@@ -87,13 +99,24 @@ def test_witness_matches_uncached_search():
                     ), (s, t, u)
 
 
-def test_agreement_below_bound_matches_per_k_scan():
-    for s in vf._index_family(2, 4):
-        for k in range(1, 5):
-            for horizon in (-1, 0, 1, 3000):
-                assert gs.agreement_below_bound(s, k, horizon) == (
-                    agreement_below_bound_per_k(s, k, horizon)
-                ), (s, k, horizon)
+def test_agreement_below_bound_matches_per_k_scan(monkeypatch):
+    def compare():
+        for s in vf._index_family(2, 4):
+            for k in range(1, 5):
+                for horizon in (-1, 0, 1, 3000):
+                    assert gs.agreement_below_bound(s, k, horizon) == (
+                        agreement_below_bound_per_k(s, k, horizon)
+                    ), (s, k, horizon)
+
+    compare()
+    # small windows, and bounds moved past the first true disagreement so
+    # that both scans find it, in a later window than the first
+    monkeypatch.setattr(gs, "_WINDOW", 7)
+    compare()
+    true_bound = gs.convergence_bound
+    monkeypatch.setattr(gs, "convergence_bound", lambda s, k: 3 * true_bound(s, k) + 2)
+    assert gs.agreement_below_bound((1,), 1, 3000) == 11
+    compare()
 
 
 def test_sigma_rejects_zero_entries():

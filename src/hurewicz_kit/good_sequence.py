@@ -20,8 +20,9 @@ from .prime_coding import encode, nth_prime
 
 def _check_index(s) -> tuple[int, ...]:
     s = tuple(s)
-    if any(not isinstance(v, int) or v < 1 for v in s):
-        raise ValueError("index entries must be positive naturals")
+    for v in s:  # a plain loop: any() over a generator costs more per call
+        if not isinstance(v, int) or v < 1:
+            raise ValueError("index entries must be positive naturals")
     return s
 
 

@@ -268,3 +268,32 @@ def test_good_suite_reports_match_recorded_hashes(case):
 def test_good_suite_refuses_negative_parameters(param):
     with pytest.raises(ValueError, match=param):
         vf.verify_good_sequence(**{param: -1})
+
+
+# SHA-256 of the departure-family reports, recorded while decode still
+# trial-divided by every prime, every rewritten value rebuilt its all-ones
+# product and member_valid decoded every value anew
+_DEPARTURE_SHA256 = {
+    "departure at the CLI defaults": (
+        lambda: vf.verify_departure(depth=3, horizon=10_000, samples=50, seed=0),
+        "c294bbc5bf12c0086447df97bd2b8203fe0292f08950a663143748cd225eecb2",
+    ),
+    "no-isolated defaults": (
+        lambda: vf.verify_no_isolated(),
+        "c0d7fb58e9ef18934563b5594a0e16adf6a6579c73cd2eec0ee643f33c5ba721",
+    ),
+    "arrival-scan defaults": (
+        lambda: vf.verify_arrival_scan(),
+        "297066a92b85f43d96123df6927dfcb82eb435cd96f44a3f14e9ea9b00907143",
+    ),
+    "acceptance gate 4": (
+        lambda: vf.verify_departure(depth=4, horizon=10_000, seed=0, include=("density",)),
+        "81b85fcc160690d8cbbd5ab23fca838507d2e0096d5c10c1900b463765a6fa11",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _DEPARTURE_SHA256)
+def test_departure_reports_match_recorded_hashes(case):
+    run, want = _DEPARTURE_SHA256[case]
+    assert hashlib.sha256(run().to_json_bytes()).hexdigest() == want

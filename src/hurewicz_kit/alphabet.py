@@ -9,7 +9,7 @@ finite prefixes; a flag states that every further coordinate equals 1.
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 from .base import CapacityError, Tri
 from . import prime_coding
@@ -100,10 +100,20 @@ def member_valid(level: int, v) -> bool:
         if v.length != level + 1 or v.entry(level) != 1:
             return False
         return all(member_valid(p, w) for p, w in v.items)
+    if not isinstance(v, int):
+        return False
+    return _int_member_valid(level, v)
+
+
+@lru_cache(maxsize=1024)
+def _int_member_valid(level: int, v: int) -> bool:
+    """``member_valid`` for an int: each distinct value is decoded and checked
+    once.  Rewritten coordinates repeat a few hundred alphabet members, so the
+    bound holds them all; ones and factored values never enter the cache."""
     seq = prime_coding.decode(v)
     if seq is None or len(seq) != level + 1 or seq[-1] != 1:
         return False
-    return all(member_valid(i, w) for i, w in enumerate(seq[:-1]))
+    return all(member_valid(i, w) for i, w in enumerate(seq[:-1]) if w != 1)
 
 
 def node_valid(u: tuple) -> bool:

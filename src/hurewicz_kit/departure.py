@@ -25,7 +25,6 @@ from .prime_coding import (
     SymbolicCode,
     decode,
     encode,
-    is_code,
     make_code_value_sparse,
     nth_prime,
 )
@@ -185,9 +184,29 @@ def find_branch(
 
 # --- enumeration of sequences by coded value --------------------------------
 
+# Ranks and branch numbers are served for sequences coded at most this value.
+CODE_CAP = 10**8
+
 _codes_lock = threading.RLock()
 _codes: list[int] = [0]
 _codes_limit = 1  # all codes < _codes_limit are present in _codes
+
+
+def _codes_below(limit: int) -> list[int]:
+    """Every code < limit, sorted: a depth-first walk over sequences, giving
+    entry i the exponents of q_i that keep the product below the limit."""
+    found = [0] if limit > 0 else []
+    stack = [(1, 0)]  # (code of a prefix, index of its next prime)
+    while stack:
+        value, i = stack.pop()
+        q = nth_prime(i)
+        value *= q  # entry 0 contributes q^1
+        while value < limit:
+            found.append(value)
+            stack.append((value, i + 1))
+            value *= q
+    found.sort()
+    return found
 
 
 def _ensure_codes(limit: int) -> None:
@@ -197,14 +216,10 @@ def _ensure_codes(limit: int) -> None:
     with _codes_lock:
         if limit <= _codes_limit:
             return
-        fresh = list(_codes)
-        for n in range(_codes_limit + (_codes_limit & 1), limit, 2):
-            # codes of nonempty sequences are even
-            if n and is_code(n):
-                fresh.append(n)
-        fresh.sort()
+        # at least double, so a run of growing requests regenerates rarely
+        limit = max(limit, 2 * _codes_limit)
         # single rebinding so concurrent readers see a complete sorted table
-        _codes = fresh
+        _codes = _codes_below(limit)
         _codes_limit = limit
 
 
@@ -212,19 +227,20 @@ def e(n: int) -> tuple[int, ...]:
     """The n-th finite sequence in increasing code order; e(0) = ()."""
     if n < 0:
         raise ValueError("rank must be a natural")
-    while len(_codes) <= n:
-        _ensure_codes(max(_codes_limit * 2, 16))
+    if n >= len(_codes) or _codes[n] > CODE_CAP:
+        _ensure_codes(CODE_CAP + 1)
+        if n >= len(_codes) or _codes[n] > CODE_CAP:
+            raise CapacityError("sequence rank beyond the enumeration cap")
     return decode(_codes[n])
 
 
 def e_inv(s: tuple[int, ...]) -> int:
     """Rank of a sequence in code order; strictly grows under extension."""
     c = encode(s)
-    if c > 10**8:
+    if c > CODE_CAP:
         raise CapacityError("sequence rank beyond the enumeration cap")
     _ensure_codes(c + 1)
-    i = bisect_left(_codes, c)
-    return i
+    return bisect_left(_codes, c)
 
 
 def branches_within(horizon: int) -> list[BranchIndex]:
@@ -260,17 +276,14 @@ def branch_by_rank(n: int, p: int) -> BranchIndex:
     increasing code order."""
     s = e(n)
     want = len(s) + 1
+    _ensure_codes(CODE_CAP + 1)
     found = 0
-    limit = 64
-    while True:
-        _ensure_codes(limit)
-        found = 0
-        for c in _codes:
-            w = decode(c)
-            if len(w) == want:
-                if found == p:
-                    return BranchIndex(s, w)
-                found += 1
-        if limit > 10**8:
-            raise CapacityError("branch rank beyond the enumeration cap")
-        limit *= 4
+    for c in _codes:
+        if c > CODE_CAP:
+            break
+        w = decode(c)
+        if len(w) == want:
+            if found == p:
+                return BranchIndex(s, w)
+            found += 1
+    raise CapacityError("branch rank beyond the enumeration cap")

@@ -85,10 +85,6 @@ class BitPrefix:
     bits: bytes
     tail: bytes | None = None
 
-    @classmethod
-    def from_bits(cls, bits, tail=None) -> "BitPrefix":
-        return cls(bytes(bits), bytes(tail) if tail is not None else None)
-
     def bit(self, k: int):
         if k < 0:
             raise IndexError(k)

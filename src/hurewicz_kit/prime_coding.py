@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from decimal import Decimal, localcontext
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .base import CapacityError
@@ -112,7 +113,8 @@ def decode(c) -> tuple | None:
     """Inverse of the coding; None when ``c`` is not a coded value.
 
     Accepts plain naturals and factored SymbolicCode values (whose defining
-    sequence is returned directly).
+    sequence is returned directly).  The exponent of 2 is read off the lowest
+    set bit; each odd prime's is stripped by repeated squaring.
     """
     if isinstance(c, SymbolicCode):
         return c.seq()
@@ -120,22 +122,45 @@ def decode(c) -> tuple | None:
         return None
     if c == 0:
         return ()
-    if c == 1:
-        return None  # the empty sequence codes to 0, nonempty ones to >= 2
-    entries = []
-    i = 0
+    if c & 1:
+        return None  # 1 codes nothing; other odd values do not start at 2
+    e = (c & -c).bit_length() - 1
+    c >>= e
+    entries = [e - 1]
+    i = 1
     while c > 1:
-        p = nth_prime(i)
-        e = 0
-        while c % p == 0:
-            c //= p
-            e += 1
+        if i >= len(_primes):
+            _ensure_primes(i + 1)
+        e, c = _strip_prime(c, _primes[i])
         if e == 0:
             # factorization skips q_i: not contiguous, not a code
             return None
         entries.append(e - 1)
         i += 1
     return tuple(entries)
+
+
+def _strip_prime(c: int, p: int) -> tuple[int, int]:
+    """(e, c / p^e) for the exact power p^e dividing c: divide by p, p^2,
+    p^4, ... while they divide, then by the same powers in reverse for the
+    binary digits of the remainder of the exponent."""
+    powers = []
+    e = 0
+    pw = p
+    while True:
+        quot, rem = divmod(c, pw)
+        if rem:
+            break
+        c = quot
+        e += 1 << len(powers)
+        powers.append(pw)
+        pw *= pw
+    for k in range(len(powers) - 1, -1, -1):
+        quot, rem = divmod(c, powers[k])
+        if not rem:
+            c = quot
+            e += 1 << k
+    return e, c
 
 
 def is_code(n: int) -> bool:
@@ -219,17 +244,30 @@ def make_code_value(seq: Sequence) -> "int | SymbolicCode":
 
 
 def make_code_value_sparse(length: int, items) -> "int | SymbolicCode":
+    """Canonical code value of the length-``length`` sequence that is 1 except
+    at the (position, entry) ``items``."""
     if length == 0:
         return 0
     bits = _seq_bits_scaled(length, items)
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
-        value = 1
-        for i in range(length):
-            value *= nth_prime(i) ** 2
+        value = _all_ones_code(length)
         for pos, v in items:
-            value *= nth_prime(pos) ** (v - 1)
+            if v:
+                value *= _primes[pos] ** (v - 1)
+            else:
+                value //= _primes[pos]
         return value
     return SymbolicCode(length, items)
+
+
+@lru_cache(maxsize=1024)
+def _all_ones_code(length: int) -> int:
+    """Code of (1,) * length.  Called only for materialized values, so length
+    stays below the few hundred positions whose primes fit the cutoff."""
+    value = 1
+    for i in range(length):
+        value *= nth_prime(i) ** 2
+    return value
 
 
 # --- exact ordering of code values -----------------------------------------

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .base import Tri
+from .base import CapacityError, Tri
 from . import alphabet as alph
 from . import cascade as casc
 from . import departure as dep
@@ -32,6 +32,10 @@ FAULT_EPSILON_NONSTRICT = "epsilon-nonstrict"
 ALL_FAULTS = (FAULT_REWRITE_OFF_BY_ONE, FAULT_DROP_NON_ONES, FAULT_EPSILON_NONSTRICT)
 
 _COUNTEREXAMPLE_CAP = 5
+
+# Largest good-suite horizon: the injectivity check holds every index map's
+# prefix of that length at once, about 134 bytes per index: 135 MB at the cap.
+HORIZON_CAP = 10**6
 
 
 @dataclass
@@ -585,6 +589,8 @@ def verify_good_sequence(
     negative = [name for name, v in params.items() if v < 0]
     if negative:
         raise ValueError(f"good-suite parameters must be naturals: {', '.join(negative)}")
+    if horizon > HORIZON_CAP:
+        raise CapacityError(f"horizon {horizon} exceeds the cap {HORIZON_CAP}")
     injective, fixes = _index_map_checks(max_s_len, max_entry, horizon)
     agree = Check("extension-agreement-horizon")
     witness = Check("disagreement-witness")

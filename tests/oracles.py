@@ -1,7 +1,9 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately naive: a bounded sieve, direct product
-evaluation of the coding, brute-force enumeration of coded sequences, and a
+evaluation of the coding, decoding by trial division, alphabet membership
+decoded anew on every call, brute-force enumeration of coded sequences and
+the same enumeration by trial division of every even number, and a
 relation decision that builds explicit points and pushes them through the
 branch maps instead of reasoning about constraint truncations, a relation
 graph and relation checks built by testing every pair of nodes, the
@@ -23,7 +25,12 @@ from hurewicz_kit import good_sequence as good
 from hurewicz_kit import relations as rel
 from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
 from hurewicz_kit.base import Tri
-from hurewicz_kit.prime_coding import make_code_value_sparse, render_value
+from hurewicz_kit.prime_coding import (
+    MATERIALIZE_BITS,
+    SymbolicCode,
+    make_code_value_sparse,
+    render_value,
+)
 from hurewicz_kit.verifier import Check, _index_family
 
 
@@ -65,6 +72,81 @@ def codes_in_order(limit: int) -> list[tuple]:
     found = [(j_code(s), s) for s in all_seqs(max_len, max_entry) if j_code(s) < limit]
     found.sort()
     return [s for _, s in found]
+
+
+def decode_trial_division(c) -> tuple | None:
+    """decode by dividing out q_0, q_1, ... one factor at a time."""
+    if isinstance(c, SymbolicCode):
+        return c.seq()
+    if not isinstance(c, int) or c < 0:
+        return None
+    if c == 0:
+        return ()
+    if c == 1:
+        return None
+    entries = []
+    i = 0
+    while c > 1:
+        p = prime(i)
+        e = 0
+        while c % p == 0:
+            c //= p
+            e += 1
+        if e == 0:
+            return None
+        entries.append(e - 1)
+        i += 1
+    return tuple(entries)
+
+
+def code_value_per_call(length: int, items):
+    """make_code_value_sparse with the all-ones product rebuilt on every call
+    and the cutoff decided exactly: materialized iff at most 2^MATERIALIZE_BITS."""
+    if length == 0:
+        return 0
+    entries = [1] * length
+    for pos, v in items:
+        entries[pos] = v
+    if any(isinstance(v, SymbolicCode) for v in entries):
+        return SymbolicCode(length, items)
+    # q^(e+1) has at least (e+1) * (bits of q - 1) bits
+    if sum((e + 1) * (prime(i).bit_length() - 1) for i, e in enumerate(entries)) > MATERIALIZE_BITS:
+        return SymbolicCode(length, items)
+    value = 1
+    for i in range(length):
+        value *= prime(i) ** 2
+    for pos, v in items:
+        if v:
+            value *= prime(pos) ** (v - 1)
+        else:
+            value //= prime(pos)
+    if value <= 1 << MATERIALIZE_BITS:
+        return value
+    return SymbolicCode(length, items)
+
+
+def member_valid_uncached(level: int, v) -> bool:
+    """Alphabet membership with every int value decoded by trial division on
+    every call, entries equal to 1 included."""
+    if v == 1:
+        return True
+    if isinstance(v, SymbolicCode):
+        if v.length != level + 1 or v.entry(level) != 1:
+            return False
+        return all(member_valid_uncached(p, w) for p, w in v.items)
+    seq = decode_trial_division(v)
+    if seq is None or len(seq) != level + 1 or seq[-1] != 1:
+        return False
+    return all(member_valid_uncached(i, w) for i, w in enumerate(seq[:-1]))
+
+
+def codes_by_trial_division(limit: int) -> list[int]:
+    """Every code below the limit: 0, then each even n < limit that decodes."""
+    found = [0] if limit > 0 else []
+    for n in range(2, limit, 2):
+        if decode_trial_division(n) is not None:
+            found.append(n)
+    return found
 
 
 def oracle_related(s: tuple, t: tuple, stem_len: int = 1, max_entry: int = 6) -> bool:

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from hurewicz_kit import alphabet as al
+from hurewicz_kit import departure as dep
 from hurewicz_kit import prime_coding as pc
+from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Tri
 
-from oracles import j_code
+from oracles import j_code, member_valid_uncached
 
 
 def test_first_two_levels_exact():
@@ -41,6 +45,38 @@ def test_member_valid_negatives():
     assert not al.member_valid(2, 10)
     assert al.member_valid(2, 900)
     assert al.member_valid(7, 1)
+
+
+def _assert_member_valid_matches_oracle(level, v):
+    want = member_valid_uncached(level, v)
+    # the second call reads the cache for int values
+    assert al.member_valid(level, v) == want, (level, v)
+    assert al.member_valid(level, v) == want, (level, v)
+    return want
+
+
+def test_member_valid_matches_uncached_oracle():
+    verdicts = set()
+    for i, members in enumerate(al.alphabets(4)):
+        for m in members:
+            for level in range(max(i - 1, 0), i + 2):
+                verdicts.add(_assert_member_valid_matches_oracle(level, m))
+    for level, v in ((2, 901), (0, 36), (2, 10), (2, 900), (7, 1), (1, 0), (3, 2**4096)):
+        _assert_member_valid_matches_oracle(level, v)
+    # rewritten coordinates of branch maps at random domain points, correct
+    # and with the off-by-one rewrite fault, at their own level and one below
+    rng = random.Random(3)
+    branches = dep.branches_within(3000)
+    for b in rng.sample(branches, 40):
+        cons = dep.constraints(b)
+        for _ in range(4):
+            x = vf._sample_domain_point(cons, rng)
+            for fault in (None, dep.FAULT_REWRITE_OFF_BY_ONE):
+                y = dep.apply(b, x, fault=fault)
+                for q in cons.ones:
+                    verdicts.add(_assert_member_valid_matches_oracle(q, y.coord(q)))
+                    _assert_member_valid_matches_oracle(q - 1, y.coord(q))
+    assert verdicts == {True, False}
 
 
 def test_alphabets_sorted():

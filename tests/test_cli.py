@@ -122,6 +122,12 @@ def test_verify_good_suite_refuses_negative_parameters(capsys):
     assert "horizon" in err and "max_u_len" in err
 
 
+def test_verify_good_suite_refuses_horizon_over_cap(capsys):
+    code, out, err = run(capsys, "verify", "good-suite", "--horizon", "100000000")
+    assert code == 2 and out == ""
+    assert "capacity error" in err and "horizon" in err
+
+
 def test_verify_cascade_refuses_over_cap_shape_before_any_trial(capsys, monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran before the capacity test")

@@ -3,9 +3,9 @@ import pytest
 from hurewicz_kit import alphabet as al
 from hurewicz_kit import departure as dep
 from hurewicz_kit import prime_coding as pc
-from hurewicz_kit.base import DomainError, HorizonError, Tri
+from hurewicz_kit.base import CapacityError, DomainError, HorizonError, Tri
 
-from oracles import codes_in_order, j_code
+from oracles import codes_by_trial_division, codes_in_order, j_code
 
 
 def branch(s, t):
@@ -107,6 +107,33 @@ def test_enumeration_matches_brute_force():
     assert got == expected
     for n, s in enumerate(expected):
         assert dep.e_inv(s) == n
+
+
+def test_generated_codes_match_oracles():
+    assert [pc.decode(c) for c in dep._codes_below(5000)] == codes_in_order(5000)
+    assert dep._codes_below(10**6) == codes_by_trial_division(10**6)
+    for limit in (0, 1, 2, 3, 4, 5, 12, 13):
+        assert dep._codes_below(limit) == codes_by_trial_division(limit)
+    dep._ensure_codes(10**6)
+    assert [c for c in dep._codes if c < 10**6] == codes_by_trial_division(10**6)
+
+
+def test_enumeration_cap():
+    assert dep.e_inv((22,)) == 1569
+    top = max(c for c in dep._codes_below(dep.CODE_CAP + 1))
+    last = dep.e_inv(pc.decode(top))
+    assert dep.e(last) == pc.decode(top)
+    for n in (last + 1, 10**9):
+        with pytest.raises(CapacityError):
+            dep.e(n)
+    # a refused rank does not grow the table past the cap
+    assert dep._codes_limit <= 2 * (dep.CODE_CAP + 1)
+    with pytest.raises(CapacityError):
+        dep.e_inv(pc.decode(top) + (0,))
+    # (25,) codes to 2^26 < 10^8 and (26,) to 2^27 > 10^8
+    assert dep.branch_by_rank(0, 25) == branch((), (25,))
+    with pytest.raises(CapacityError):
+        dep.branch_by_rank(0, 26)
 
 
 def test_enumeration_prefix_monotone():

@@ -1,9 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hurewicz_kit import prime_coding as pc
 
-from oracles import all_seqs, j_code, prime, sieve_primes
+from oracles import (
+    all_seqs,
+    code_value_per_call,
+    decode_trial_division,
+    j_code,
+    prime,
+    sieve_primes,
+)
 
 
 def test_first_primes():
@@ -167,3 +176,60 @@ def test_horizon_error_reports_needed_index():
         assert exc.required_index == 2
     else:
         raise AssertionError("expected a horizon error")
+
+
+def _decode_cases():
+    rng = random.Random(11)
+    cases = [0, 1, 2, 3, 7, 15, 1001, 3**40, 2**4096 + 1]  # 0, 1, odd values
+    # values that skip a prime, or carry one past the last entry
+    cases += [10, 2 * 5, 2**3 * 3 * 7, j_code((1, 1)) * 7, j_code((4, 0, 2)) * 11**3]
+    # values around 4096 bits, with large exponents at 2 and at odd primes
+    cases += [2**4095, 2**4096, 2**4097, 2 * 3**2583, 2 * 3**2584 * 5, j_code((1,) * 200)]
+    cases += [j_code((0, 2583)), j_code((0, 2583)) // 3, j_code((0, 2583)) * 3]
+    for _ in range(200):
+        seq = tuple(rng.choice((0, 1, 1, 2, rng.randrange(300))) for _ in range(rng.randrange(1, 16)))
+        c = j_code(seq)
+        cases += [c, c * prime(rng.randrange(len(seq) + 2)), c // 2, c * 2 + 1]
+    # factored values return their defining sequence
+    cases += [pc.make_code_value((5000,)), pc.make_code_value((1, 1, 2**5 * 3**289 * 5**2, 1))]
+    return cases
+
+
+def test_decode_matches_trial_division():
+    for c in _decode_cases():
+        assert pc.decode(c) == decode_trial_division(c), c
+
+
+def test_decode_rejects_non_naturals():
+    for c in (-4, -1, 4.0, "4", None):
+        assert pc.decode(c) is None
+        assert decode_trial_division(c) is None
+
+
+def _sparse_cases():
+    big_entry = 2**5 * 3**289 * 5**2
+    cases = []
+    # every all-ones length through the cutoff (2 * log2 of the first primes)
+    for length in range(1, 400):
+        cases += [(length, ()), (length, ((0, 4),)), (length, ((length - 1, 0),))]
+    # single entries straddling 2^4096, and entries 0 that divide the product
+    for e in range(4090, 4100):
+        cases.append((1, ((0, e),)))
+    cases += [(2, ((0, 0),)), (3, ((0, 0), (2, 0))), (200, ((0, 0), (5, 0), (7, 9)))]
+    cases += [(4, ((2, big_entry),)), (5, ((1, 4), (3, big_entry)))]
+    rng = random.Random(5)
+    for _ in range(300):
+        length = rng.randrange(1, 300)
+        positions = sorted(rng.sample(range(length), min(length, rng.randrange(4))))
+        cases.append((length, tuple((p, rng.choice((0, 2, 4, 36, 900, 1500))) for p in positions)))
+    return cases
+
+
+def test_make_code_value_sparse_matches_per_call_product():
+    kinds = set()
+    for length, items in _sparse_cases():
+        got = pc.make_code_value_sparse(length, items)
+        want = code_value_per_call(length, items)
+        assert type(got) is type(want) and got == want, (length, items)
+        kinds.add(type(got))
+    assert kinds == {int, pc.SymbolicCode}

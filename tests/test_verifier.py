@@ -7,7 +7,7 @@ from hurewicz_kit import alphabet as al
 from hurewicz_kit import cli
 from hurewicz_kit import departure as dep
 from hurewicz_kit import verifier as vf
-from hurewicz_kit.base import Tri
+from hurewicz_kit.base import CapacityError, Tri
 from hurewicz_kit.prime_coding import encode
 
 from oracles import pair_scan_relation_checks
@@ -259,6 +259,21 @@ def test_good_suite_reports_match_recorded_hashes(case):
     params, want = _GOOD_SUITE_SHA256[case]
     report = vf.verify_good_sequence(**params)
     assert hashlib.sha256(report.to_json_bytes()).hexdigest() == want
+
+
+def test_good_suite_refuses_horizon_over_cap_before_work(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+
+    monkeypatch.setattr(vf, "_index_map_checks", stop)
+    with pytest.raises(Reached):
+        vf.verify_good_sequence(horizon=vf.HORIZON_CAP)
+    for horizon in (vf.HORIZON_CAP + 1, 10**8):
+        with pytest.raises(CapacityError, match="horizon"):
+            vf.verify_good_sequence(horizon=horizon)
 
 
 @pytest.mark.parametrize(

@@ -97,15 +97,17 @@ def encode(seq: Sequence[int]) -> int:
     """Code of a finite sequence of naturals; 0 for the empty sequence."""
     if not seq:
         return 0
+    if len(seq) > len(_primes):
+        _ensure_primes(len(seq))
     value = 1
-    for i, entry in enumerate(seq):
+    for q, entry in zip(_primes, seq):
         if not isinstance(entry, int):
             raise CapacityError(
                 "entry too large to materialize; use make_code_value for the factored form"
             )
         if entry < 0:
             raise ValueError("entries must be naturals")
-        value *= nth_prime(i) ** (entry + 1)
+        value *= q ** (entry + 1)
     return value
 
 
@@ -178,13 +180,13 @@ class SymbolicCode:
     __slots__ = ("length", "items", "_bits_scaled", "_hash")
 
     def __init__(self, length: int, items: Iterable[tuple[int, object]]):
+        its = _canonical_items(length, items)
+        self._fill(length, its, _seq_bits_scaled(length, its))
+
+    def _fill(self, length: int, its: tuple, bits_scaled: int | None) -> None:
         object.__setattr__(self, "length", length)
-        its = tuple(sorted((p, v) for p, v in items if v != 1))
-        for p, v in its:
-            if not 0 <= p < length:
-                raise ValueError("item position outside the coded sequence")
         object.__setattr__(self, "items", its)
-        object.__setattr__(self, "_bits_scaled", _seq_bits_scaled(length, its))
+        object.__setattr__(self, "_bits_scaled", bits_scaled)
         object.__setattr__(self, "_hash", hash((length, its)))
 
     def entry(self, i: int):
@@ -224,16 +226,34 @@ class SymbolicCode:
 _EXACT_LENGTH_CAP = 100_000
 
 
+def _canonical_items(length: int, items) -> tuple:
+    """The non-1 (position, entry) pairs, sorted, each inside the sequence."""
+    its = tuple(sorted((p, v) for p, v in items if v != 1))
+    for p, _ in its:
+        if not 0 <= p < length:
+            raise ValueError("item position outside the coded sequence")
+    return its
+
+
 def _seq_bits_scaled(length: int, items) -> int | None:
     """Scaled log2 of the code of a mostly-1 sequence (a lower bound once the
     sequence outgrows the exact-sum cap); None when some entry is itself
-    non-materializable (the value is then astronomically large)."""
-    coarse = length > _EXACT_LENGTH_CAP
-    total = 2 * length * _LOG2_SCALE if coarse else 2 * _cum_log2q_scaled(length)
+    non-materializable (the value is then astronomically large).  Every item
+    position must lie below ``length``."""
+    if length > _EXACT_LENGTH_CAP:
+        total = 2 * length * _LOG2_SCALE
+        for _, v in items:
+            if isinstance(v, SymbolicCode):
+                return None
+            total += (v - 1) * _LOG2_SCALE
+        return total
+    if length >= len(_cum_log2q):
+        _log2q_scaled(length)
+    total = 2 * _cum_log2q[length]
     for pos, v in items:
         if isinstance(v, SymbolicCode):
             return None
-        total += (v - 1) * (_LOG2_SCALE if coarse else _log2q_scaled(pos))
+        total += (v - 1) * _log2q[pos]
     return total
 
 
@@ -248,16 +268,19 @@ def make_code_value_sparse(length: int, items) -> "int | SymbolicCode":
     at the (position, entry) ``items``."""
     if length == 0:
         return 0
-    bits = _seq_bits_scaled(length, items)
+    its = _canonical_items(length, items)
+    bits = _seq_bits_scaled(length, its)
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
         value = _all_ones_code(length)
-        for pos, v in items:
+        for pos, v in its:
             if v:
                 value *= _primes[pos] ** (v - 1)
             else:
                 value //= _primes[pos]
         return value
-    return SymbolicCode(length, items)
+    code = object.__new__(SymbolicCode)
+    code._fill(length, its, bits)
+    return code
 
 
 @lru_cache(maxsize=1024)

@@ -123,9 +123,11 @@ class VerificationReport:
 def _noise_member(level: int, rng: random.Random):
     if level < 4:
         return rng.choice(alph.alphabet_at(level))
-    return rng.choice(
-        (1, make_code_value_sparse(level + 1, ()), make_code_value_sparse(level + 1, ((0, 4),)))
-    )
+    # the draw rng.choice would make among the three, building only the one drawn
+    pick = rng.randrange(3)
+    if pick == 0:
+        return 1
+    return make_code_value_sparse(level + 1, () if pick == 1 else ((0, 4),))
 
 
 def _non_one_member(level: int, rng: random.Random):

@@ -86,13 +86,6 @@ def _log2q_scaled(i: int) -> int:
     return _log2q[i]
 
 
-def _cum_log2q_scaled(n: int) -> int:
-    """Scaled sum of log2(q_i) for i < n."""
-    if n >= len(_cum_log2q):
-        _log2q_scaled(n)
-    return _cum_log2q[n]
-
-
 def encode(seq: Sequence[int]) -> int:
     """Code of a finite sequence of naturals; 0 for the empty sequence."""
     if not seq:
@@ -116,7 +109,7 @@ def decode(c) -> tuple | None:
 
     Accepts plain naturals and factored SymbolicCode values (whose defining
     sequence is returned directly).  The exponent of 2 is read off the lowest
-    set bit; each odd prime's is stripped by repeated squaring.
+    set bit; only the odd primes are divided out.
     """
     if isinstance(c, SymbolicCode):
         return c.seq()
@@ -133,36 +126,20 @@ def decode(c) -> tuple | None:
     while c > 1:
         if i >= len(_primes):
             _ensure_primes(i + 1)
-        e, c = _strip_prime(c, _primes[i])
+        p = _primes[i]
+        e = 0
+        while True:
+            quot, rem = divmod(c, p)
+            if rem:
+                break
+            c = quot
+            e += 1
         if e == 0:
             # factorization skips q_i: not contiguous, not a code
             return None
         entries.append(e - 1)
         i += 1
     return tuple(entries)
-
-
-def _strip_prime(c: int, p: int) -> tuple[int, int]:
-    """(e, c / p^e) for the exact power p^e dividing c: divide by p, p^2,
-    p^4, ... while they divide, then by the same powers in reverse for the
-    binary digits of the remainder of the exponent."""
-    powers = []
-    e = 0
-    pw = p
-    while True:
-        quot, rem = divmod(c, pw)
-        if rem:
-            break
-        c = quot
-        e += 1 << len(powers)
-        powers.append(pw)
-        pw *= pw
-    for k in range(len(powers) - 1, -1, -1):
-        quot, rem = divmod(c, powers[k])
-        if not rem:
-            c = quot
-            e += 1 << k
-    return e, c
 
 
 def is_code(n: int) -> bool:
@@ -259,8 +236,7 @@ def _seq_bits_scaled(length: int, items) -> int | None:
 
 def make_code_value(seq: Sequence) -> "int | SymbolicCode":
     """Canonical code value of ``seq``: int when small, factored form when not."""
-    items = tuple((i, v) for i, v in enumerate(seq) if v != 1)
-    return make_code_value_sparse(len(seq), items)
+    return make_code_value_sparse(len(seq), enumerate(seq))
 
 
 def make_code_value_sparse(length: int, items) -> "int | SymbolicCode":
@@ -268,7 +244,7 @@ def make_code_value_sparse(length: int, items) -> "int | SymbolicCode":
     at the (position, entry) ``items``."""
     if length == 0:
         return 0
-    its = _canonical_items(length, items)
+    its = _canonical_items(length, items) if items else ()
     bits = _seq_bits_scaled(length, its)
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
         value = _all_ones_code(length)

@@ -63,6 +63,13 @@ def test_member_valid_matches_uncached_oracle():
                 verdicts.add(_assert_member_valid_matches_oracle(level, m))
     for level, v in ((2, 901), (0, 36), (2, 10), (2, 900), (7, 1), (1, 0), (3, 2**4096)):
         _assert_member_valid_matches_oracle(level, v)
+    # codes of u⌢1 with one entry of u moved off its alphabet
+    for i, members in enumerate(al.alphabets(4)):
+        for m in members[1:]:
+            seq = pc.decode(m)
+            for j in range(i):
+                bad = seq[:j] + (seq[j] + 1,) + seq[j + 1 :]
+                assert not _assert_member_valid_matches_oracle(i, pc.make_code_value(bad))
     # rewritten coordinates of branch maps at random domain points, correct
     # and with the off-by-one rewrite fault, at their own level and one below
     rng = random.Random(3)

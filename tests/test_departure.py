@@ -110,7 +110,6 @@ def test_enumeration_matches_brute_force():
 
 
 def test_generated_codes_match_oracles():
-    assert [pc.decode(c) for c in dep._codes_below(5000)] == codes_in_order(5000)
     assert dep._codes_below(10**6) == codes_by_trial_division(10**6)
     for limit in (0, 1, 2, 3, 4, 5, 12, 13):
         assert dep._codes_below(limit) == codes_by_trial_division(limit)
@@ -128,6 +127,11 @@ def test_enumeration_cap():
             dep.e(n)
     # a refused rank does not grow the table past the cap
     assert dep._codes_limit <= 2 * (dep.CODE_CAP + 1)
+    # and a table grown past the cap for a wide horizon still refuses it
+    dep._ensure_codes(4 * dep.CODE_CAP)
+    assert len(dep._codes) > last + 1
+    with pytest.raises(CapacityError):
+        dep.e(last + 1)
     with pytest.raises(CapacityError):
         dep.e_inv(pc.decode(top) + (0,))
     # (25,) codes to 2^26 < 10^8 and (26,) to 2^27 > 10^8

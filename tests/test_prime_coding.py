@@ -78,6 +78,9 @@ def test_is_code():
 def test_make_code_value_canonical():
     small = pc.make_code_value((1, 1, 1))
     assert small == 900 and isinstance(small, int)
+    # an entry 0 divides the all-ones code exactly
+    zero = pc.make_code_value((1, 0, 1))
+    assert zero == 300 and isinstance(zero, int)
     # an entry of ~2^470 pushes the value far past the materialization cutoff
     big_entry = 2**5 * 3**289 * 5**2
     big = pc.make_code_value((1, 1, big_entry, 1))

@@ -25,6 +25,7 @@ from .prime_coding import (
 from .alphabet import (
     ALL_ONES,
     DEFAULT_DEPTH_CAP,
+    NODE_COUNT_CAP,
     PointPrefix,
     alphabet_at,
     alphabets,

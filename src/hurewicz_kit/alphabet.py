@@ -9,19 +9,25 @@ finite prefixes; a flag states that every further coordinate equals 1.
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, partial
 
 from .base import CapacityError, Tri
 from . import prime_coding
 from .prime_coding import (
     SymbolicCode,
     code_value_cmp,
+    fixed_log,
     make_code_value,
     nth_prime,
     scaled_log_sign,
 )
 
 DEFAULT_DEPTH_CAP = 5
+
+# Node lists are refused above this many nodes.  Depth 4 has 1,806; depth 5
+# has 3,263,442, whose tuples alone take over a gigabyte and whose relation
+# graph takes about a minute.
+NODE_COUNT_CAP = 100_000
 
 _alpha_cache: list[tuple] = []
 
@@ -56,8 +62,96 @@ def member_cmp(level: int, x, y) -> int:
     return code_value_cmp(x, y)
 
 
+# Bound, per unit of coefficient difference, on the error of a difference of
+# fixed-point log sums (prime_coding.fixed_log is within 2 of the scaled log).
+_LOG_ERROR = 2
+
+
+def _order_key(u: tuple, logs: list[int], ranks: dict) -> tuple:
+    """Sort key (tier, rank, S, coefficients) of the code of u⌢1.
+
+    ln code(u⌢1) = sum((u_j + 1) * ln q_j) + 2 * ln q_len(u), and the terms
+    that every member of the level shares cancel in any difference, so a
+    member whose entries are all ints is keyed by its coefficients u and
+    S = sum(u_j * fixed_log(q_j)); this is tier 1, rank 0.  A level-4 member
+    (a, b, c, d) whose level-3 entry d is factored is keyed (tier 2, rank of
+    d in A_3, S of (a, b, c)); see ``alphabets`` for why that is exact.
+    """
+    if len(u) == 4 and isinstance(u[3], SymbolicCode):
+        head = u[:3]
+        return (2, ranks[u[3]], sum(v * q for v, q in zip(head, logs)), head)
+    return (1, 0, sum(v * q for v, q in zip(u, logs)), u)
+
+
+def _certified_cmp(kx: tuple, ky: tuple) -> int | None:
+    """Order of two same-level members read off their keys; None when the
+    keys cannot decide it.
+
+    Different (tier, rank) decide by themselves.  Otherwise the gap
+    S_y - S_x equals sum(Δ_j * fixed_log(q_j)) over the coefficient
+    differences Δ (equal entries cancel exactly), so it lies within
+    _LOG_ERROR * sum(|Δ_j|) of 2**FIXED_LOG_BITS * (ln y - ln x) (see
+    prime_coding.fixed_log): a gap outside that interval decides the sign
+    of ln y - ln x.
+    """
+    if kx[:2] != ky[:2]:
+        return -1 if kx[:2] < ky[:2] else 1
+    gap = ky[2] - kx[2]
+    err = _LOG_ERROR * sum(abs(a - b) for a, b in zip(kx[3], ky[3]))
+    if gap > err:
+        return -1
+    if gap < -err:
+        return 1
+    return None
+
+
+def _exact_cmp(level: int, a: tuple, b: tuple) -> int:
+    """Exact order of two (key, member) pairs: ``_certified_cmp`` decides
+    when it can, ``member_cmp`` otherwise."""
+    c = _certified_cmp(a[0], b[0])
+    return member_cmp(level, a[1], b[1]) if c is None else c
+
+
+def _keyed_members(level: int, lower: list[tuple]) -> list[tuple]:
+    """(key, member) for every member of A_level other than 1, unsorted,
+    given the sorted alphabets A_0 .. A_{level-1}."""
+    if level > 4:
+        raise CapacityError("ordering beyond level 4 exceeds the configured caps")
+    logs = [fixed_log(nth_prime(j)) for j in range(level)]
+    ranks = {m: r for r, m in enumerate(lower[3])} if level == 4 else {}
+    return [
+        (_order_key(u, logs, ranks), make_code_value(u + (1,)))
+        for u in itertools.product(*lower)
+    ]
+
+
 def alphabets(depth: int, cap: int = DEFAULT_DEPTH_CAP) -> list[tuple]:
-    """A_0 .. A_{depth-1}, each sorted ascending by value."""
+    """A_0 .. A_{depth-1}, each sorted ascending by value.
+
+    Each member is keyed once (``_order_key``); the level is presorted by
+    key and then sorted by ``_exact_cmp``, so every decision is exact.  The
+    tier and rank rules at level 4 are the ones ``member_cmp`` applies.  Let
+    x = code(a, b, c, d, 1) and y = code(a', b', c', d', 1) be level-4
+    members with d < d' in A_3.  Then ln y - ln x >= (d' - d) * ln 7 - R,
+    where R = 3 ln 2 + 287 ln 3 + (max A_2) ln 5 < 2**470 bounds the first
+    three terms (A_0 = {1, 4}, A_1 = {1, 36, 288}, max A_2 < 2**470).
+    - Distinct members of A_3 differ by a factor of at least 8.  Every code
+      is at least 4 * 9 * 25 * 49, far above 1.  Two codes of (a, b, c, 1)
+      have ratio 2**Δa * 3**Δb * 5**Δc with |Δa| in {0, 3}, |Δb| in
+      {0, 35, 252, 287}, and |Δc| = 0 or >= 899 (the least gap in A_2).
+      With Δc != 0, 5**899 > 2**3 * 3**287 * 8; with Δc = 0 and Δb != 0,
+      3**35 > 2**3 * 8; with Δa alone nonzero the ratio is 8.
+    - A factored member of A_3 has c >= 7200 and so exceeds 5**7201: with
+      c <= 900 the code has under 2600 bits and is materialized.  Every int
+      member is below 2**4097 (the materialization cutoff).
+    So if d' is factored, d' - d >= 7d'/8 > 5**7200 dwarfs R and y > x: a
+    differing level-3 entry, when the larger one is factored, decides by the
+    A_3 order.  The larger of two differing level-3 entries is factored
+    whenever either is, because every int member of A_3 lies below every
+    factored one; in particular every member with an int d comes before
+    every member with a factored d (tier 1 before tier 2).  Members with
+    the same factored d differ only in (a, b, c), which their keys carry.
+    """
     if depth < 0:
         raise ValueError("depth must be a natural")
     if depth > cap:
@@ -65,12 +159,13 @@ def alphabets(depth: int, cap: int = DEFAULT_DEPTH_CAP) -> list[tuple]:
             f"depth {depth} exceeds the cap {cap}; node counts explode combinatorially"
         )
     while len(_alpha_cache) < depth:
-        i = len(_alpha_cache)
-        members = [1]
-        for u in itertools.product(*_alpha_cache):
-            members.append(make_code_value(u + (1,)))
-        members.sort(key=cmp_to_key(lambda a, b: member_cmp(i, a, b)))
-        _alpha_cache.append(tuple(members))
+        level = len(_alpha_cache)
+        keyed = _keyed_members(level, _alpha_cache)
+        # presorted by (tier, rank, S), the exact pass needs about one
+        # comparison per member
+        keyed.sort(key=lambda km: km[0][:3])
+        keyed.sort(key=cmp_to_key(partial(_exact_cmp, level)))
+        _alpha_cache.append((1,) + tuple(m for _, m in keyed))
     return [_alpha_cache[i] for i in range(depth)]
 
 
@@ -87,7 +182,13 @@ def node_count(p: int, cap: int = DEFAULT_DEPTH_CAP) -> int:
 
 def enumerate_nodes(p: int, cap: int = DEFAULT_DEPTH_CAP) -> list[tuple]:
     """All depth-p nodes in lexicographic order (first coordinate most
-    significant); product of sorted alphabets, so no duplicates."""
+    significant); product of sorted alphabets, so no duplicates.  Raises
+    CapacityError, before building any node, above NODE_COUNT_CAP nodes."""
+    count = node_count(p, cap)
+    if count > NODE_COUNT_CAP:
+        raise CapacityError(
+            f"depth {p} has {count} nodes, over the node-count cap {NODE_COUNT_CAP}"
+        )
     return list(itertools.product(*alphabets(p, cap)))
 
 

@@ -161,13 +161,10 @@ def find_branch(
     one at this s-level containing x (domains over t are pairwise disjoint).
     Never definitely fails: a finite prefix cannot refute every t, and a scan
     leaving the index horizon reports unknown."""
-    t: list[int] = []
+    t: tuple[int, ...] = ()
     for j in range(len(s) + 1):
-        base = s[:j] + tuple(t)
-        base_val = encode(base) if base else 1
-        q_j = nth_prime(len(base))
+        idx, q_j = _scan_start(s[:j] + t)
         p = 0
-        idx = base_val * q_j
         while True:
             if idx > horizon:
                 return Tri.UNKNOWN, None
@@ -175,11 +172,19 @@ def find_branch(
             if v is Tri.UNKNOWN:
                 return Tri.UNKNOWN, None
             if v == 1:
-                t.append(p)
+                t += (p,)
                 break
             p += 1
             idx *= q_j
-    return Tri.YES, tuple(t)
+    return Tri.YES, t
+
+
+@lru_cache(maxsize=4096)
+def _scan_start(base: tuple[int, ...]) -> tuple[int, int]:
+    """First candidate index of a ``find_branch`` level, the code of
+    base ⌢ 0, and the prime q_|base| that steps to the next candidate."""
+    q = nth_prime(len(base))
+    return (encode(base) if base else 1) * q, q
 
 
 # --- enumeration of sequences by coded value --------------------------------

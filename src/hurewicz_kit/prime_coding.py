@@ -15,6 +15,8 @@ code values is structural everywhere in the package.
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -34,12 +36,23 @@ _log2q: list[int] = []          # round(log2(q_i) * _LOG2_SCALE)
 _cum_log2q: list[int] = [0]     # prefix sums of _log2q
 
 
+def _sieve(bound: int) -> list[int]:
+    """Every prime <= bound (bound >= 1)."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return list(itertools.compress(range(bound + 1), flags))
+
+
 def _ensure_primes(count: int) -> None:
     """Grow the memoized prime table to at least ``count`` entries.
 
-    Deterministic bounded sieve; the table behaves as if computed once (fills
-    happen under a lock, and the finished list is swapped in by a single
-    rebinding so concurrent readers only ever see a complete table).
+    Each regrowth at least doubles the table, so a run of growing requests
+    sieves only logarithmically often.  Deterministic; fills happen under a
+    lock, and the finished list is swapped in by a single rebinding so
+    concurrent readers only ever see a complete table.
     """
     global _primes
     if len(_primes) >= count:
@@ -47,17 +60,11 @@ def _ensure_primes(count: int) -> None:
     with _lock:
         if len(_primes) >= count:
             return
-        import math
-
-        n = max(count, 16)
-        bound = max(int(n * (math.log(n) + math.log(math.log(n)))) + 10, 100)
+        n = max(count, 2 * len(_primes), 16)
+        # p_n < n (ln n + ln ln n) for n >= 6, so one sieve normally suffices
+        bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
         while True:
-            sieve = bytearray([1]) * (bound + 1)
-            sieve[0:2] = b"\x00\x00"
-            for p in range(2, int(bound**0.5) + 1):
-                if sieve[p]:
-                    sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-            found = [i for i in range(bound + 1) if sieve[i]]
+            found = _sieve(bound)
             if len(found) >= count:
                 _primes = found
                 return
@@ -76,8 +83,6 @@ def nth_prime(n: int) -> int:
 def _log2q_scaled(i: int) -> int:
     if i >= len(_log2q):
         with _lock:
-            import math
-
             while len(_log2q) <= i:
                 k = len(_log2q)
                 v = round(math.log2(nth_prime(k)) * _LOG2_SCALE)
@@ -284,6 +289,24 @@ def _ln_at(p: int, prec: int) -> Decimal:
             val = Decimal(p).ln()
         _LN_CACHE[key] = val
     return val
+
+
+# Fractional bits of the fixed-point logarithms served by fixed_log.
+FIXED_LOG_BITS = 128
+
+
+@lru_cache(maxsize=256)
+def fixed_log(p: int) -> int:
+    """floor(ln(p) * 2**FIXED_LOG_BITS), within 2 of the true scaled value.
+
+    The 60-digit ln(p) of ``_ln_at(p, 50)`` is correctly rounded, so for
+    any p below e**100, once scaled by 2**128 (under 4 * 10**38), it is off
+    by under 10**-19; the floor loses under 1 more.  A sum of
+    c_j * fixed_log(q_j) is therefore within 2 * sum(|c_j|) of
+    2**FIXED_LOG_BITS * sum(c_j * ln(q_j)).
+    """
+    num, den = _ln_at(p, 50).as_integer_ratio()
+    return (num << FIXED_LOG_BITS) // den
 
 
 def scaled_log_sign(terms: Iterable[tuple[int, int]]) -> int:

@@ -225,7 +225,8 @@ def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
             non_ones=cons.non_ones,
         )
 
-        rng = random.Random(seed * 1_000_003 + b.top_index())
+        top_index = b.top_index()
+        rng = random.Random(seed * 1_000_003 + top_index)
         seen: dict = {}
         for _ in range(samples):
             x = _sample_domain_point(cons, rng)
@@ -275,7 +276,7 @@ def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
                 child=b,
                 parent=parent,
             )
-            rng2 = random.Random(seed * 2_000_003 + b.top_index())
+            rng2 = random.Random(seed * 2_000_003 + top_index)
             for _ in range(samples):
                 x = _sample_domain_point(cons, rng2)
                 if pcons.membership(x) is not Tri.YES:
@@ -285,7 +286,7 @@ def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
                     dep.apply(b, x, fault=fault), dep.apply(parent, x, fault=fault)
                 )
                 bound.require(
-                    isinstance(fd, int) and fd >= b.top_index(),
+                    isinstance(fd, int) and fd >= top_index,
                     child=b,
                     parent=parent,
                     point=x,
@@ -324,6 +325,7 @@ def _density_check(depth, horizon, branches, cons_map, fault) -> Check:
     by_stem: dict[tuple, list] = {}
     for b in branches:
         by_stem.setdefault(b.s, []).append(b)
+    found_at: dict[tuple, tuple] = {}  # (s, t) -> (branch, its top index)
     for p in range(depth + 1):
         for node in alph.enumerate_nodes(p):
             x = alph.point_from_node(node)
@@ -337,11 +339,15 @@ def _density_check(depth, horizon, branches, cons_map, fault) -> Check:
                 if outcome is not Tri.YES:
                     check.fail(stem=s, node=node, outcome=outcome.value)
                     continue
-                found = BranchIndex(s, t)
+                known = found_at.get((s, t))
+                if known is None:
+                    found = BranchIndex(s, t)
+                    known = found_at[s, t] = (found, found.top_index())
+                found, top = known
                 if dep.in_domain(x, found, fault=fault) is not Tri.YES:
                     check.fail(stem=s, node=node, found=found)
                     continue
-                expected = 1 if found.top_index() < horizon else 0
+                expected = 1 if top < horizon else 0
                 hits = sum(
                     1
                     for b in by_stem.get(s, ())

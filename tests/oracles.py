@@ -1,8 +1,9 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately naive: a bounded sieve, direct product
-evaluation of the coding, decoding by trial division, alphabet membership
-decoded anew on every call, brute-force enumeration of coded sequences and
+evaluation of the coding, decoding by trial division, branch discovery
+re-encoding every level's base, alphabet membership
+decoded anew on every call, alphabets sorted by pairwise exact comparisons, brute-force enumeration of coded sequences and
 the same enumeration by trial division of every even number, and a
 relation decision that builds explicit points and pushes them through the
 branch maps instead of reasoning about constraint truncations, a relation
@@ -17,6 +18,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from hurewicz_kit import alphabet as alph
 from hurewicz_kit import cascade as cs
@@ -28,6 +30,7 @@ from hurewicz_kit.base import Tri
 from hurewicz_kit.prime_coding import (
     MATERIALIZE_BITS,
     SymbolicCode,
+    make_code_value,
     make_code_value_sparse,
     render_value,
 )
@@ -138,6 +141,42 @@ def member_valid_uncached(level: int, v) -> bool:
     if seq is None or len(seq) != level + 1 or seq[-1] != 1:
         return False
     return all(member_valid_uncached(i, w) for i, w in enumerate(seq[:-1]))
+
+
+def alphabets_by_comparator(depth: int) -> list[tuple]:
+    """A_0 .. A_{depth-1}, each level built from the oracle's own lower levels
+    and sorted by pairwise ``member_cmp`` calls alone."""
+    levels: list[tuple] = []
+    for level in range(depth):
+        members = [1]
+        for u in itertools.product(*levels):
+            members.append(make_code_value(u + (1,)))
+        members.sort(key=cmp_to_key(lambda a, b: alph.member_cmp(level, a, b)))
+        levels.append(tuple(members))
+    return levels
+
+
+def find_branch_reencoding(s: tuple, x: PointPrefix, horizon: int = dep.DEFAULT_HORIZON):
+    """Greedy branch discovery with the code of each level's base computed
+    anew by a direct product."""
+    t: list[int] = []
+    for j in range(len(s) + 1):
+        base = s[:j] + tuple(t)
+        q = prime(len(base))
+        p = 0
+        idx = (j_code(base) if base else 1) * q
+        while True:
+            if idx > horizon:
+                return Tri.UNKNOWN, None
+            v = x.coord(idx)
+            if v is Tri.UNKNOWN:
+                return Tri.UNKNOWN, None
+            if v == 1:
+                t.append(p)
+                break
+            p += 1
+            idx *= q
+    return Tri.YES, tuple(t)
 
 
 def codes_by_trial_division(limit: int) -> list[int]:

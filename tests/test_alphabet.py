@@ -8,7 +8,7 @@ from hurewicz_kit import prime_coding as pc
 from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Tri
 
-from oracles import j_code, member_valid_uncached
+from oracles import alphabets_by_comparator, j_code, member_valid_uncached
 
 
 def test_first_two_levels_exact():
@@ -91,6 +91,97 @@ def test_alphabets_sorted():
         for x, y in zip(a, a[1:]):
             assert al.member_cmp(i, x, y) == -1
             assert al.member_cmp(i, y, x) == 1
+
+
+def test_alphabets_match_comparator_sort():
+    assert al.alphabets(5) == alphabets_by_comparator(5)
+
+
+def test_level_three_facts_behind_the_level_four_tiers():
+    # the facts alphabets() proves the tier and rank rules from
+    a2, a3 = al.alphabets(4)[2:]
+    assert max(a2) < 2**470
+    assert min(y - x for x, y in zip(a2, a2[1:])) >= 899
+    first_factored = next(k for k, m in enumerate(a3) if isinstance(m, pc.SymbolicCode))
+    assert all(isinstance(m, int) and m < 2**4097 for m in a3[:first_factored])
+    for m in a3[first_factored:]:
+        assert isinstance(m, pc.SymbolicCode) and m.entry(2) >= 7200
+    # adjacent members, hence all distinct ones, differ by a factor >= 8
+    for x, y in zip(a3, a3[1:]):
+        terms = [(-3, 2)]
+        for sign, v in ((1, y), (-1, x)):
+            if v != 1:
+                terms += [(sign * (e + 1), pc.nth_prime(i)) for i, e in enumerate(pc.decode(v))]
+        assert pc.scaled_log_sign(terms) >= 0, (x, y)
+
+
+def _keys_by_member(level):
+    lower = al.alphabets(level)
+    return {m: k for k, m in al._keyed_members(level, lower)}
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_certified_decisions_match_member_cmp(level):
+    keys = _keys_by_member(level)
+    members = al.alphabets(level + 1)[level][1:]
+    assert sorted(keys, key=members.index) == list(members)
+    decided = {"tier or rank": 0, "interval": 0, None: 0}
+
+    def check(x, y):
+        kx, ky = keys[x], keys[y]
+        c = al._certified_cmp(kx, ky)
+        decided["tier or rank" if kx[:2] != ky[:2] else "interval" if c else None] += 1
+        if c is not None:
+            assert c == al.member_cmp(level, x, y), (x, y)
+            assert al._certified_cmp(ky, kx) == -c
+
+    for x, y in zip(members, members[1:]):
+        check(x, y)
+    rng = random.Random(level)
+    for _ in range(2000):
+        x, y = rng.sample(members, 2)
+        check(x, y)
+    assert decided["interval"] > 0
+    if level == 4:
+        assert decided["tier or rank"] > 0
+
+
+def test_certified_cmp_needs_the_gap_outside_the_error_interval():
+    # coefficient differences (1, -2) allow an error of 2 * 3 = 6 either way
+    x, y = (1, 0, 10, (5, 7)), (1, 0, 16, (6, 5))
+    assert al._certified_cmp(x, y) is None
+    assert al._certified_cmp(x, (1, 0, 17, (6, 5))) == -1
+    assert al._certified_cmp((1, 0, 17, (6, 5)), x) == 1
+    assert al._certified_cmp(x, (1, 0, 4, (6, 5))) is None
+    assert al._certified_cmp(x, (1, 0, 3, (6, 5))) == 1
+    # tier, then rank, decide before any interval
+    assert al._certified_cmp((2, 0, 0, (0,)), (1, 0, 10**9, (10**9,))) == 1
+    assert al._certified_cmp((2, 5, 0, (0,)), (2, 6, -(10**9), (1,))) == -1
+
+
+def test_order_unchanged_when_every_interval_overlaps(monkeypatch):
+    want = al.alphabets(5)
+    calls = []
+    real_member_cmp = al.member_cmp
+
+    def counted(level, x, y):
+        calls.append(level)
+        return real_member_cmp(level, x, y)
+
+    monkeypatch.setattr(al, "_LOG_ERROR", 2**20000)
+    monkeypatch.setattr(al, "member_cmp", counted)
+    monkeypatch.setattr(al, "_alpha_cache", [])
+    assert al.alphabets(5) == want
+    # every adjacent pair of equal (tier, rank) went through member_cmp
+    keys = _keys_by_member(4)
+    a4 = want[4][1:]
+    same_group = sum(keys[x][:2] == keys[y][:2] for x, y in zip(a4, a4[1:]))
+    assert calls.count(4) >= same_group > 0
+
+
+def test_alphabets_refuse_level_five_before_building_it():
+    with pytest.raises(CapacityError, match="level 4"):
+        al._keyed_members(5, [(1,)] * 5)
 
 
 def test_level_four_order_matches_exact_integers():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 
 import pytest
@@ -36,10 +37,44 @@ def test_alphabets_json(capsys):
     assert [lvl["size"] for lvl in doc["levels"]] == [2, 3, 7]
 
 
+# SHA-256 of the full level-4 census and the depth-4 node list, recorded
+# while every level was still sorted by pairwise member_cmp calls
+_CENSUS_SHA256 = {
+    ("alphabets", "--depth", "5", "--format", "json"):
+        "9947efe063e2cd1357bf5603dc62b59a0876814589e1de8209e7f3b0b9091dc8",
+    ("alphabets", "--depth", "5"):
+        "a913fdc439ea1a94308bfa21873389ecc77972d0a898bb6e5b97ce4694943079",
+    ("nodes", "--length", "4", "--format", "json"):
+        "16c3b8aa1dff34a18502ebc0b1e8cbf7d5a31b2a35fe82e734ec32dc4b774ac9",
+}
+
+
+@pytest.mark.parametrize("argv", _CENSUS_SHA256)
+def test_census_outputs_match_recorded_hashes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CENSUS_SHA256[argv]
+
+
 def test_nodes(capsys):
     code, out, _ = run(capsys, "nodes", "--length", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["count"] == 42
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nodes", "--length", "5"),
+        ("relations", "--length", "5", "--format", "json"),
+        ("chain", "1,1,1,1,1", "4,1,1,1,1", "--length", "5"),
+    ],
+)
+def test_depth_five_node_lists_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("capacity error: depth 5 has 3263442 nodes")
+    assert "node-count cap 100000" in err
 
 
 def test_branch_commands(capsys):

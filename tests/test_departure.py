@@ -5,7 +5,12 @@ from hurewicz_kit import departure as dep
 from hurewicz_kit import prime_coding as pc
 from hurewicz_kit.base import CapacityError, DomainError, HorizonError, Tri
 
-from oracles import codes_by_trial_division, codes_in_order, j_code
+from oracles import (
+    codes_by_trial_division,
+    codes_in_order,
+    find_branch_reencoding,
+    j_code,
+)
 
 
 def branch(s, t):
@@ -93,6 +98,21 @@ def test_find_branch_unique_among_enumerated():
             assert hits == [found]
         else:
             assert hits == []
+
+
+def test_find_branch_matches_reencoding_oracle():
+    dep._ensure_codes(10_000)
+    stems = [pc.decode(c) for c in dep._codes if c < 10_000]
+    points = [al.point_from_node(nd) for nd in al.enumerate_nodes(3)]
+    points += [al.point_from_node(nd, tail_ones=False) for nd in al.enumerate_nodes(3)]
+    outcomes = set()
+    for s in stems:
+        for x in points:
+            for horizon in (10**15, 10**4):
+                got = dep.find_branch(s, x, horizon=horizon)
+                assert got == find_branch_reencoding(s, x, horizon=horizon), (s, x)
+                outcomes.add(got[0])
+    assert outcomes == {Tri.YES, Tri.UNKNOWN}
 
 
 def test_enumeration_examples():

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +28,39 @@ def test_first_primes():
 def test_primes_against_sieve():
     expected = sieve_primes(10_000)
     assert [pc.nth_prime(i) for i in range(len(expected))] == expected
+
+
+_COUNT_SIEVES = """
+import json
+from hurewicz_kit import prime_coding as pc
+from hurewicz_kit import verifier as vf
+
+sieves = []
+real_sieve = pc._sieve
+pc._sieve = lambda bound: sieves.append(bound) or real_sieve(bound)
+for n in range(1, 300):
+    pc.nth_prime(n)
+small = len(sieves)
+vf.verify_departure()
+print(json.dumps({"small": small, "sieves": sieves, "primes": pc._primes}))
+"""
+
+
+def test_prime_table_grows_geometrically():
+    # a fresh interpreter, so the table starts at its six seed primes
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_SIEVES], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    got = json.loads(out)
+    assert got["small"] <= 7  # log2(300 / 6) + 1
+    sieves, primes = got["sieves"], got["primes"]
+    # a default departure call: at most one sieve per doubling of the table
+    # from 6 primes to its final 10^4 or so, with slack
+    assert len(primes) >= 10_236 and len(sieves) <= 16
+    assert all(b2 >= 2 * b1 for b1, b2 in zip(sieves, sieves[1:]))
+    assert primes == sieve_primes(primes[-1])
 
 
 def test_encode_examples():

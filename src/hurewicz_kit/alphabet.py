@@ -208,13 +208,50 @@ def member_valid(level: int, v) -> bool:
 
 @lru_cache(maxsize=1024)
 def _int_member_valid(level: int, v: int) -> bool:
-    """``member_valid`` for an int: each distinct value is decoded and checked
-    once.  Rewritten coordinates repeat a few hundred alphabet members, so the
-    bound holds them all; ones and factored values never enter the cache."""
-    seq = prime_coding.decode(v)
-    if seq is None or len(seq) != level + 1 or seq[-1] != 1:
+    """``member_valid`` for an int, by dividing out the all-ones code.
+
+    Let L = level and O = code((1,) * (L+1)) = prod(q_i**2 for i <= L).  A
+    member code(u_0, ..., u_{L-1}, 1) has every entry >= 1 (members are 1 or
+    codes of nonempty sequences), so it is O * prod(q_i**(u_i - 1) for i < L):
+    O divides it and the quotient has no prime factor q_L or beyond.
+    Conversely if v = O * prod(q_i**f_i for i < L) then v is the code of
+    (f_0 + 1, ..., f_{L-1} + 1, 1), so v is a member exactly when every
+    entry f_i + 1 other than 1 is a member of A_i.  An int that O does not
+    divide, or whose quotient keeps a factor q_L or beyond (or any factor
+    past the first L primes), is a non-code, a code of another length, a
+    code whose last entry is not 1, or a code with an entry 0 (which no
+    alphabet holds), so ``decode`` rejects it too.  Only the quotient, which
+    carries just the non-1 entries, is factored; O is never needed when
+    v < 4**(L+1) <= O.
+
+    Each distinct value is checked once: rewritten coordinates repeat a few
+    hundred alphabet members, so the bound holds them all; ones and factored
+    values never enter the cache.
+    """
+    if v.bit_length() <= 2 * (level + 1):
         return False
-    return all(member_valid(i, w) for i, w in enumerate(seq[:-1]) if w != 1)
+    ones = prime_coding._all_ones_code(level + 1)
+    if v < ones:
+        return False
+    quot, rem = divmod(v, ones)
+    if rem:
+        return False
+    i = 0
+    while quot > 1:
+        if i == level:
+            return False
+        p = nth_prime(i)
+        e = 0
+        while True:
+            q, r = divmod(quot, p)
+            if r:
+                break
+            quot = q
+            e += 1
+        if e and not member_valid(i, e + 1):
+            return False
+        i += 1
+    return True
 
 
 def node_valid(u: tuple) -> bool:
@@ -252,6 +289,20 @@ class PointPrefix:
         self.tail_ones = tail_ones
         self.overrides = items
         self._map = dict(items)
+
+    @classmethod
+    def from_canonical(
+        cls, length: int, overrides: tuple, tail_ones: bool = False
+    ) -> "PointPrefix":
+        """The prefix ``PointPrefix(length, overrides, tail_ones)`` for
+        overrides already canonical: a tuple of non-1 (position, value) pairs
+        sorted by position, every position below ``length``."""
+        self = object.__new__(cls)
+        self.length = length
+        self.tail_ones = tail_ones
+        self.overrides = overrides
+        self._map = dict(overrides)
+        return self
 
     @classmethod
     def from_entries(cls, entries, tail_ones: bool = False) -> "PointPrefix":

@@ -18,6 +18,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .base import CapacityError, DomainError, HorizonError, Tri
 from .alphabet import PointPrefix
@@ -25,7 +26,7 @@ from .prime_coding import (
     SymbolicCode,
     decode,
     encode,
-    make_code_value_sparse,
+    make_code_value_canonical,
     nth_prime,
 )
 
@@ -34,6 +35,8 @@ DEFAULT_HORIZON = 10**6
 # test-device fault switches; see the verifier's mutation harness
 FAULT_REWRITE_OFF_BY_ONE = "rewrite-off-by-one"
 FAULT_DROP_NON_ONES = "drop-non-ones"
+
+_position = itemgetter(0)  # of a (position, value) override
 
 
 @dataclass(frozen=True)
@@ -64,20 +67,27 @@ class CylinderConstraint:
 
     def membership(self, x: PointPrefix) -> Tri:
         """Domain membership on the decidable range: a readable violation is
-        decisive (NO) even if other constrained indices are unreadable."""
+        decisive (NO) even if other constrained indices are unreadable.
+
+        Reads the prefix directly: a coordinate below ``x.length`` is 1
+        unless it has an override (overrides are never 1), one at or past it
+        is 1 under the all-ones tail and unreadable without it."""
+        length, tail, values = x.length, x.tail_ones, x._map
         unknown = False
         for q in self.ones:
-            v = x.coord(q)
-            if v is Tri.UNKNOWN:
+            if q < length:
+                if q in values:
+                    return Tri.NO
+            elif not tail:
                 unknown = True
-            elif v != 1:
-                return Tri.NO
         for q in self.non_ones:
-            v = x.coord(q)
-            if v is Tri.UNKNOWN:
-                unknown = True
-            elif v == 1:
+            if q < length:
+                if q not in values:
+                    return Tri.NO
+            elif tail:
                 return Tri.NO
+            else:
+                unknown = True
         return Tri.UNKNOWN if unknown else Tri.YES
 
 
@@ -104,32 +114,41 @@ def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPref
     """Image of x under the branch map.
 
     Raises DomainError when x is decidably outside the domain and HorizonError
-    (carrying the needed index) when the prefix is too short to decide or to
-    read the rewritten values.
+    (carrying the needed index) when the prefix is too short to decide.  A
+    decided membership has read every rewritten index, so every rewrite is
+    readable too, and x has no override there (it reads 1): the image's
+    overrides are x's together with the rewrites, sorted by position.
     """
-    membership = in_domain(x, b, fault=fault)
+    cons = constraints(b, fault=fault)
+    membership = cons.membership(x)
     if membership is Tri.NO:
         raise DomainError(f"point is outside the domain of {b}")
     if membership is Tri.UNKNOWN:
-        cons = constraints(b, fault=fault)
         needed = max(cons.ones + cons.non_ones)
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
-    cons = constraints(b, fault=fault)
-    new_items = list(x.overrides)
+    rewrites = []
     for q in cons.ones:
-        if not x.tail_ones and q >= x.length:
-            raise HorizonError(q)
-        below = tuple((p, v) for p, v in x.overrides if p < q)
-        val = make_code_value_sparse(q + 1, below)
+        val = _rewrite_value(x.overrides, q)
         if fault == FAULT_REWRITE_OFF_BY_ONE:
             if isinstance(val, int):
                 val += 1
             else:
                 # same corruption in factored form: final entry off by one
                 val = SymbolicCode(val.length, val.items + ((val.length - 1, 2),))
-        new_items.append((q, val))
+        rewrites.append((q, val))
     length = max(x.length, cons.ones[-1] + 1)
-    return PointPrefix(length, new_items, tail_ones=x.tail_ones)
+    return PointPrefix.from_canonical(
+        length, tuple(sorted(x.overrides + tuple(rewrites))), x.tail_ones
+    )
+
+
+def _rewrite_value(overrides: tuple, q: int):
+    """The value a branch writes at q: the code of the length-(q+1) prefix of
+    the point with these (canonical) overrides, whose slice below q is
+    canonical as it stands."""
+    return make_code_value_canonical(
+        q + 1, overrides[: bisect_left(overrides, q, key=_position)]
+    )
 
 
 def apply_inverse(b: BranchIndex, y: PointPrefix) -> tuple[Tri, PointPrefix | None]:
@@ -137,17 +156,16 @@ def apply_inverse(b: BranchIndex, y: PointPrefix) -> tuple[Tri, PointPrefix | No
     checks that y carries exactly the rewritten values and that x satisfies
     the domain constraints."""
     cons = constraints(b)
-    pre_items = [(p, v) for p, v in y.overrides if p not in set(cons.ones)]
-    x = PointPrefix(y.length, pre_items, tail_ones=y.tail_ones)
+    ones = set(cons.ones)
+    pre_items = tuple(item for item in y.overrides if item[0] not in ones)
+    x = PointPrefix.from_canonical(y.length, pre_items, y.tail_ones)
     for q in cons.ones:
         got = y.coord(q)
         if got is Tri.UNKNOWN:
             return Tri.UNKNOWN, None
-        below = tuple((p, v) for p, v in x.overrides if p < q)
-        expected = make_code_value_sparse(q + 1, below)
-        if got != expected:
+        if got != _rewrite_value(pre_items, q):
             return Tri.NO, None
-    membership = in_domain(x, b)
+    membership = cons.membership(x)
     if membership is not Tri.YES:
         return membership, None
     return Tri.YES, x

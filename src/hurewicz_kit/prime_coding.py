@@ -249,7 +249,15 @@ def make_code_value_sparse(length: int, items) -> "int | SymbolicCode":
     at the (position, entry) ``items``."""
     if length == 0:
         return 0
-    its = _canonical_items(length, items) if items else ()
+    return make_code_value_canonical(
+        length, _canonical_items(length, items) if items else ()
+    )
+
+
+def make_code_value_canonical(length: int, its: tuple) -> "int | SymbolicCode":
+    """``make_code_value_sparse`` for items already canonical: a tuple of
+    non-1 (position, entry) pairs sorted by position, every position below
+    ``length`` (>= 1).  A slice of a ``PointPrefix``'s overrides is one."""
     bits = _seq_bits_scaled(length, its)
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
         value = _all_ones_code(length)

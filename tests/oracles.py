@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, decoding by trial division, branch discovery
-re-encoding every level's base, alphabet membership
+re-encoding every level's base, domain membership read one coordinate at a
+time, a branch map that rebuilds and re-sorts its image, alphabet membership
 decoded anew on every call, alphabets sorted by pairwise exact comparisons, brute-force enumeration of coded sequences and
 the same enumeration by trial division of every even number, and a
 relation decision that builds explicit points and pushes them through the
@@ -26,7 +27,7 @@ from hurewicz_kit import departure as dep
 from hurewicz_kit import good_sequence as good
 from hurewicz_kit import relations as rel
 from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
-from hurewicz_kit.base import Tri
+from hurewicz_kit.base import DomainError, HorizonError, Tri
 from hurewicz_kit.prime_coding import (
     MATERIALIZE_BITS,
     SymbolicCode,
@@ -177,6 +178,53 @@ def find_branch_reencoding(s: tuple, x: PointPrefix, horizon: int = dep.DEFAULT_
             p += 1
             idx *= q
     return Tri.YES, tuple(t)
+
+
+def membership_by_coord(cons: dep.CylinderConstraint, x: PointPrefix) -> Tri:
+    """Domain membership reading every constrained index through ``coord``."""
+    unknown = False
+    for q in cons.ones:
+        v = x.coord(q)
+        if v is Tri.UNKNOWN:
+            unknown = True
+        elif v != 1:
+            return Tri.NO
+    for q in cons.non_ones:
+        v = x.coord(q)
+        if v is Tri.UNKNOWN:
+            unknown = True
+        elif v == 1:
+            return Tri.NO
+    return Tri.UNKNOWN if unknown else Tri.YES
+
+
+def apply_rebuilding(b: dep.BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPrefix:
+    """Branch map that decides membership twice, collects each rewrite's
+    prefix by scanning every override, and re-sorts and re-filters the
+    rewrite items and the image."""
+    membership = dep.in_domain(x, b, fault=fault)
+    if membership is Tri.NO:
+        raise DomainError(f"point is outside the domain of {b}")
+    if membership is Tri.UNKNOWN:
+        cons = dep.constraints(b, fault=fault)
+        needed = max(cons.ones + cons.non_ones)
+        raise HorizonError(needed, f"prefix too short to decide membership in {b}")
+    cons = dep.constraints(b, fault=fault)
+    new_items = list(x.overrides)
+    for q in cons.ones:
+        if not x.tail_ones and q >= x.length:
+            raise HorizonError(q)
+        below = tuple((p, v) for p, v in x.overrides if p < q)
+        val = make_code_value_sparse(q + 1, below)
+        if fault == dep.FAULT_REWRITE_OFF_BY_ONE:
+            if isinstance(val, int):
+                val += 1
+            else:
+                # same corruption in factored form: final entry off by one
+                val = SymbolicCode(val.length, val.items + ((val.length - 1, 2),))
+        new_items.append((q, val))
+    length = max(x.length, cons.ones[-1] + 1)
+    return PointPrefix(length, new_items, tail_ones=x.tail_ones)
 
 
 def codes_by_trial_division(limit: int) -> list[int]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -84,6 +85,75 @@ def test_member_valid_matches_uncached_oracle():
                     verdicts.add(_assert_member_valid_matches_oracle(q, y.coord(q)))
                     _assert_member_valid_matches_oracle(q - 1, y.coord(q))
     assert verdicts == {True, False}
+
+
+def _small_code(seq, bits=5000):
+    """j_code(seq), or None when it may pass ``bits`` bits or has a factored
+    entry.  The oracle divides a code once per unit of every exponent, so
+    the bound keeps it quick."""
+    if any(isinstance(e, pc.SymbolicCode) for e in seq):
+        return None
+    if sum((e + 1) * pc.nth_prime(i).bit_length() for i, e in enumerate(seq)) > bits:
+        return None
+    return j_code(seq)
+
+
+def _member_seqs(level):
+    """Entry sequences u⌢1 of the members at the level with a small int
+    code (``_small_code``): entries below position 4 range over the
+    alphabets, every later one is 1 (a non-1 member of A_4 has over 5
+    million as its value, too large as an exponent)."""
+    lower = [a if i < 4 else (1,) for i, a in enumerate(al.alphabets(4) + [()] * 5)]
+    for u in itertools.product(*lower[:level]):
+        if _small_code(u + (1,)) is not None:
+            yield u + (1,)
+
+
+def test_int_membership_by_all_ones_division_matches_oracle():
+    """The all-ones route of ``_int_member_valid`` at levels 0-8 on members,
+    their int forms past the materialization cutoff, and the near misses
+    that route must reject: an entry 0, a last entry other than 1, a prime
+    factor past the length, ints below the all-ones code."""
+    verdicts = {}
+    members4 = [m for a in al.alphabets(4) for m in a if isinstance(m, int)]
+    for level in range(9):
+        ones = j_code((1,) * (level + 1))
+        cases = [("alphabet member", m) for m in members4]
+        cases += [("below ones", v) for v in (0, 2, 3, ones // 2, ones - 1)]
+        cases.append(("ones", ones))
+        for seq in _member_seqs(level):
+            cases.append(("member", j_code(seq)))
+            for i in range(level):
+                cases.append(("entry 0", j_code(seq[:i] + (0,) + seq[i + 1 :])))
+                cases.append(("entry 4", j_code(seq[:i] + (4,) + seq[i + 1 :])))
+            for last in (0, 2) + al.alphabets(4)[min(level, 3)][1:3]:
+                cases.append(("last entry", _small_code(seq[:-1] + (last,))))
+            cases.append(("past the length", j_code(seq + (1,))))
+            cases.append(("past the length", j_code(seq) * pc.nth_prime(level + 2)))
+        if level >= 3:
+            # from the factored members of A_3 whose level-2 entry is small:
+            # members (a, b, c, 1, ..., 1) as ints past the cutoff, and the
+            # same codes one off in c
+            for m in al.alphabets(4)[3]:
+                if isinstance(m, pc.SymbolicCode) and _small_code(m.seq(), 24_000):
+                    a, b, c, _ = m.seq()
+                    tail = (1,) * (level - 2)
+                    big = j_code((a, b, c) + tail)
+                    assert big.bit_length() > pc.MATERIALIZE_BITS
+                    cases.append(("big member", big))
+                    cases.append(("big non-member", j_code((a, b, c + 1) + tail)))
+        for kind, v in cases:
+            if v is None:
+                continue
+            want = member_valid_uncached(level, v)
+            al._int_member_valid.cache_clear()
+            assert al.member_valid(level, v) == want, (kind, level, v)
+            verdicts.setdefault(kind, set()).add(want)
+    assert verdicts["member"] == verdicts["big member"] == verdicts["ones"] == {True}
+    for kind in ("entry 0", "last entry", "below ones", "past the length", "big non-member"):
+        assert verdicts[kind] == {False}, kind
+    for kind in ("entry 4", "alphabet member"):
+        assert verdicts[kind] == {True, False}, kind
 
 
 def test_alphabets_sorted():

@@ -1,16 +1,23 @@
+import random
+
 import pytest
 
 from hurewicz_kit import alphabet as al
 from hurewicz_kit import departure as dep
 from hurewicz_kit import prime_coding as pc
+from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, DomainError, HorizonError, Tri
 
 from oracles import (
+    apply_rebuilding,
     codes_by_trial_division,
     codes_in_order,
     find_branch_reencoding,
     j_code,
+    membership_by_coord,
 )
+
+ALL_FAULTS = (None, dep.FAULT_REWRITE_OFF_BY_ONE, dep.FAULT_DROP_NON_ONES)
 
 
 def branch(s, t):
@@ -249,6 +256,83 @@ def test_apply_inverse_round_trip():
         y = dep.apply(b, x)
         outcome, back = dep.apply_inverse(b, y)
         assert outcome is Tri.YES and back == x
+
+
+def _fields(x):
+    return (x.length, x.tail_ones, x.overrides, x.key())
+
+
+def _assert_canonical(x):
+    """A prefix built from canonical overrides equals the one the sorting,
+    filtering constructor builds from the same data."""
+    rebuilt = al.PointPrefix(x.length, x.overrides, x.tail_ones)
+    assert _fields(x) == _fields(rebuilt) and x._map == rebuilt._map
+
+
+def test_apply_matches_rebuilding_oracle():
+    for b in dep.branches_within(10_000):
+        cons = dep.constraints(b)
+        rng = random.Random(b.top_index())
+        for _ in range(20):
+            x = vf._sample_domain_point(cons, rng)
+            _assert_canonical(x)
+            for fault in ALL_FAULTS:
+                y = dep.apply(b, x, fault=fault)
+                _assert_canonical(y)
+                assert _fields(y) == _fields(apply_rebuilding(b, x, fault=fault))
+            outcome, back = dep.apply_inverse(b, dep.apply(b, x))
+            assert outcome is Tri.YES
+            _assert_canonical(back)
+            assert _fields(back) == _fields(x)
+
+
+def _apply_outcome(fn, b, x, fault):
+    try:
+        y = fn(b, x, fault=fault)
+    except DomainError:
+        return ("domain",)
+    except HorizonError as exc:
+        return ("horizon", exc.required_index)
+    return ("image",) + _fields(y)
+
+
+def test_apply_errors_match_rebuilding_oracle():
+    """Sampled points pushed through other branches, and cut to prefixes
+    with no tail: the same image, DomainError or HorizonError (with the
+    same needed index) as the oracle, and the same membership as reading
+    every constrained coordinate."""
+    branches = dep.branches_within(10_000)
+    rng = random.Random(5)
+    seen = set()
+    for b in branches:
+        x = vf._sample_domain_point(dep.constraints(b), rng)
+        cuts = [rng.randrange(x.length + 1) for _ in range(3)] + [x.length]
+        points = [x] + [
+            al.PointPrefix(n, [(p, v) for p, v in x.overrides if p < n]) for n in cuts
+        ]
+        for other in rng.sample(branches, 5) + [b]:
+            for fault in ALL_FAULTS:
+                cons = dep.constraints(other, fault=fault)
+                for pt in points:
+                    assert cons.membership(pt) is membership_by_coord(cons, pt)
+                    got = _apply_outcome(dep.apply, other, pt, fault)
+                    assert got == _apply_outcome(apply_rebuilding, other, pt, fault)
+                    seen.add(got[0])
+    assert seen == {"domain", "horizon", "image"}
+
+
+def test_membership_readable_violation_is_decisive():
+    cons = dep.constraints(branch((0,), (1, 0)))
+    assert cons.ones == (4, 90) and cons.non_ones == (2,)
+    # 90 unreadable: a readable violation still decides, agreement does not
+    assert cons.membership(al.PointPrefix(5, ((2, 900),))) is Tri.UNKNOWN
+    assert cons.membership(al.PointPrefix(5, ((2, 900), (4, 36)))) is Tri.NO
+    assert cons.membership(al.PointPrefix(5, ())) is Tri.NO  # 2 reads 1
+    assert cons.membership(al.PointPrefix(2, ())) is Tri.UNKNOWN
+    # the all-ones tail reads 1 past the explicit prefix
+    assert cons.membership(al.PointPrefix(2, (), tail_ones=True)) is Tri.NO
+    assert cons.membership(al.PointPrefix(3, ((2, 900),), tail_ones=True)) is Tri.YES
+    assert cons.membership(al.PointPrefix(100, ((2, 4), (90, 4)), True)) is Tri.NO
 
 
 def test_apply_inverse_rejects_points_off_the_image():

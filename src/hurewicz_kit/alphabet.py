@@ -9,7 +9,9 @@ finite prefixes; a flag states that every further coordinate equals 1.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import cmp_to_key, lru_cache, partial
+from operator import itemgetter
 
 from .base import CapacityError, Tri
 from . import prime_coding
@@ -221,14 +223,20 @@ def _int_member_valid(level: int, v: int) -> bool:
     past the first L primes), is a non-code, a code of another length, a
     code whose last entry is not 1, or a code with an entry 0 (which no
     alphabet holds), so ``decode`` rejects it too.  Only the quotient, which
-    carries just the non-1 entries, is factored; O is never needed when
-    v < 4**(L+1) <= O.
+    carries just the non-1 entries, is factored.
+
+    O is built only for a v that may reach it.  First v < 4**(L+1) <= O is
+    rejected, which bounds L by v's size; then so is any v whose bit length
+    is at most ``all_ones_log2_floor(L+1)`` <= log2(O).  A v that passes has
+    more than log2(O) - 1 bits, so O, which enters ``_all_ones_code``'s
+    cache, is at most a bit longer than v, whatever the level.
 
     Each distinct value is checked once: rewritten coordinates repeat a few
     hundred alphabet members, so the bound holds them all; ones and factored
     values never enter the cache.
     """
-    if v.bit_length() <= 2 * (level + 1):
+    bits = v.bit_length()
+    if bits <= 2 * (level + 1) or bits <= prime_coding.all_ones_log2_floor(level + 1):
         return False
     ones = prime_coding._all_ones_code(level + 1)
     if v < ones:
@@ -269,6 +277,9 @@ def lex_compare(x: tuple, y: tuple) -> int:
     return 0
 
 
+_position = itemgetter(0)  # of a (position, value) override
+
+
 class PointPrefix:
     """Finite approximation of a point of the product space.
 
@@ -276,33 +287,58 @@ class PointPrefix:
     value differs from 1).  With ``tail_ones`` set the prefix denotes the point
     obtained by extending with 1s forever; otherwise coordinates at or beyond
     ``length`` are undetermined.
+
+    ``overrides`` holds the non-1 (position, value) pairs sorted by position,
+    every position below ``length``, and ``override_map`` maps the same
+    positions to their values; both are read-only.
     """
 
-    __slots__ = ("length", "tail_ones", "overrides", "_map")
+    __slots__ = ("length", "tail_ones", "overrides", "override_map")
 
     def __init__(self, length: int, overrides=(), tail_ones: bool = False):
         items = tuple(sorted((p, v) for p, v in overrides if v != 1))
-        for p, v in items:
-            if not 0 <= p < length:
-                raise ValueError("override position outside the explicit prefix")
+        if items and not (0 <= items[0][0] and items[-1][0] < length):
+            raise ValueError("override position outside the explicit prefix")
+        self._fill(length, items, tail_ones)
+
+    def _fill(self, length: int, items: tuple, tail_ones: bool) -> None:
         self.length = length
         self.tail_ones = tail_ones
         self.overrides = items
-        self._map = dict(items)
+        self.override_map = dict(items)
 
-    @classmethod
-    def from_canonical(
-        cls, length: int, overrides: tuple, tail_ones: bool = False
-    ) -> "PointPrefix":
-        """The prefix ``PointPrefix(length, overrides, tail_ones)`` for
-        overrides already canonical: a tuple of non-1 (position, value) pairs
-        sorted by position, every position below ``length``."""
-        self = object.__new__(cls)
-        self.length = length
-        self.tail_ones = tail_ones
-        self.overrides = overrides
-        self._map = dict(overrides)
-        return self
+    def overrides_below(self, q: int) -> tuple:
+        """The overrides at positions below q (sorted, non-1)."""
+        items = self.overrides
+        return items[: bisect_left(items, q, key=_position)]
+
+    def with_overrides(self, length: int, added: tuple) -> "PointPrefix":
+        """``PointPrefix(length, self.overrides + added, self.tail_ones)`` for
+        a length at least this prefix's and non-1 pairs ``added`` at distinct
+        positions below it where this prefix reads 1, merged without
+        re-filtering or re-checking the overrides already held."""
+        if length < self.length:
+            raise ValueError("with_overrides cannot shorten the prefix")
+        values = self.override_map
+        for p, v in added:
+            if not 0 <= p < length or p in values or v == 1:
+                raise ValueError("added override must set a 1 inside the prefix")
+        if len({p for p, _ in added}) != len(added):
+            raise ValueError("added overrides repeat a position")
+        # positions are distinct, so the pairs sort by position alone
+        image = object.__new__(PointPrefix)
+        image._fill(length, tuple(sorted(self.overrides + added)), self.tail_ones)
+        return image
+
+    def without(self, positions) -> "PointPrefix":
+        """This prefix with 1 at every coordinate in the set ``positions``."""
+        x = object.__new__(PointPrefix)
+        x._fill(
+            self.length,
+            tuple(item for item in self.overrides if item[0] not in positions),
+            self.tail_ones,
+        )
+        return x
 
     @classmethod
     def from_entries(cls, entries, tail_ones: bool = False) -> "PointPrefix":
@@ -313,7 +349,7 @@ class PointPrefix:
         if i < 0:
             raise IndexError(i)
         if i < self.length:
-            return self._map.get(i, 1)
+            return self.override_map.get(i, 1)
         if self.tail_ones:
             return 1
         return Tri.UNKNOWN
@@ -322,7 +358,7 @@ class PointPrefix:
         return float("inf") if self.tail_ones else float(self.length)
 
     def entries(self) -> tuple:
-        return tuple(self._map.get(i, 1) for i in range(self.length))
+        return tuple(self.override_map.get(i, 1) for i in range(self.length))
 
     def key(self):
         """Denotation key: two prefixes with equal key denote the same data."""
@@ -371,10 +407,10 @@ def first_disagreement(x: PointPrefix, y: PointPrefix):
     decidable range but some side is undetermined beyond it.
     """
     limit = min(x.decidable_limit(), y.decidable_limit())
-    for i in sorted(set(x._map) | set(y._map)):
+    for i in sorted(set(x.override_map) | set(y.override_map)):
         if i >= limit:
             break
-        if x._map.get(i, 1) != y._map.get(i, 1):
+        if x.override_map.get(i, 1) != y.override_map.get(i, 1):
             return i
     if x.tail_ones and y.tail_ones:
         return None

@@ -18,7 +18,6 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from .base import CapacityError, DomainError, HorizonError, Tri
 from .alphabet import PointPrefix
@@ -26,7 +25,7 @@ from .prime_coding import (
     SymbolicCode,
     decode,
     encode,
-    make_code_value_canonical,
+    make_code_value_sparse,
     nth_prime,
 )
 
@@ -35,8 +34,6 @@ DEFAULT_HORIZON = 10**6
 # test-device fault switches; see the verifier's mutation harness
 FAULT_REWRITE_OFF_BY_ONE = "rewrite-off-by-one"
 FAULT_DROP_NON_ONES = "drop-non-ones"
-
-_position = itemgetter(0)  # of a (position, value) override
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class CylinderConstraint:
         Reads the prefix directly: a coordinate below ``x.length`` is 1
         unless it has an override (overrides are never 1), one at or past it
         is 1 under the all-ones tail and unreadable without it."""
-        length, tail, values = x.length, x.tail_ones, x._map
+        length, tail, values = x.length, x.tail_ones, x.override_map
         unknown = False
         for q in self.ones:
             if q < length:
@@ -116,8 +113,8 @@ def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPref
     Raises DomainError when x is decidably outside the domain and HorizonError
     (carrying the needed index) when the prefix is too short to decide.  A
     decided membership has read every rewritten index, so every rewrite is
-    readable too, and x has no override there (it reads 1): the image's
-    overrides are x's together with the rewrites, sorted by position.
+    readable too, and x reads 1 there: the rewrites are added to x's
+    overrides.
     """
     cons = constraints(b, fault=fault)
     membership = cons.membership(x)
@@ -128,7 +125,7 @@ def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPref
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
     rewrites = []
     for q in cons.ones:
-        val = _rewrite_value(x.overrides, q)
+        val = _rewrite_value(x, q)
         if fault == FAULT_REWRITE_OFF_BY_ONE:
             if isinstance(val, int):
                 val += 1
@@ -136,19 +133,12 @@ def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPref
                 # same corruption in factored form: final entry off by one
                 val = SymbolicCode(val.length, val.items + ((val.length - 1, 2),))
         rewrites.append((q, val))
-    length = max(x.length, cons.ones[-1] + 1)
-    return PointPrefix.from_canonical(
-        length, tuple(sorted(x.overrides + tuple(rewrites))), x.tail_ones
-    )
+    return x.with_overrides(max(x.length, cons.ones[-1] + 1), tuple(rewrites))
 
 
-def _rewrite_value(overrides: tuple, q: int):
-    """The value a branch writes at q: the code of the length-(q+1) prefix of
-    the point with these (canonical) overrides, whose slice below q is
-    canonical as it stands."""
-    return make_code_value_canonical(
-        q + 1, overrides[: bisect_left(overrides, q, key=_position)]
-    )
+def _rewrite_value(x: PointPrefix, q: int):
+    """The value a branch writes at q: the code of x's length-(q+1) prefix."""
+    return make_code_value_sparse(q + 1, x.overrides_below(q), canonical=True)
 
 
 def apply_inverse(b: BranchIndex, y: PointPrefix) -> tuple[Tri, PointPrefix | None]:
@@ -156,14 +146,12 @@ def apply_inverse(b: BranchIndex, y: PointPrefix) -> tuple[Tri, PointPrefix | No
     checks that y carries exactly the rewritten values and that x satisfies
     the domain constraints."""
     cons = constraints(b)
-    ones = set(cons.ones)
-    pre_items = tuple(item for item in y.overrides if item[0] not in ones)
-    x = PointPrefix.from_canonical(y.length, pre_items, y.tail_ones)
+    x = y.without(set(cons.ones))
     for q in cons.ones:
         got = y.coord(q)
         if got is Tri.UNKNOWN:
             return Tri.UNKNOWN, None
-        if got != _rewrite_value(pre_items, q):
+        if got != _rewrite_value(x, q):
             return Tri.NO, None
     membership = cons.membership(x)
     if membership is not Tri.YES:

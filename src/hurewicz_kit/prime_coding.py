@@ -239,25 +239,34 @@ def _seq_bits_scaled(length: int, items) -> int | None:
     return total
 
 
+def all_ones_log2_floor(length: int) -> int:
+    """A lower bound on log2 of the code of (1,) * length (length >= 1),
+    without building it: twice the sum of the scaled prime logs, each within
+    one unit of the true scaled log, less two units per position.  Extends
+    the prime-log table to the length, so callers bound the length first."""
+    _log2q_scaled(length - 1)
+    return (2 * _cum_log2q[length] - 2 * length) // _LOG2_SCALE
+
+
 def make_code_value(seq: Sequence) -> "int | SymbolicCode":
     """Canonical code value of ``seq``: int when small, factored form when not."""
     return make_code_value_sparse(len(seq), enumerate(seq))
 
 
-def make_code_value_sparse(length: int, items) -> "int | SymbolicCode":
+def make_code_value_sparse(
+    length: int, items, canonical: bool = False
+) -> "int | SymbolicCode":
     """Canonical code value of the length-``length`` sequence that is 1 except
-    at the (position, entry) ``items``."""
+    at the (position, entry) ``items``.  With ``canonical`` the items are
+    taken as they stand, unchecked: a tuple of non-1 pairs sorted by
+    position, every position below ``length`` (a slice of a
+    ``PointPrefix``'s overrides is one)."""
     if length == 0:
         return 0
-    return make_code_value_canonical(
-        length, _canonical_items(length, items) if items else ()
-    )
-
-
-def make_code_value_canonical(length: int, its: tuple) -> "int | SymbolicCode":
-    """``make_code_value_sparse`` for items already canonical: a tuple of
-    non-1 (position, entry) pairs sorted by position, every position below
-    ``length`` (>= 1).  A slice of a ``PointPrefix``'s overrides is one."""
+    if canonical:
+        its = items
+    else:
+        its = _canonical_items(length, items) if items else ()
     bits = _seq_bits_scaled(length, its)
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
         value = _all_ones_code(length)
@@ -274,8 +283,10 @@ def make_code_value_canonical(length: int, its: tuple) -> "int | SymbolicCode":
 
 @lru_cache(maxsize=1024)
 def _all_ones_code(length: int) -> int:
-    """Code of (1,) * length.  Called only for materialized values, so length
-    stays below the few hundred positions whose primes fit the cutoff."""
+    """Code of (1,) * length.  Called for materialized values, whose length
+    stays below the few hundred positions whose primes fit the cutoff, and
+    by ``alphabet.member_valid`` only for an int at most a bit shorter than
+    this code, so no entry outgrows the data its caller was handed."""
     value = 1
     for i in range(length):
         value *= nth_prime(i) ** 2

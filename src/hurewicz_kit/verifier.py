@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .base import CapacityError, Tri
 from . import alphabet as alph
@@ -128,22 +127,15 @@ def _noise_member(level: int, rng: random.Random):
     pick = rng.randrange(3)
     if pick == 0:
         return 1
-    return _high_member(level, pick == 2)
+    return make_code_value_sparse(level + 1, () if pick == 1 else ((0, 4),))
 
 
 def _non_one_member(level: int, rng: random.Random):
     if level < 4:
         return rng.choice(alph.alphabet_at(level)[1:])
-    return _high_member(level, not rng.randrange(2))
-
-
-@lru_cache(maxsize=1024)
-def _high_member(level: int, marked: bool):
-    """The sampled members of a level >= 4: the code of (1,) * (level+1),
-    or with ``marked`` the code of (4, 1, ..., 1).  Sampled levels repeat
-    across points and branches, so each is built once; the bound keeps
-    the memo from growing with the horizon."""
-    return make_code_value_sparse(level + 1, ((0, 4),) if marked else ())
+    if rng.randrange(2):
+        return make_code_value_sparse(level + 1, ())
+    return make_code_value_sparse(level + 1, ((0, 4),))
 
 
 def _sample_domain_point(cons: dep.CylinderConstraint, rng: random.Random) -> PointPrefix:
@@ -160,9 +152,7 @@ def _sample_domain_point(cons: dep.CylinderConstraint, rng: random.Random) -> Po
         v = _noise_member(i, rng)
         if v != 1:
             overrides[i] = v
-    # every position lies below the top (non-1 indices are codes below it)
-    # or was drawn below the length, and no value is 1
-    return PointPrefix.from_canonical(length, tuple(sorted(overrides.items())), True)
+    return PointPrefix(length, overrides.items(), tail_ones=True)
 
 
 # --- departure suite ---------------------------------------------------------

@@ -156,6 +156,16 @@ def test_int_membership_by_all_ones_division_matches_oracle():
         assert verdicts[kind] == {True, False}, kind
 
 
+def test_int_membership_builds_no_all_ones_code_longer_than_the_int():
+    """An int far shorter than the all-ones code of its level is rejected by
+    the size bound before that code is built (or cached)."""
+    before = pc._all_ones_code.cache_info().misses
+    for level, v in ((2000, 2**4097 * 3), (1500, 2**5000 - 1), (40, 2**100)):
+        assert al.member_valid(level, v) is False
+        assert member_valid_uncached(level, v) is False
+    assert pc._all_ones_code.cache_info().misses == before
+
+
 def test_alphabets_sorted():
     for i, a in enumerate(al.alphabets(5)):
         for x, y in zip(a, a[1:]):
@@ -371,6 +381,36 @@ def test_point_prefix_basics():
     assert al.ALL_ONES.coord(123456) == 1
     # denotation equality ignores trailing explicit ones under the tail flag
     assert al.PointPrefix.from_entries((1, 1), tail_ones=True) == al.ALL_ONES
+
+
+def test_point_prefix_override_methods_match_constructor():
+    x = al.PointPrefix(12, ((9, 36), (2, 900), (5, 1)), tail_ones=True)
+    assert x.overrides == ((2, 900), (9, 36))
+    assert x.override_map == {2: 900, 9: 36}
+    assert x.overrides_below(2) == () and x.overrides_below(3) == ((2, 900),)
+    assert x.overrides_below(100) == x.overrides
+    for length, added in ((12, ()), (12, ((4, 4), (0, 2))), (30, ((29, 4), (11, 0)))):
+        y = x.with_overrides(length, added)
+        want = al.PointPrefix(length, x.overrides + added, tail_ones=True)
+        assert (y.length, y.tail_ones, y.overrides, y.override_map) == (
+            want.length, want.tail_ones, want.overrides, want.override_map
+        )
+        back = y.without({p for p, _ in added})
+        assert back == x and back.overrides == x.overrides and back.length == length
+    for length, added in (
+        (11, ()),  # shorter than the prefix
+        (12, ((12, 4),)),  # past the length
+        (12, ((-1, 4),)),
+        (12, ((2, 4),)),  # already overridden
+        (12, ((4, 1),)),  # a 1 is no override
+        (12, ((4, 4), (4, 36))),  # repeated position
+    ):
+        with pytest.raises(ValueError):
+            x.with_overrides(length, added)
+    with pytest.raises(ValueError):
+        al.PointPrefix(3, ((3, 4),))
+    with pytest.raises(ValueError):
+        al.PointPrefix(3, ((-1, 4), (1, 4)))
 
 
 def test_first_disagreement_examples():

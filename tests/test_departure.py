@@ -266,7 +266,7 @@ def _assert_canonical(x):
     """A prefix built from canonical overrides equals the one the sorting,
     filtering constructor builds from the same data."""
     rebuilt = al.PointPrefix(x.length, x.overrides, x.tail_ones)
-    assert _fields(x) == _fields(rebuilt) and x._map == rebuilt._map
+    assert _fields(x) == _fields(rebuilt) and x.override_map == rebuilt.override_map
 
 
 def test_apply_matches_rebuilding_oracle():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -273,3 +274,19 @@ def test_make_code_value_sparse_matches_per_call_product():
         assert type(got) is type(want) and got == want, (length, items)
         kinds.add(type(got))
     assert kinds == {int, pc.SymbolicCode}
+
+
+def test_make_code_value_sparse_takes_canonical_items_as_they_stand():
+    for length, items in _sparse_cases():
+        its = tuple(sorted((p, v) for p, v in items if v != 1))
+        got = pc.make_code_value_sparse(length, its, canonical=True)
+        want = pc.make_code_value_sparse(length, items)
+        assert type(got) is type(want) and got == want, (length, items)
+
+
+def test_all_ones_log2_floor_bounds_the_code():
+    for length in list(range(1, 120)) + [300, 1000, 2500]:
+        lb = pc.all_ones_log2_floor(length)
+        ones = math.prod(pc.nth_prime(i) ** 2 for i in range(length))
+        # 2**lb <= O < 2**(lb + 2): a lower bound, and a tight one
+        assert lb < ones.bit_length() <= lb + 2, length

@@ -10,7 +10,7 @@ suites with reproducible JSON reports live in :mod:`hurewicz_kit.verifier`;
 the command line front end in :mod:`hurewicz_kit.cli`.
 """
 
-from .base import CapacityError, DomainError, HorizonError, Tri, UNKNOWN
+from .base import CapacityError, DomainError, HorizonError, Tri
 from .prime_coding import (
     MATERIALIZE_BITS,
     SymbolicCode,

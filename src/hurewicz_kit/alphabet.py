@@ -127,7 +127,7 @@ def _keyed_members(level: int, lower: list[tuple]) -> list[tuple]:
     ]
 
 
-def alphabets(depth: int, cap: int = DEFAULT_DEPTH_CAP) -> list[tuple]:
+def alphabets(depth: int) -> list[tuple]:
     """A_0 .. A_{depth-1}, each sorted ascending by value.
 
     Each member is keyed once (``_order_key``); the level is presorted by
@@ -156,9 +156,10 @@ def alphabets(depth: int, cap: int = DEFAULT_DEPTH_CAP) -> list[tuple]:
     """
     if depth < 0:
         raise ValueError("depth must be a natural")
-    if depth > cap:
+    if depth > DEFAULT_DEPTH_CAP:
         raise CapacityError(
-            f"depth {depth} exceeds the cap {cap}; node counts explode combinatorially"
+            f"depth {depth} exceeds the cap {DEFAULT_DEPTH_CAP}; "
+            "node counts explode combinatorially"
         )
     while len(_alpha_cache) < depth:
         level = len(_alpha_cache)
@@ -171,27 +172,27 @@ def alphabets(depth: int, cap: int = DEFAULT_DEPTH_CAP) -> list[tuple]:
     return [_alpha_cache[i] for i in range(depth)]
 
 
-def alphabet_at(level: int, cap: int = DEFAULT_DEPTH_CAP) -> tuple:
-    return alphabets(level + 1, cap)[level]
+def alphabet_at(level: int) -> tuple:
+    return alphabets(level + 1)[level]
 
 
-def node_count(p: int, cap: int = DEFAULT_DEPTH_CAP) -> int:
+def node_count(p: int) -> int:
     count = 1
-    for a in alphabets(p, cap):
+    for a in alphabets(p):
         count *= len(a)
     return count
 
 
-def enumerate_nodes(p: int, cap: int = DEFAULT_DEPTH_CAP) -> list[tuple]:
+def enumerate_nodes(p: int) -> list[tuple]:
     """All depth-p nodes in lexicographic order (first coordinate most
     significant); product of sorted alphabets, so no duplicates.  Raises
     CapacityError, before building any node, above NODE_COUNT_CAP nodes."""
-    count = node_count(p, cap)
+    count = node_count(p)
     if count > NODE_COUNT_CAP:
         raise CapacityError(
             f"depth {p} has {count} nodes, over the node-count cap {NODE_COUNT_CAP}"
         )
-    return list(itertools.product(*alphabets(p, cap)))
+    return list(itertools.product(*alphabets(p)))
 
 
 def member_valid(level: int, v) -> bool:

@@ -37,6 +37,3 @@ class Tri(enum.Enum):
     def __bool__(self) -> bool:
         # forbid accidental `if in_domain(...)`: compare against members instead
         raise TypeError("tri-state outcome is not a boolean")
-
-
-UNKNOWN = Tri.UNKNOWN

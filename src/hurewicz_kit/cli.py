@@ -8,7 +8,6 @@ explicit --seed), so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .base import CapacityError, HorizonError, Tri
@@ -49,10 +48,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
-
-
 # --- commands ----------------------------------------------------------------
 
 
@@ -78,7 +73,7 @@ def cmd_alphabets(args) -> int:
                 for i, a in enumerate(levels)
             ],
         }
-        _emit(_dump_json(doc), args.out)
+        _emit(verifier.dump_json(doc), args.out)
         return 0
     lines = []
     for i, a in enumerate(levels):
@@ -102,7 +97,7 @@ def cmd_nodes(args) -> int:
             "count": len(nodes),
             "nodes": [[_entry_json(v) for v in nd] for nd in nodes],
         }
-        _emit(_dump_json(doc), args.out)
+        _emit(verifier.dump_json(doc), args.out)
         return 0
     lines = [f"{len(nodes)} nodes of depth {args.length}"]
     lines.extend(_node_label(nd) for nd in nodes)
@@ -175,7 +170,7 @@ def cmd_relations(args) -> int:
     if args.format == "dot":
         _emit(_graph_dot(g), args.out)
     elif args.format == "json":
-        _emit(_dump_json(_graph_doc(g)), args.out)
+        _emit(verifier.dump_json(_graph_doc(g)), args.out)
     else:
         lines = [
             f"depth {g.length}: {len(g.nodes)} nodes, "

@@ -88,15 +88,26 @@ class CylinderConstraint:
         return Tri.UNKNOWN if unknown else Tri.YES
 
 
+@lru_cache(maxsize=4096)
+def level_start(base: tuple[int, ...]) -> tuple[int, int]:
+    """The code of base ⌢ 0 and the prime q = q_|base|.  The indices a level
+    with base b constrains are code(b ⌢ p) = code(b ⌢ 0) * q**p, so
+    ``constraints``, ``find_branch`` and the relation witness search step
+    through them by multiplying by q."""
+    q = nth_prime(len(base))
+    return (encode(base) if base else 1) * q, q
+
+
 @lru_cache(maxsize=65536)
 def constraints(b: BranchIndex, fault: str | None = None) -> CylinderConstraint:
     ones = []
     non_ones = []
     for j in range(len(b.s) + 1):
-        base = b.s[:j] + b.t[:j]
-        for p in range(b.t[j]):
-            non_ones.append(encode(base + (p,)))
-        ones.append(encode(base + (b.t[j],)))
+        idx, q = level_start(b.s[:j] + b.t[:j])
+        for _ in range(b.t[j]):
+            non_ones.append(idx)
+            idx *= q
+        ones.append(idx)
     if fault == FAULT_DROP_NON_ONES:
         non_ones = []
     return CylinderConstraint(tuple(ones), tuple(sorted(non_ones)))
@@ -169,7 +180,7 @@ def find_branch(
     leaving the index horizon reports unknown."""
     t: tuple[int, ...] = ()
     for j in range(len(s) + 1):
-        idx, q_j = _scan_start(s[:j] + t)
+        idx, q_j = level_start(s[:j] + t)
         p = 0
         while True:
             if idx > horizon:
@@ -183,14 +194,6 @@ def find_branch(
             p += 1
             idx *= q_j
     return Tri.YES, t
-
-
-@lru_cache(maxsize=4096)
-def _scan_start(base: tuple[int, ...]) -> tuple[int, int]:
-    """First candidate index of a ``find_branch`` level, the code of
-    base ⌢ 0, and the prime q_|base| that steps to the next candidate."""
-    q = nth_prime(len(base))
-    return (encode(base) if base else 1) * q, q
 
 
 # --- enumeration of sequences by coded value --------------------------------
@@ -254,16 +257,19 @@ def e_inv(s: tuple[int, ...]) -> int:
     return bisect_left(_codes, c)
 
 
+def sequences_below(limit: int) -> list[tuple[int, ...]]:
+    """Every sequence whose code is below ``limit``, in code order."""
+    _ensure_codes(limit)
+    codes = _codes
+    return [decode(c) for c in codes[: bisect_left(codes, limit)]]
+
+
 def branches_within(horizon: int) -> list[BranchIndex]:
     """Every branch index whose top rewritten coordinate is < horizon,
-    ordered by that coordinate.  Codes of odd length 2k+1 split into
+    ordered by that coordinate.  Sequences of odd length 2k+1 split into
     (first k entries, last k+1 entries)."""
-    _ensure_codes(horizon)
     out = []
-    for c in _codes:
-        if c == 0 or c >= horizon:
-            continue
-        w = decode(c)
+    for w in sequences_below(horizon):
         if len(w) % 2 == 1:
             k = len(w) // 2
             out.append(BranchIndex(w[:k], w[k:]))
@@ -276,25 +282,18 @@ def apply_fn(n: int, x: PointPrefix) -> tuple[Tri, PointPrefix | None]:
     The no arm cannot fire for these glued domains: a finite prefix can
     confirm membership but never refute every branch.
     """
-    outcome, t = find_branch(e(n), x)
+    s = e(n)
+    outcome, t = find_branch(s, x)
     if outcome is not Tri.YES:
         return outcome, None
-    return Tri.YES, apply(BranchIndex(e(n), t), x)
+    return Tri.YES, apply(BranchIndex(s, t), x)
 
 
 def branch_by_rank(n: int, p: int) -> BranchIndex:
     """Branch number (n, p): s = e(n), t the p-th tuple of length |s|+1 in
     increasing code order."""
     s = e(n)
-    want = len(s) + 1
-    _ensure_codes(CODE_CAP + 1)
-    found = 0
-    for c in _codes:
-        if c > CODE_CAP:
-            break
-        w = decode(c)
-        if len(w) == want:
-            if found == p:
-                return BranchIndex(s, w)
-            found += 1
-    raise CapacityError("branch rank beyond the enumeration cap")
+    tails = [w for w in sequences_below(CODE_CAP + 1) if len(w) == len(s) + 1]
+    if not 0 <= p < len(tails):
+        raise CapacityError("branch rank beyond the enumeration cap")
+    return BranchIndex(s, tails[p])

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .alphabet import DEFAULT_DEPTH_CAP, alphabets, enumerate_nodes
-from .departure import BranchIndex, e_inv
-from .prime_coding import encode, is_code, make_code_value
+from .alphabet import alphabets, enumerate_nodes
+from .departure import BranchIndex, e_inv, level_start
+from .prime_coding import is_code, make_code_value
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ def _witness_search(s: tuple, t: tuple) -> list[EffectiveWitness]:
 
     def at_level(u: tuple, v: tuple, todo: frozenset) -> None:
         m = 0
+        idx, q = level_start(u + v)
         while True:
-            idx = encode(u + v + (m,))
             if idx >= L:
                 # cut point: this level's rewrite lands past the node, and all
                 # scanned lower candidates were satisfied non-1 constraints
@@ -66,12 +66,17 @@ def _witness_search(s: tuple, t: tuple) -> list[EffectiveWitness]:
                             EffectiveWitness(BranchIndex(u, v + (m,)), len(u) + 1)
                         )
                     else:
+                        # code(u ⌢ a ⌢ v ⌢ m ⌢ 0) grows by q_|u| with a
+                        start = level_start(u + (0,) + v + (m,))[0]
+                        step = level_start(u)[1]
                         a = 0
-                        while encode(u + (a,) + v + (m, 0)) < L:
+                        while start < L:
                             at_level(u + (a,), v + (m,), rest)
                             a += 1
+                            start *= step
                 return
             m += 1
+            idx *= q
 
     at_level((), (), frozenset(remaining))
     return found
@@ -105,8 +110,8 @@ def psi(s: tuple, t: tuple) -> PsiResult:
     ws = rel_witnesses(s, t)
     if not ws:
         return PsiResult(None, None)
-    best = min(ws, key=lambda w: e_inv(w.branch.s))
-    return PsiResult(e_inv(best.branch.s), best)
+    rank, best = min(((e_inv(w.branch.s), w) for w in ws), key=lambda rw: rw[0])
+    return PsiResult(rank, best)
 
 
 def self_related_profile(s: tuple) -> bool:
@@ -143,7 +148,7 @@ class RelationGraph:
         return adj
 
 
-def t_graph(p: int, cap: int = DEFAULT_DEPTH_CAP) -> RelationGraph:
+def t_graph(p: int) -> RelationGraph:
     """Complete relation graph over the depth-p nodes, built by generating each
     node's candidate partners instead of testing every pair.
 
@@ -164,8 +169,8 @@ def t_graph(p: int, cap: int = DEFAULT_DEPTH_CAP) -> RelationGraph:
     searches, with at most 2^k - 1 candidates per node for k coded positions
     below p.
     """
-    levels = alphabets(p, cap)
-    nodes = enumerate_nodes(p, cap)
+    levels = alphabets(p)
+    nodes = enumerate_nodes(p)
     loops, loop_ranks = [], []
     for i, nd in enumerate(nodes):
         rank = psi(nd, nd).rank

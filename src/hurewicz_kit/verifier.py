@@ -26,7 +26,7 @@ from .departure import (
     FAULT_REWRITE_OFF_BY_ONE,
     BranchIndex,
 )
-from .prime_coding import decode, make_code_value_sparse, render_value
+from .prime_coding import make_code_value_sparse, render_value
 
 FAULT_EPSILON_NONSTRICT = "epsilon-nonstrict"
 ALL_FAULTS = (FAULT_REWRITE_OFF_BY_ONE, FAULT_DROP_NON_ONES, FAULT_EPSILON_NONSTRICT)
@@ -111,10 +111,12 @@ class VerificationReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True, ensure_ascii=True)
-            + "\n"
-        ).encode()
+        return dump_json(self.to_json_dict()).encode()
+
+
+def dump_json(doc: dict) -> str:
+    """Every JSON document the kit emits: indent 2, sorted keys, ASCII, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
 # --- sampling helpers --------------------------------------------------------
@@ -192,20 +194,21 @@ def verify_departure(
     }
     checks: list[Check] = []
     branches = dep.branches_within(horizon)
-    cons_map = {b: dep.constraints(b, fault=fault) for b in branches}
+    # each stem's branches with their constraints, in the order of ``branches``
+    by_stem: dict[tuple, list] = {}
+    for b in branches:
+        by_stem.setdefault(b.s, []).append((b, dep.constraints(b, fault=fault)))
 
     if "branch-axioms" in include:
-        checks.extend(
-            _branch_axiom_checks(branches, cons_map, samples, seed, fault)
-        )
+        checks.extend(_branch_axiom_checks(branches, by_stem, samples, seed, fault))
     if "density" in include:
-        checks.append(_density_check(depth, horizon, branches, cons_map, fault))
+        checks.append(_density_check(depth, horizon, by_stem, fault))
     if "relations" in include:
         checks.extend(_relation_checks(relations_depth))
     return VerificationReport("departure", params, checks)
 
 
-def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
+def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
     wellformed = Check("constraint-wellformedness")
     lex = Check("lex-increase")
     stab = Check("stabilization-beyond-top")
@@ -216,7 +219,7 @@ def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
     disjoint = Check("branch-disjointness")
 
     for b in branches:
-        cons = cons_map[b]
+        cons = dep.constraints(b, fault=fault)
         increasing = all(a < c for a, c in zip(cons.ones, cons.ones[1:]))
         wellformed.require(
             increasing and not (set(cons.ones) & set(cons.non_ones)),
@@ -265,11 +268,9 @@ def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
                 inject.ok()
 
         # extensions of b inside the horizon: nested domains + disagreement bound
-        parent = _parent_branch(b)
-        if parent is not None:
-            pcons = cons_map.get(parent)
-            if pcons is None:
-                pcons = dep.constraints(parent, fault=fault)
+        if b.s:
+            parent = BranchIndex(b.s[:-1], b.t[:-1])
+            pcons = dep.constraints(parent, fault=fault)
             nested.require(
                 set(pcons.ones) <= set(cons.ones)
                 and set(pcons.non_ones) <= set(cons.non_ones),
@@ -293,38 +294,22 @@ def _branch_axiom_checks(branches, cons_map, samples, seed, fault):
                     first_disagreement=fd,
                 )
 
-    by_stem: dict[tuple, list] = {}
-    for b in branches:
-        by_stem.setdefault(b.s, []).append(b)
     for stem, group in sorted(by_stem.items()):
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                c1, c2 = cons_map[group[i]], cons_map[group[j]]
+        for i, (b1, c1) in enumerate(group):
+            for b2, c2 in group[i + 1 :]:
                 contradiction = bool(
                     set(c1.ones) & set(c2.non_ones) or set(c2.ones) & set(c1.non_ones)
                 )
-                disjoint.require(
-                    contradiction, first=group[i], second=group[j], stem=stem
-                )
+                disjoint.require(contradiction, first=b1, second=b2, stem=stem)
     return [wellformed, lex, stab, closure, inject, nested, bound, disjoint]
 
 
-def _parent_branch(b: BranchIndex) -> BranchIndex | None:
-    if not b.s:
-        return None
-    return BranchIndex(b.s[:-1], b.t[:-1])
-
-
-def _density_check(depth, horizon, branches, cons_map, fault) -> Check:
+def _density_check(depth, horizon, by_stem, fault) -> Check:
     """Every node of each depth up to ``depth``, completed by the all-ones
     tail, lands via greedy discovery in exactly one enumerated branch domain
     per stem with coded value below the horizon."""
     check = Check("density-unique-branch")
-    dep._ensure_codes(horizon)
-    stems = [decode(c) for c in dep._codes if c < horizon]
-    by_stem: dict[tuple, list] = {}
-    for b in branches:
-        by_stem.setdefault(b.s, []).append(b)
+    stems = dep.sequences_below(horizon)
     found_at: dict[tuple, tuple] = {}  # (s, t) -> (branch, its top index)
     for p in range(depth + 1):
         for node in alph.enumerate_nodes(p):
@@ -349,9 +334,7 @@ def _density_check(depth, horizon, branches, cons_map, fault) -> Check:
                     continue
                 expected = 1 if top < horizon else 0
                 hits = sum(
-                    1
-                    for b in by_stem.get(s, ())
-                    if cons_map[b].membership(x) is Tri.YES
+                    1 for _, cons in by_stem.get(s, ()) if cons.membership(x) is Tri.YES
                 )
                 check.require(
                     hits == expected,
@@ -459,10 +442,11 @@ def verify_no_isolated(
     picked = sorted(rng.sample(range(len(nodes)), min(samples, len(nodes))))
     points = [alph.ALL_ONES] + [alph.point_from_node(nodes[i]) for i in picked]
     branches = dep.branches_within(horizon)
+    prec = depth + 2
+    ceiling = 1 + len(dep.branches_within(prec))
 
     for x in points:
         applicable = [b for b in branches if dep.in_domain(x, b, fault=fault) is Tri.YES]
-        prec = depth + 2
         prefixes = set()
         for b in applicable:
             y = dep.apply(b, x, fault=fault)
@@ -486,9 +470,6 @@ def verify_no_isolated(
                     point=x,
                     first_disagreement=fd,
                 )
-        ceiling = 1 + sum(
-            1 for c in dep._codes if 0 < c < prec and len(decode(c)) % 2 == 1
-        )
         equi.require(
             len(prefixes) <= ceiling,
             point=x,
@@ -528,16 +509,15 @@ def verify_arrival_scan(
 
     def explore(word: list, states: list, position: int) -> None:
         if position < 0:
-            survivors = [(i, cur) for i, cur in states]
             identities = [
-                i for i, cur in survivors if first_disagreement(cur, points[i]) is None
+                i for i, cur in states if first_disagreement(cur, points[i]) is None
             ]
             scan.ok()
-            if survivors:
+            if states:
                 findings.append(
                     {
                         "word": "[" + " ".join(repr(b) for b in word) + "]",
-                        "nonempty_on_samples": len(survivors),
+                        "nonempty_on_samples": len(states),
                         "identity_hits": len(identities),
                     }
                 )

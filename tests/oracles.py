@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, decoding by trial division, branch discovery
-re-encoding every level's base, domain membership read one coordinate at a
-time, a branch map that rebuilds and re-sorts its image, alphabet membership
+re-encoding every level's base, branch constraints encoding every index
+anew, domain membership read one coordinate at a time, a branch map that rebuilds and re-sorts its image, alphabet membership
 decoded anew on every call, alphabets sorted by pairwise exact comparisons, brute-force enumeration of coded sequences and
 the same enumeration by trial division of every even number, and a
 relation decision that builds explicit points and pushes them through the
@@ -31,6 +31,7 @@ from hurewicz_kit.base import DomainError, HorizonError, Tri
 from hurewicz_kit.prime_coding import (
     MATERIALIZE_BITS,
     SymbolicCode,
+    encode,
     make_code_value,
     make_code_value_sparse,
     render_value,
@@ -178,6 +179,22 @@ def find_branch_reencoding(s: tuple, x: PointPrefix, horizon: int = dep.DEFAULT_
             p += 1
             idx *= q
     return Tri.YES, tuple(t)
+
+
+def constraints_by_encoding(
+    b: dep.BranchIndex, fault: str | None = None
+) -> dep.CylinderConstraint:
+    """Branch constraints with every constrained index encoded anew."""
+    ones = []
+    non_ones = []
+    for j in range(len(b.s) + 1):
+        base = b.s[:j] + b.t[:j]
+        for p in range(b.t[j]):
+            non_ones.append(encode(base + (p,)))
+        ones.append(encode(base + (b.t[j],)))
+    if fault == dep.FAULT_DROP_NON_ONES:
+        non_ones = []
+    return dep.CylinderConstraint(tuple(ones), tuple(sorted(non_ones)))
 
 
 def membership_by_coord(cons: dep.CylinderConstraint, x: PointPrefix) -> Tri:

@@ -56,6 +56,22 @@ def test_census_outputs_match_recorded_hashes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _CENSUS_SHA256[argv]
 
 
+# SHA-256 of the no-isolated and arrival-scan reports at the CLI defaults
+# (depth 3, horizon 10^4), recorded before the code table and the branch-index
+# rule moved behind ``sequences_below`` and ``level_start``
+_VERIFY_DEFAULTS_SHA256 = {
+    "no-isolated": "6978620819c74628ecc5ae7a8f97477d460a270ec1f7430c7ae2392cbfcbaaca",
+    "arrival-scan": "f0d51ed3b3eadfe2c16e0a5d9a8fa04c8f0ad0e09130a2e210adcee4639c8a98",
+}
+
+
+@pytest.mark.parametrize("suite", _VERIFY_DEFAULTS_SHA256)
+def test_verify_cli_defaults_match_recorded_hashes(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DEFAULTS_SHA256[suite]
+
+
 def test_nodes(capsys):
     code, out, _ = run(capsys, "nodes", "--length", "3", "--format", "json")
     assert code == 0

@@ -12,6 +12,8 @@ from oracles import (
     apply_rebuilding,
     codes_by_trial_division,
     codes_in_order,
+    constraints_by_encoding,
+    decode_trial_division,
     find_branch_reencoding,
     j_code,
     membership_by_coord,
@@ -47,6 +49,14 @@ def test_constraint_indices_increase_and_stay_disjoint():
         assert all(x < y for x, y in zip(c.ones, c.ones[1:]))
         assert not set(c.ones) & set(c.non_ones)
         assert b.top_index() == c.ones[-1]
+
+
+def test_constraints_match_encoding_oracle():
+    branches = dep.branches_within(10_000)
+    assert len(branches) == 74
+    for b in branches:
+        for fault in ALL_FAULTS:
+            assert dep.constraints(b, fault=fault) == constraints_by_encoding(b, fault)
 
 
 def test_in_domain_examples():
@@ -108,8 +118,7 @@ def test_find_branch_unique_among_enumerated():
 
 
 def test_find_branch_matches_reencoding_oracle():
-    dep._ensure_codes(10_000)
-    stems = [pc.decode(c) for c in dep._codes if c < 10_000]
+    stems = dep.sequences_below(10_000)
     points = [al.point_from_node(nd) for nd in al.enumerate_nodes(3)]
     points += [al.point_from_node(nd, tail_ones=False) for nd in al.enumerate_nodes(3)]
     outcomes = set()
@@ -142,6 +151,13 @@ def test_generated_codes_match_oracles():
         assert dep._codes_below(limit) == codes_by_trial_division(limit)
     dep._ensure_codes(10**6)
     assert [c for c in dep._codes if c < 10**6] == codes_by_trial_division(10**6)
+
+
+def test_sequences_below_match_trial_division():
+    # growing, then smaller limits read from the grown table
+    for limit in (0, 1, 2, 3, 10**4, 10**6, 10**4, 3, 0):
+        expected = [decode_trial_division(c) for c in codes_by_trial_division(limit)]
+        assert dep.sequences_below(limit) == expected, limit
 
 
 def test_enumeration_cap():

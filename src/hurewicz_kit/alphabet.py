@@ -406,13 +406,19 @@ def first_disagreement(x: PointPrefix, y: PointPrefix):
     None when provably equal on the whole decidable range (both tails set and
     the explicit parts agree); Tri.UNKNOWN when equality holds on the common
     decidable range but some side is undetermined beyond it.
+
+    Both override tuples are sorted by position and agree pair by pair before
+    the first index where they differ.  There the smaller of the two positions
+    reads differently on the two sides; when one tuple runs out first, the
+    next pair of the other does.
     """
-    limit = min(x.decidable_limit(), y.decidable_limit())
-    for i in sorted(set(x.override_map) | set(y.override_map)):
-        if i >= limit:
-            break
-        if x.override_map.get(i, 1) != y.override_map.get(i, 1):
-            return i
+    xs, ys = x.overrides, y.overrides
+    if xs != ys:
+        at = next((min(a[0], b[0]) for a, b in zip(xs, ys) if a != b), None)
+        if at is None:
+            at = (xs if len(xs) > len(ys) else ys)[min(len(xs), len(ys))][0]
+        if at < min(x.decidable_limit(), y.decidable_limit()):
+            return at
     if x.tail_ones and y.tail_ones:
         return None
     return Tri.UNKNOWN

@@ -14,7 +14,6 @@ glued map for the n-th sequence in code order).
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -201,7 +200,6 @@ def find_branch(
 # Ranks and branch numbers are served for sequences coded at most this value.
 CODE_CAP = 10**8
 
-_codes_lock = threading.RLock()
 _codes: list[int] = [0]
 _codes_limit = 1  # all codes < _codes_limit are present in _codes
 
@@ -227,14 +225,12 @@ def _ensure_codes(limit: int) -> None:
     global _codes, _codes_limit
     if limit <= _codes_limit:
         return
-    with _codes_lock:
-        if limit <= _codes_limit:
-            return
-        # at least double, so a run of growing requests regenerates rarely
-        limit = max(limit, 2 * _codes_limit)
-        # single rebinding so concurrent readers see a complete sorted table
-        _codes = _codes_below(limit)
-        _codes_limit = limit
+    # at least double, so a run of growing requests regenerates rarely
+    limit = max(limit, 2 * _codes_limit)
+    # the table first, then its limit: every code below _codes_limit is in
+    # _codes at every point
+    _codes = _codes_below(limit)
+    _codes_limit = limit
 
 
 def e(n: int) -> tuple[int, ...]:

@@ -128,27 +128,25 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
     side's level-(m+1) divisor times growing powers of q_{m+2}) or one index a
     strict prefix of the other (same shape one level up).  The two source
     coordinates are distinct, land past |u| for a large enough power, and get
-    opposite bits.
+    opposite bits.  Everything past u depends only on (s, t, |u|), so the
+    prefix is u followed by the cached tail of _witness_core.
     """
     s = _check_index(s)
     t = _check_index(t)
     if s == t:
         raise ValueError("indices must differ")
-    if not isinstance(u, BitPrefix):
-        u = BitPrefix(bytes(u))
-    a, b, k = _witness_core(s, t, len(u.bits))
-    word = bytearray(max(a, b) + 1)
-    word[: len(u.bits)] = u.bits
-    word[a] = 0
-    word[b] = 1
-    return BitPrefix(bytes(word)), k
+    bits = u.bits if isinstance(u, BitPrefix) else bytes(u)
+    tail, k = _witness_core(s, t, len(bits))
+    return BitPrefix(bits + tail), k
 
 
 @lru_cache(maxsize=4096)
-def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[int, int, int]:
-    """(a, b, k) for distinct checked indices s and t and a word of length n:
-    the output index k and its two distinct source coordinates, a under the
-    index taking bit 0 and b under the one taking bit 1, both at least n."""
+def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[bytes, int]:
+    """(tail, k) for distinct checked indices s and t and a word of length n:
+    the output index k, whose two source coordinates a and b are distinct and
+    both at least n, and the witness bits past the word, tail = word[n:], all
+    0 but a 1 at b - n.  a lies under the index taking bit 0, b under the one
+    taking bit 1, and the tail ends at max(a, b)."""
     m = next((i for i in range(min(len(s), len(t))) if s[i] != t[i]), None)
     if m is not None:
         if s[m] > t[m]:
@@ -166,7 +164,9 @@ def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[int, 
         k = base * power - 1
         a, b = sig_s(k), sig_t(k)
         if a != b and min(a, b) >= n:
-            return a, b, k
+            tail = bytearray(max(a, b) + 1 - n)
+            tail[b - n] = 1
+            return bytes(tail), k
         power *= step
 
 
@@ -177,14 +177,16 @@ _WINDOW = 1 << 14
 def agreement_below_bound(s, k: int, horizon: int) -> int | None:
     """First index below min(bound, horizon) where the index maps of s⌢k and s
     differ, or None; expected None by the convergence bound.  Both maps are
-    read _WINDOW values at a time, so memory does not grow with the horizon."""
+    read _WINDOW values at a time, so memory does not grow with the horizon;
+    each window's two lists are compared whole, and only a window where they
+    differ is scanned for its first differing index."""
     s = _check_index(s)
     parent, child = _index_map(s), _index_map(_check_index(s + (k,)))
     limit = min(convergence_bound(s, k), horizon)
     for start in range(0, limit, _WINDOW):
         stop = min(start + _WINDOW, limit)
-        pairs = zip(parent.prefix(stop, start), child.prefix(stop, start))
-        moved = next((n for n, (p, c) in enumerate(pairs, start) if p != c), None)
-        if moved is not None:
-            return moved
+        before, after = parent.prefix(stop, start), child.prefix(stop, start)
+        if before != after:
+            pairs = zip(before, after)
+            return next(n for n, (p, c) in enumerate(pairs, start) if p != c)
     return None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -30,7 +29,6 @@ MATERIALIZE_BITS = 4096
 # Fixed-point scale for base-2 log estimates of code sizes.
 _LOG2_SCALE = 1 << 24
 
-_lock = threading.RLock()
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 _log2q: list[int] = []          # round(log2(q_i) * _LOG2_SCALE)
 _cum_log2q: list[int] = [0]     # prefix sums of _log2q
@@ -50,25 +48,21 @@ def _ensure_primes(count: int) -> None:
     """Grow the memoized prime table to at least ``count`` entries.
 
     Each regrowth at least doubles the table, so a run of growing requests
-    sieves only logarithmically often.  Deterministic; fills happen under a
-    lock, and the finished list is swapped in by a single rebinding so
-    concurrent readers only ever see a complete table.
+    sieves only logarithmically often.  Deterministic; the finished list
+    replaces the old one in a single rebinding.
     """
     global _primes
     if len(_primes) >= count:
         return
-    with _lock:
-        if len(_primes) >= count:
+    n = max(count, 2 * len(_primes), 16)
+    # p_n < n (ln n + ln ln n) for n >= 6, so one sieve normally suffices
+    bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
+    while True:
+        found = _sieve(bound)
+        if len(found) >= count:
+            _primes = found
             return
-        n = max(count, 2 * len(_primes), 16)
-        # p_n < n (ln n + ln ln n) for n >= 6, so one sieve normally suffices
-        bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
-        while True:
-            found = _sieve(bound)
-            if len(found) >= count:
-                _primes = found
-                return
-            bound *= 2
+        bound *= 2
 
 
 def nth_prime(n: int) -> int:
@@ -81,13 +75,10 @@ def nth_prime(n: int) -> int:
 
 
 def _log2q_scaled(i: int) -> int:
-    if i >= len(_log2q):
-        with _lock:
-            while len(_log2q) <= i:
-                k = len(_log2q)
-                v = round(math.log2(nth_prime(k)) * _LOG2_SCALE)
-                _log2q.append(v)
-                _cum_log2q.append(_cum_log2q[-1] + v)
+    while len(_log2q) <= i:
+        v = round(math.log2(nth_prime(len(_log2q))) * _LOG2_SCALE)
+        _log2q.append(v)
+        _cum_log2q.append(_cum_log2q[-1] + v)
     return _log2q[i]
 
 

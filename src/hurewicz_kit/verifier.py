@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 from .base import CapacityError, Tri
 from . import alphabet as alph
@@ -593,20 +594,28 @@ def verify_good_sequence(
                 agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
             previous = b
 
+    # Every word gets its own witness and its own check.  Only the pair's two
+    # index maps are looked up once per pair, and the two source coordinates
+    # once per run of words with the same k (one run per word length).
     family = _index_family(pair_max_len, pair_max_entry)
     words = list(_all_words(max_u_len))
     for s in family:
+        sig_s = good._index_map(s)
         for t in family:
             if s == t:
                 continue
+            sig_t = good._index_map(t)
+            last_k = None
             for u in words:
                 x, k = good.disagreement_witness(s, t, u)
-                a, b = good.h_eval(s, x, k), good.h_eval(t, x, k)
+                if k != last_k:
+                    last_k, src_s, src_t = k, sig_s(k), sig_t(k)
+                a, b = x.bit(src_s), x.bit(src_t)
                 okay = (
                     a is not Tri.UNKNOWN
                     and b is not Tri.UNKNOWN
                     and a != b
-                    and x.bits[: len(u)] == u
+                    and x.bits.startswith(u)
                 )
                 if okay:
                     witness.ok()
@@ -621,9 +630,10 @@ def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Che
 
     The values come from one sieve per map (IndexMap.prefix).  A repeated value
     shows as a set smaller than the horizon, and only then does the scan for
-    the first repeat run.  The coprime indices are found from the divisors
-    here, not from the sieve, so a position the sieve leaves unwritten or
-    writes wrongly is caught."""
+    the first repeat run.  The coprime indices come from a second sieve, a
+    bytearray over the level divisors built here, independent of
+    IndexMap.prefix, so a position IndexMap.prefix leaves unwritten or writes
+    wrongly is caught."""
     injective = Check("index-map-injective")
     fixes = Check("index-map-fixes-coprime")
     for s in _index_family(max_s_len, max_entry):
@@ -637,15 +647,10 @@ def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Che
                     break
                 seen[v] = k
         injective.require(collision is None, s=s, collision=collision)
-        divisors = good._divisors(s)
-        bad = next(
-            (
-                k
-                for k in range(min(horizon, 2000))
-                if values[k] != k and all((k + 1) % d for d in divisors)
-            ),
-            None,
-        )
+        coprime = bytearray(b"\x01") * min(horizon, 2000)
+        for d in good._divisors(s):
+            coprime[d - 1 :: d] = bytes(len(range(d - 1, len(coprime), d)))
+        bad = next((k for k in compress(count(), coprime) if values[k] != k), None)
         fixes.require(bad is None, s=s, moved=bad)
     return injective, fixes
 

@@ -10,7 +10,9 @@ relation decision that builds explicit points and pushes them through the
 branch maps instead of reasoning about constraint truncations, a relation
 graph and relation checks built by testing every pair of nodes, the
 cascade generator, radius and admissibility check in ``Fraction`` arithmetic,
-and the index-map checks, witnesses and agreement scan one index at a time.
+the index-map checks, witnesses and agreement scan one index at a time, and
+the first disagreement of two prefixes over the sorted union of their
+override positions.
 """
 
 from __future__ import annotations
@@ -551,3 +553,17 @@ def agreement_below_bound_per_k(s, k: int, horizon: int) -> int | None:
         if sig_parent(n) != sig_child(n):
             return n
     return None
+
+
+def first_disagreement_by_position_set(x: PointPrefix, y: PointPrefix):
+    """first_disagreement by sorting the union of both override positions and
+    reading each side's value at every position in turn."""
+    limit = min(x.decidable_limit(), y.decidable_limit())
+    for i in sorted(set(x.override_map) | set(y.override_map)):
+        if i >= limit:
+            break
+        if x.override_map.get(i, 1) != y.override_map.get(i, 1):
+            return i
+    if x.tail_ones and y.tail_ones:
+        return None
+    return Tri.UNKNOWN

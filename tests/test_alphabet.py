@@ -9,7 +9,12 @@ from hurewicz_kit import prime_coding as pc
 from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Tri
 
-from oracles import alphabets_by_comparator, j_code, member_valid_uncached
+from oracles import (
+    alphabets_by_comparator,
+    first_disagreement_by_position_set,
+    j_code,
+    member_valid_uncached,
+)
 
 
 def test_first_two_levels_exact():
@@ -421,6 +426,53 @@ def test_first_disagreement_examples():
         al.first_disagreement(mk((1, 1, 1)), mk((1, 1, 1))) is Tri.UNKNOWN
     )
     assert al.first_disagreement(mk((4, 1), True), mk((1, 1))) == 0
+
+
+def test_first_disagreement_matches_position_set_oracle():
+    rng = random.Random(5)
+    values = (4, 36, 900, pc.make_code_value_sparse(3, ((0, 2),)))
+
+    def random_point():
+        length = rng.randint(0, 8)
+        positions = rng.sample(range(length), rng.randint(0, min(length, 4)))
+        items = [(p, rng.choice(values)) for p in positions]
+        return al.PointPrefix(length, items, rng.random() < 0.5)
+
+    def variant(x):
+        # one override of x changed, dropped or added (possibly past x's
+        # length), with a new length and tail
+        items = dict(x.overrides)
+        p = rng.randrange(x.length + 3)
+        if p in items and rng.random() < 0.5:
+            del items[p]
+        else:
+            items[p] = rng.choice(values)
+        length = max(items, default=-1) + 1 + rng.randint(0, 3)
+        return al.PointPrefix(length, items.items(), rng.random() < 0.5)
+
+    kinds = set()
+    for _ in range(3000):
+        x = random_point()
+        copy = al.PointPrefix(x.length, x.overrides, x.tail_ones)
+        y = rng.choice((x, copy, variant(x)))
+        assert al.first_disagreement(x, y) == first_disagreement_by_position_set(x, y)
+        # the first difference of the explicit parts, read as if both tails
+        # were set, lies past the decidable limit when only a tail hides it
+        both_tails = first_disagreement_by_position_set(
+            al.PointPrefix(x.length, x.overrides, True),
+            al.PointPrefix(y.length, y.overrides, True),
+        )
+        limit = min(x.decidable_limit(), y.decidable_limit())
+        kinds.add(("equal",) if x.overrides == y.overrides else ("different",))
+        kinds.add(("lengths differ", x.length != y.length))
+        kinds.add(("tails", x.tail_ones + y.tail_ones))
+        kinds.add(("past the limit", both_tails is not None and both_tails >= limit))
+    assert kinds == {
+        ("equal",), ("different",),
+        ("lengths differ", True), ("lengths differ", False),
+        ("tails", 0), ("tails", 1), ("tails", 2),
+        ("past the limit", True), ("past the limit", False),
+    }
 
 
 def test_alphabet_members_are_canonical_representations():

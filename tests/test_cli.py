@@ -72,6 +72,27 @@ def test_verify_cli_defaults_match_recorded_hashes(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DEFAULTS_SHA256[suite]
 
 
+# SHA-256 of the good-suite report at the CLI defaults and of two witnesses,
+# one short enough to print its bits and one of 432 bits printed as the
+# positions of its ones, recorded while each witness was built by setting two
+# bits in a fresh word
+_GOOD_PATH_SHA256 = {
+    ("verify", "good-suite"):
+        "3e14aca7cd542ccff3cce728cf7fae458b46649f4acbe9442cac0ba3fae773b4",
+    ("witness", "--s", "1", "--t", "2", "--u", "01"):
+        "45194ab4e24028e802f486af1c482e5a7cb64ceff4b85b3a58e176d83e6c9c47",
+    ("witness", "--s", "-", "--t", "2,3", "--u", "111111111111"):
+        "f01187516dd2ce2dec9daf98e96fef50b7109d2781c2c08f66bbc042ea17e520",
+}
+
+
+@pytest.mark.parametrize("argv", _GOOD_PATH_SHA256)
+def test_good_path_outputs_match_recorded_hashes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOOD_PATH_SHA256[argv]
+
+
 def test_nodes(capsys):
     code, out, _ = run(capsys, "nodes", "--length", "3", "--format", "json")
     assert code == 0

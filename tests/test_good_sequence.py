@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hurewicz_kit import good_sequence as gs
@@ -88,15 +90,25 @@ def test_index_map_checks_match_per_k_sweeps(monkeypatch):
 
 
 def test_witness_matches_uncached_search():
+    # every word up to length 7, and a seeded sample of words of the
+    # acceptance-gate lengths 8 to 12 for each pair; each word is passed both
+    # as bytes and as a BitPrefix
+    rng = random.Random(12)
     family = vf._index_family(2, 3)
-    words = list(vf._all_words(7))
+    short = list(vf._all_words(7))
     for s in family:
         for t in family:
-            if s != t:
-                for u in words:
-                    assert gs.disagreement_witness(s, t, u) == (
-                        disagreement_witness_uncached(s, t, u)
-                    ), (s, t, u)
+            if s == t:
+                continue
+            long = [
+                bytes(rng.getrandbits(1) for _ in range(n))
+                for n in range(8, 13)
+                for _ in range(6)
+            ]
+            for u in short + long:
+                want = disagreement_witness_uncached(s, t, u)
+                assert gs.disagreement_witness(s, t, u) == want, (s, t, u)
+                assert gs.disagreement_witness(s, t, gs.BitPrefix(u)) == want, (s, t, u)
 
 
 def test_agreement_below_bound_matches_per_k_scan(monkeypatch):

@@ -285,6 +285,34 @@ def test_good_suite_refuses_negative_parameters(param):
         vf.verify_good_sequence(**{param: -1})
 
 
+@pytest.mark.parametrize("spoil", ["flip the source bit", "drop the word"])
+def test_good_suite_checks_every_witness(monkeypatch, spoil):
+    # one spoiled (s, t, u) out of 6 pairs x 15 words must fail exactly one
+    # check, so the witness check cannot run once per pair or per length
+    true_witness = vf.good.disagreement_witness
+    target = ((1,), (2,), bytes([1, 0]))
+
+    def spoiled(s, t, u):
+        x, k = true_witness(s, t, u)
+        if (s, t, u) != target:
+            return x, k
+        bits = bytearray(x.bits)
+        at = vf.good.sigma(s, k) if spoil == "flip the source bit" else 0
+        bits[at] ^= 1
+        return vf.good.BitPrefix(bytes(bits)), k
+
+    monkeypatch.setattr(vf.good, "disagreement_witness", spoiled)
+    report = vf.verify_good_sequence(
+        max_s_len=1, max_entry=1, horizon=10, pair_max_len=1, pair_max_entry=2,
+        max_u_len=3,
+    )
+    witness = report.checks[-1].as_dict()
+    assert witness["name"] == "disagreement-witness"
+    assert (witness["passed"], witness["failed"]) == (6 * 15 - 1, 1)
+    [cex] = witness["counterexamples"]
+    assert (cex["s"], cex["t"], cex["u"]) == ("(1)", "(2)", "0100")
+
+
 # SHA-256 of the departure-family reports, recorded while decode still
 # trial-divided by every prime, every rewritten value rebuilt its all-ones
 # product and member_valid decoded every value anew

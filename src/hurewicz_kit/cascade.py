@@ -14,8 +14,10 @@ by construction.  The conditions checked are
 and the derived inequality: whenever s and t first differ at level i with
 s(i) < t(i), d(s, t) >= d(s|i+1, s|i) / 3.  All arithmetic is exact: positions
 are checked as integer numerators over one common denominator (a power of two
-for generated samples, which are dyadic).  ``Fraction`` remains on the
-hand-built distance-table route and in violation payloads.
+for generated samples, which are dyadic).  A generated sample is integers from
+draw to verdict; ``Fraction`` remains only on the hand-built distance-table
+route, in violation payloads, and in ``CascadeSample.values`` and ``d``,
+which derive it on request.
 """
 
 from __future__ import annotations
@@ -55,24 +57,24 @@ def _tree(nodes) -> tuple:
 class CascadeSample:
     """Finite family of tree nodes with synthetic distances.
 
-    Either built from abstract positions (``values``: node -> Fraction, the
-    generator's route, metric axioms automatic) or from an explicit symmetric
-    table (hand-built checker sanity cases).  A sample with positions also
-    holds them as integers over one common denominator, ``nums[n] ==
-    values[n] * scale``, and the checkers compute with those.
+    Either built from abstract positions (the generator's route, metric
+    axioms automatic) or from an explicit symmetric table (hand-built checker
+    sanity cases).  Positions are held as integers over one common
+    denominator: node n sits at ``nums[n] / scale``, and the checkers compute
+    with those integers.  ``values``, the positions as Fractions, is derived
+    from them on request; on the table route ``nums`` and ``values`` are None.
     """
 
     nodes: tuple
-    values: dict | None = None
-    table: dict | None = None
-    scale: int = 1
     nums: dict | None = None
+    scale: int = 1
+    table: dict | None = None
 
     @classmethod
     def from_values(cls, values: dict) -> "CascadeSample":
         scale = math.lcm(1, *(Fraction(v).denominator for v in values.values()))
         nums = {n: int(v * scale) for n, v in values.items()}
-        return cls(_tree(values), dict(values), None, scale, nums)
+        return cls(_tree(values), nums=nums, scale=scale)
 
     @classmethod
     def from_table(cls, nodes, table: dict) -> "CascadeSample":
@@ -83,13 +85,20 @@ class CascadeSample:
                 raise ValueError("distances must be nonnegative")
             full[(a, b)] = v
             full[(b, a)] = v
-        return cls(_tree(nodes), None, full)
+        return cls(_tree(nodes), table=full)
+
+    @property
+    def values(self) -> dict | None:
+        """node -> position as a Fraction, or None on the table route."""
+        if self.nums is None:
+            return None
+        return {n: Fraction(x, self.scale) for n, x in self.nums.items()}
 
     def d(self, y: tuple, z: tuple) -> Fraction:
         if y == z:
             return Fraction(0)
-        if self.values is not None:
-            return abs(self.values[y] - self.values[z])
+        if self.nums is not None:
+            return Fraction(abs(self.nums[y] - self.nums[z]), self.scale)
         return self.table[(y, z)]
 
 
@@ -136,34 +145,64 @@ class ConditionReport:
 def check_admissibility(sample: CascadeSample, strict: bool = True) -> ConditionReport:
     """Both admissibility conditions over every non-root node of the sample.
 
-    One walk down the tree: a node's least gap term is the least consecutive
-    gap on its parent's chain, carried down, or the least gap of its earlier
-    siblings, kept as the walk passes them.  In units of 1/unit, s⌢k at gap g
-    from s is inside its radius exactly when g·2^k < unit and 4g < every gap
-    term, so on the positions route every comparison is between integers.
+    One walk down the tree in level order, where each parent's children come
+    together: a node's least gap term is the least consecutive gap on its
+    parent's chain, carried down, or the least gap of its earlier siblings,
+    kept as the walk passes them.  In units of 1/scale, s⌢k at gap g from s
+    is inside its radius exactly when g·2^k < scale and 4g < every gap term,
+    so on the positions route every comparison is between integers.
 
     ``strict=False`` relaxes the radius bound to <= (a deliberate fault mode
     used by the mutation harness; the genuine condition is strict)."""
-    unit, gap = _metric(sample)
-    reaches = operator.ge if strict else operator.gt
+    if sample.nums is None:
+        return _check_table_admissibility(sample, strict)
+    nums = sample.nums
+    unit = sample.scale
     # generated samples never put a node on an ancestor's position, so the
     # per-ancestor test runs only when two positions coincide
-    collide = sample.nums is None or len(set(sample.nums.values())) < len(sample.nums)
+    collide = len(set(nums.values())) < len(nums)
     chain = {(): math.inf}  # node -> least consecutive gap from the root to it
+    violations = []
+    parent = None
+    for node in sample.nodes:
+        if not node:
+            continue
+        if node[:-1] != parent:
+            parent = node[:-1]
+            at = nums[parent]
+            top = low = chain[parent]  # low takes in the earlier siblings' gaps
+        k = node[-1]
+        x = nums[node]
+        g = x - at if x > at else at - x
+        if (g << k >= unit or g << 2 >= low) if strict else (g << k > unit or g << 2 > low):
+            violations.append(("radius", node, Fraction(g, unit), _radius(k, low, unit)))
+        if collide:
+            for i in range(len(node)):
+                if nums[node[:i]] == x:
+                    violations.append(("ancestor-collision", node, node[:i]))
+        chain[node] = g if g < top else top
+        if g < low:
+            low = g
+    return ConditionReport(not violations, tuple(violations))
+
+
+def _check_table_admissibility(sample: CascadeSample, strict: bool) -> ConditionReport:
+    """check_admissibility on the distance-table route, in Fractions."""
+    reaches = operator.ge if strict else operator.gt
+    chain = {(): math.inf}
     earlier: dict = {}  # parent -> least gap of the children walked so far
     violations = []
     for node in sample.nodes:
         if not node:
             continue
         parent, k = node[:-1], node[-1]
-        g = gap(node, parent)
+        g = sample.d(node, parent)
         low = min(chain[parent], earlier.get(parent, math.inf))
-        if reaches(g * (1 << k), unit) or reaches(4 * g, low):
-            violations.append(("radius", node, Fraction(g, unit), _radius(k, low, unit)))
-        if collide:
-            for i in range(len(node)):
-                if gap(node, node[:i]) == 0:
-                    violations.append(("ancestor-collision", node, node[:i]))
+        if reaches(g * (1 << k), 1) or reaches(4 * g, low):
+            violations.append(("radius", node, g, _radius(k, low, 1)))
+        for i in range(len(node)):
+            if sample.d(node, node[:i]) == 0:
+                violations.append(("ancestor-collision", node, node[:i]))
         chain[node] = min(chain[parent], g)
         earlier[parent] = min(earlier.get(parent, math.inf), g)
     return ConditionReport(not violations, tuple(violations))
@@ -210,12 +249,13 @@ def _scan_triples(sample: CascadeSample) -> tuple[int, list]:
 def _least_gap(a: list, b: list):
     """min |s - t| over s in a and t in b, both sorted and nonempty."""
     best = math.inf
+    n = len(b)
     for s in a:
         j = bisect_left(b, s)
-        if j < len(b):
-            best = min(best, b[j] - s)
-        if j:
-            best = min(best, s - b[j - 1])
+        if j < n and b[j] - s < best:
+            best = b[j] - s
+        if j and s - b[j - 1] < best:
+            best = s - b[j - 1]
     return best
 
 
@@ -297,52 +337,65 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     The shifts below are checked anyway, and raise rather than round.  The
     numerators are then reduced to the least power-of-two scale.
 
+    The sample holds only those integers and the scale; its ``values`` are
+    derived from them on request.  Its nodes, the complete tree with labels
+    1..branching, come out in level order by construction (each level's
+    nodes, each followed by every label, make the next level), so no sort
+    runs.
+
     Raises CapacityError, before drawing anything, when the sample would hold
     more than SAMPLE_BITS_CAP numerator bits (check_sample_capacity).
     """
     bits = check_sample_capacity(depth, branching)
-    rng = random.Random(seed)
+    draw = random.Random(seed).randrange
     one = 1 << bits
+    labels = range(1, branching + 1)
     nums = {(): 0}
     # the draw order: a node's children are all placed, then each child's
     # subtree in label order.  Entries: (node, positions of the node and its
     # ancestors, least consecutive gap on its chain)
-    stack = [((), (0,), math.inf)]
+    stack = [((), (0,), math.inf)] if depth else []
     while stack:
         node, ancestors, chain = stack.pop()
-        if len(node) == depth:
-            continue
         v = nums[node]
         low = chain  # the least gap term, earlier siblings included
+        inner = len(node) + 1 < depth  # the children have children of their own
         kids = []
-        for k in range(1, branching + 1):
+        for k in labels:
             eps = one >> k
             if low < eps << 2:
                 if low & 3:
                     raise ArithmeticError(f"inexact quarter gap at scale 2^{bits}")
                 eps = low >> 2
             while True:
-                off = eps * rng.randrange(1, 128)
+                off = eps * draw(1, 128)
                 if off & 255:
                     raise ArithmeticError(f"inexact offset at scale 2^{bits}")
-                pos = v + (off >> 8) if rng.randrange(2) else v - (off >> 8)
+                g = off >> 8
+                pos = v + g if draw(2) else v - g
                 if pos not in ancestors:
                     break
             child = node + (k,)
             nums[child] = pos
-            g = abs(pos - v)
-            low = min(low, g)
-            kids.append((child, ancestors + (pos,), min(chain, g)))
+            if g < low:
+                low = g
+            if inner:
+                kids.append((child, ancestors + (pos,), g if g < chain else chain))
         stack.extend(reversed(kids))
 
     mask = 0
     for x in nums.values():
         mask |= x
     zeros = (mask & -mask).bit_length() - 1 if mask else bits
-    scale = 1 << (bits - zeros)
-    nums = {n: x >> zeros for n, x in nums.items()}
-    values = {n: Fraction(x, scale) for n, x in nums.items()}
-    return CascadeSample(tuple(sorted(nums, key=_level_order)), values, None, scale, nums)
+    if zeros:
+        nums = {n: x >> zeros for n, x in nums.items()}
+    # the complete tree in level order: each level's nodes, each followed by
+    # its labels 1..branching, give the next level
+    nodes, level = [()], [()]
+    for _ in range(depth if branching else 0):
+        level = [n + (k,) for n in level for k in labels]
+        nodes += level
+    return CascadeSample(tuple(nodes), nums=nums, scale=1 << (bits - zeros))
 
 
 def tight_child_sample() -> CascadeSample:

@@ -18,11 +18,24 @@ from .base import Tri
 from .prime_coding import encode, nth_prime
 
 
+# id -> an index tuple _check_index has accepted.  Holding the tuple keeps its
+# id from being reused, so a hit is that very object; keying by id, not by the
+# tuple, keeps an equal tuple of other types (1.0 for 1) from passing and an
+# unhashable entry from raising TypeError.
+_checked: dict[int, tuple[int, ...]] = {}
+_CHECKED_MAX = 1024
+
+
 def _check_index(s) -> tuple[int, ...]:
+    if _checked.get(id(s)) is s:
+        return s
     s = tuple(s)
     for v in s:  # a plain loop: any() over a generator costs more per call
         if not isinstance(v, int) or v < 1:
             raise ValueError("index entries must be positive naturals")
+    if len(_checked) >= _CHECKED_MAX:
+        _checked.clear()
+    _checked[id(s)] = s
     return s
 
 

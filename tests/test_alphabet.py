@@ -314,19 +314,31 @@ def test_level_four_full_order_against_log_oracle():
     from mpmath import exp, ln, mp, mpf
 
     mp.dps = 5400
+    # memoised by entry and by prime index: both are pure at this precision,
+    # and entries (ints and SymbolicCodes) hash exactly
+    weights: dict = {}
+    logs: dict = {}
+
+    def ln_prime(i):
+        if i not in logs:
+            logs[i] = ln(pc.nth_prime(i))
+        return logs[i]
 
     def log_of_member(m):
         if m == 1:
             return mpf(0)
         total = mpf(0)
         for i, e in enumerate(pc.decode(m)):
-            total += weight_of(e) * ln(pc.nth_prime(i))
+            total += weight_of(e) * ln_prime(i)
         return total
 
     def weight_of(e):
-        if isinstance(e, pc.SymbolicCode):
-            return exp(log_of_member(e)) + 1
-        return mpf(e) + 1
+        if e not in weights:
+            if isinstance(e, pc.SymbolicCode):
+                weights[e] = exp(log_of_member(e)) + 1
+            else:
+                weights[e] = mpf(e) + 1
+        return weights[e]
 
     def log_difference(x, y):
         fx = {i: e for i, e in enumerate(pc.decode(x))}
@@ -336,7 +348,7 @@ def test_level_four_full_order_against_log_oracle():
             ex, ey = fx.get(i), fy.get(i)
             if ex == ey:
                 continue  # exact structural cancellation
-            lnq = ln(pc.nth_prime(i))
+            lnq = ln_prime(i)
             if ex is not None:
                 total += weight_of(ex) * lnq
             if ey is not None:

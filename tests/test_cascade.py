@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,14 @@ def test_fast_scan_agrees_with_slow_scan():
         assert bad and (checked, bad) == _slow_scan(sample)
 
 
+def test_least_gap_matches_every_pair():
+    rng = random.Random(4)
+    for _ in range(300):
+        a = sorted(rng.sample(range(-40, 40), rng.randint(1, 6)))
+        b = sorted(rng.sample(range(-40, 40), rng.randint(1, 9)))
+        assert cs._least_gap(a, b) == min(abs(s - t) for s in a for t in b), (a, b)
+
+
 def test_from_table_route():
     table = {
         ((), (1,)): Fraction(1),
@@ -151,6 +160,7 @@ def test_from_table_route():
         ((1,), (2,)): Fraction(72, 73),
     }
     sample = cs.CascadeSample.from_table([(), (1,), (2,)], table)
+    assert sample.values is None and sample.nums is None
     assert sample.d((2,), ()) == Fraction(1, 73)
     report = cs.check_admissibility(sample)
     assert not report.ok  # d((1,), root) = 1 breaches its radius bound of 1/2
@@ -177,6 +187,21 @@ def test_generator_matches_fraction_oracle(seed):
         assert sample.values == oracle.values, (depth, branching)
         # the integer form is the one from_values derives by LCM
         assert sample == oracle, (depth, branching)
+
+
+@pytest.mark.parametrize("shape", [*_SHAPES, (0, 4), (3, 0), (0, 0), (323, 1)])
+def test_generated_nodes_come_in_level_order(shape):
+    sample = cs.gen_cascade(2, *shape)
+    assert sample.nodes == tuple(sorted(sample.nums, key=cs._level_order))
+
+
+def test_distances_match_fraction_oracle():
+    for seed, depth, branching in ((0, 3, 3), (1, 2, 4), (7, 4, 2), (2718281, 1, 4)):
+        sample = cs.gen_cascade(seed, depth, branching)
+        values = oracles.gen_cascade_fraction(seed, depth, branching).values
+        for y in sample.nodes:
+            for z in sample.nodes:
+                assert sample.d(y, z) == abs(values[y] - values[z]), (y, z)
 
 
 def _admissibility_cases():
@@ -254,3 +279,49 @@ def test_samples_must_be_trees():
         cs.CascadeSample.from_values({(): Fraction(0), (-1,): Fraction(1, 4)})
     with pytest.raises(ValueError):
         cs.CascadeSample.from_table([(1,), (2,)], {((1,), (2,)): 1})
+
+
+# Each cascade check must be able to fail.  The faults are planted at the
+# verifier's calls into the cascade module, never inside the checkers.
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_moved_generated_sample_fails_admissibility(monkeypatch):
+    true_gen = cs.gen_cascade
+
+    def gen(seed, depth, branching):
+        sample = true_gen(seed, depth, branching)
+        return _moved(sample, (1,), ()) if seed == 5 else sample
+
+    monkeypatch.setattr(cs, "gen_cascade", gen)
+    report = vf.verify_cascade(trials=16, seed=0)
+    valid = _check(report, "generated-samples-admissible")
+    assert valid.failed == 1 and valid.passed == 15
+    assert valid.counterexamples[0]["trial"] == 5
+    assert report.failed == 1
+
+
+def test_admitted_violating_sample_fails_separation(monkeypatch):
+    true_gen = cs.gen_cascade
+    monkeypatch.setattr(
+        cs, "gen_cascade",
+        lambda seed, *shape: cs.violating_sample() if seed == 3 else true_gen(seed, *shape),
+    )
+    monkeypatch.setattr(
+        cs, "check_admissibility", lambda sample, strict=True: cs.ConditionReport(True, ())
+    )
+    report = vf.verify_cascade(trials=8, seed=0)
+    implication = _check(report, "admissible-implies-separation")
+    assert implication.failed == 1 and implication.passed == 7
+    assert implication.counterexamples[0]["trial"] == 3
+
+
+def test_blind_separation_fails_the_violating_control(monkeypatch):
+    monkeypatch.setattr(cs, "check_separation_all", lambda sample: (0, []))
+    report = vf.verify_cascade(trials=8, seed=0)
+    control = _check(report, "violating-control-detected")
+    assert control.failed == 1 and control.counterexamples
+    assert report.failed == 1

@@ -138,6 +138,34 @@ def test_sigma_rejects_zero_entries():
         gs.IndexMap((1, 0))
 
 
+def test_index_check_memo_rejects_what_the_check_rejects():
+    good = (1, 2)
+    assert gs._check_index(good) is good
+    gs.disagreement_witness(good, (1,), b"")  # good is now remembered
+    listed = [1, 2]
+    assert gs._check_index(listed) == good
+    listed[1] = 0  # the memo holds the tuple made from the list, not the list
+    bad = [(1.0, 2), ([1],), (0,), (2, -1), ("1",), listed]
+    x, k = gs.disagreement_witness((1,), (2,), b"")
+    entry_points = [
+        lambda s: gs.sigma(s, 1),
+        lambda s: gs.IndexMap(s),
+        lambda s: gs.h_eval(s, x, k),
+        lambda s: gs.convergence_bound(s, 1),
+        lambda s: gs.disagreement_witness(s, good, b""),
+        lambda s: gs.disagreement_witness(good, s, b""),
+        lambda s: gs.agreement_below_bound(s, 1, 10),
+    ]
+    for s in bad:
+        for call in entry_points:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    call(s)
+    for n in range(3 * gs._CHECKED_MAX):
+        gs._check_index((n + 1,))
+    assert len(gs._checked) <= gs._CHECKED_MAX
+
+
 def test_h_eval_examples():
     x = gs.BitPrefix(bytes([0, 1, 1, 0, 1, 0, 1, 0, 0, 1]))
     for k in range(10):

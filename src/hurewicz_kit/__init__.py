@@ -68,6 +68,7 @@ from .good_sequence import (
     IndexMap,
     convergence_bound,
     disagreement_witness,
+    disagreement_witnesses,
     h_eval,
     sigma,
 )

@@ -7,35 +7,27 @@ J(s|i)*q - D_i - 1 where i is the largest level with D_i dividing k+1 and
 q = (k+1)/D_i, and fixes every k whose successor is divisible by no level
 divisor.  Maps at different indices disagree densely, and extending the index
 moves the first possible disagreement out beyond J(s⌢k)/q_{|s|} - 1.
+
+A dense-disagreement witness extends a word u to a prefix on which the maps
+at two distinct indices disagree.  Everything past u depends only on the two
+indices and |u|, so disagreement_witnesses sweeps a pair over many words:
+it checks the two indices once and reads the shared tail once per run of
+words of equal length, yielding one witness per word as it goes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .base import Tri
 from .prime_coding import encode, nth_prime
 
 
-# id -> an index tuple _check_index has accepted.  Holding the tuple keeps its
-# id from being reused, so a hit is that very object; keying by id, not by the
-# tuple, keeps an equal tuple of other types (1.0 for 1) from passing and an
-# unhashable entry from raising TypeError.
-_checked: dict[int, tuple[int, ...]] = {}
-_CHECKED_MAX = 1024
-
-
 def _check_index(s) -> tuple[int, ...]:
-    if _checked.get(id(s)) is s:
-        return s
     s = tuple(s)
     for v in s:  # a plain loop: any() over a generator costs more per call
         if not isinstance(v, int) or v < 1:
             raise ValueError("index entries must be positive naturals")
-    if len(_checked) >= _CHECKED_MAX:
-        _checked.clear()
-    _checked[id(s)] = s
     return s
 
 
@@ -91,12 +83,16 @@ def sigma(s, k: int) -> int:
     return _index_map(_check_index(s))(k)
 
 
-@dataclass(frozen=True)
 class BitPrefix:
-    """Finite binary word, optionally extended by repeating ``tail`` forever."""
+    """Finite binary word, optionally extended by repeating ``tail`` forever.
 
-    bits: bytes
-    tail: bytes | None = None
+    ``bits`` and ``tail`` are read-only."""
+
+    __slots__ = ("bits", "tail")
+
+    def __init__(self, bits: bytes, tail: bytes | None = None):
+        self.bits = bits
+        self.tail = tail
 
     def bit(self, k: int):
         if k < 0:
@@ -109,6 +105,14 @@ class BitPrefix:
 
     def __len__(self) -> int:
         return len(self.bits)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BitPrefix:
+            return NotImplemented
+        return self.bits == other.bits and self.tail == other.tail
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.tail))
 
     def __repr__(self) -> str:
         body = "".join(str(b) for b in self.bits[:64])
@@ -144,13 +148,29 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
     opposite bits.  Everything past u depends only on (s, t, |u|), so the
     prefix is u followed by the cached tail of _witness_core.
     """
+    return next(disagreement_witnesses(s, t, (u,)))
+
+
+def disagreement_witnesses(s, t, words):
+    """disagreement_witness(s, t, u) for each word u of ``words``, in order,
+    yielded one at a time.  s and t are checked here, before the first word;
+    the tail and output index come from _witness_core once per run of words
+    of equal length, so words may come in any order of lengths."""
     s = _check_index(s)
     t = _check_index(t)
     if s == t:
         raise ValueError("indices must differ")
-    bits = u.bits if isinstance(u, BitPrefix) else bytes(u)
-    tail, k = _witness_core(s, t, len(bits))
-    return BitPrefix(bits + tail), k
+    return _sweep(s, t, words)
+
+
+def _sweep(s: tuple[int, ...], t: tuple[int, ...], words):
+    n = None
+    for u in words:
+        bits = u.bits if isinstance(u, BitPrefix) else bytes(u)
+        if len(bits) != n:
+            n = len(bits)
+            tail, k = _witness_core(s, t, n)
+        yield BitPrefix(bits + tail), k
 
 
 @lru_cache(maxsize=4096)

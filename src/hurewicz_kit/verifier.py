@@ -37,6 +37,13 @@ _COUNTEREXAMPLE_CAP = 5
 # Largest good-suite horizon: the injectivity check holds every index map's
 # prefix of that length at once, about 134 bytes per index: 135 MB at the cap.
 HORIZON_CAP = 10**6
+# Largest good-suite sweeps, counted before any index or word is listed.  The
+# index-map checks read every index map on [0, horizon); the witness check
+# builds and checks one witness per ordered pair of distinct indices and word.
+# Acceptance gate 6 reads 85 maps x 10^5 values and makes 156 x 8191 = 1.28M
+# witness checks; the horizon cap at the default maps reads 8.5 x 10^7.
+INDEX_MAP_READ_CAP = 10**8
+WITNESS_CHECK_CAP = 1 << 22
 
 
 @dataclass
@@ -580,6 +587,23 @@ def verify_good_sequence(
         raise ValueError(f"good-suite parameters must be naturals: {', '.join(negative)}")
     if horizon > HORIZON_CAP:
         raise CapacityError(f"horizon {horizon} exceeds the cap {HORIZON_CAP}")
+    # a map counts at least once, and the agreement check builds the length-1
+    # maps even at max_s_len 0
+    maps = _family_size(max(max_s_len, 1), max_entry, INDEX_MAP_READ_CAP)
+    if maps * max(horizon, 1) > INDEX_MAP_READ_CAP:
+        raise CapacityError(
+            f"max_s_len {max_s_len}, max_entry {max_entry} and horizon {horizon} "
+            f"read more than {INDEX_MAP_READ_CAP} index-map values (maps x horizon)"
+        )
+    indices = _family_size(pair_max_len, pair_max_entry, WITNESS_CHECK_CAP)
+    pairs = indices * (indices - 1)
+    words = (2 << min(max_u_len, WITNESS_CHECK_CAP.bit_length())) - 1
+    if pairs * words > WITNESS_CHECK_CAP:
+        raise CapacityError(
+            f"pair_max_len {pair_max_len}, pair_max_entry {pair_max_entry} and "
+            f"max_u_len {max_u_len} make more than {WITNESS_CHECK_CAP} witness "
+            "checks (ordered index pairs x words)"
+        )
     injective, fixes = _index_map_checks(max_s_len, max_entry, horizon)
     agree = Check("extension-agreement-horizon")
     witness = Check("disagreement-witness")
@@ -594,11 +618,13 @@ def verify_good_sequence(
                 agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
             previous = b
 
-    # Every word gets its own witness and its own check.  Only the pair's two
-    # index maps are looked up once per pair, and the two source coordinates
-    # once per run of words with the same k (one run per word length).
+    # Every word gets its own witness and its own check, from one witness
+    # sweep per ordered pair.  The pair's two index maps are looked up once
+    # per pair, and the two source coordinates once per run of words with the
+    # same k (one run per word length).
     family = _index_family(pair_max_len, pair_max_entry)
-    words = list(_all_words(max_u_len))
+    # with no pair, the cap above does not bound the words: list none
+    words = list(_all_words(max_u_len)) if pairs else []
     for s in family:
         sig_s = good._index_map(s)
         for t in family:
@@ -606,8 +632,8 @@ def verify_good_sequence(
                 continue
             sig_t = good._index_map(t)
             last_k = None
-            for u in words:
-                x, k = good.disagreement_witness(s, t, u)
+            passed = 0
+            for u, (x, k) in zip(words, good.disagreement_witnesses(s, t, words)):
                 if k != last_k:
                     last_k, src_s, src_t = k, sig_s(k), sig_t(k)
                 a, b = x.bit(src_s), x.bit(src_t)
@@ -618,9 +644,10 @@ def verify_good_sequence(
                     and x.bits.startswith(u)
                 )
                 if okay:
-                    witness.ok()
+                    passed += 1
                 else:
                     witness.fail(s=s, t=t, u=u.hex(), k=k)
+            witness.ok(passed)
     return VerificationReport("good-suite", params, [injective, fixes, agree, witness])
 
 
@@ -662,6 +689,20 @@ def _index_family(max_len: int, max_entry: int):
         frontier = [s + (v,) for s in frontier for v in range(1, max_entry + 1)]
         out.extend(frontier)
     return out
+
+
+def _family_size(max_len: int, max_entry: int, limit: int) -> int:
+    """len(_index_family(max_len, max_entry)) when at most ``limit``, else
+    limit + 1; found without listing the family."""
+    if max_entry <= 1:
+        return min(max_len + 1 if max_entry else 1, limit + 1)
+    size = level = 1
+    for _ in range(max_len):
+        level *= max_entry
+        size += level
+        if size > limit:
+            return limit + 1
+    return size
 
 
 def _all_words(max_len: int):

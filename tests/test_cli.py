@@ -200,6 +200,19 @@ def test_verify_good_suite_refuses_horizon_over_cap(capsys):
     assert "capacity error" in err and "horizon" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--max-u-len", "30", "--horizon", "10", "--max-s-len", "1", "--max-entry", "1"),
+        ("--max-s-len", "30", "--max-entry", "10", "--horizon", "10"),
+    ],
+)
+def test_verify_good_suite_refuses_over_cap_sweeps(capsys, argv):
+    code, out, err = run(capsys, "verify", "good-suite", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("capacity error: ") and "more than" in err
+
+
 def test_verify_cascade_refuses_over_cap_shape_before_any_trial(capsys, monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran before the capacity test")

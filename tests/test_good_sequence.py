@@ -138,13 +138,11 @@ def test_sigma_rejects_zero_entries():
         gs.IndexMap((1, 0))
 
 
-def test_index_check_memo_rejects_what_the_check_rejects():
+def test_index_check_rejects_at_every_entry_point():
     good = (1, 2)
-    assert gs._check_index(good) is good
-    gs.disagreement_witness(good, (1,), b"")  # good is now remembered
     listed = [1, 2]
     assert gs._check_index(listed) == good
-    listed[1] = 0  # the memo holds the tuple made from the list, not the list
+    listed[1] = 0
     bad = [(1.0, 2), ([1],), (0,), (2, -1), ("1",), listed]
     x, k = gs.disagreement_witness((1,), (2,), b"")
     entry_points = [
@@ -154,6 +152,9 @@ def test_index_check_memo_rejects_what_the_check_rejects():
         lambda s: gs.convergence_bound(s, 1),
         lambda s: gs.disagreement_witness(s, good, b""),
         lambda s: gs.disagreement_witness(good, s, b""),
+        # refused at the call, before a word is read
+        lambda s: gs.disagreement_witnesses(s, good, ()),
+        lambda s: gs.disagreement_witnesses(good, s, ()),
         lambda s: gs.agreement_below_bound(s, 1, 10),
     ]
     for s in bad:
@@ -161,9 +162,21 @@ def test_index_check_memo_rejects_what_the_check_rejects():
             for _ in range(2):
                 with pytest.raises(ValueError):
                     call(s)
-    for n in range(3 * gs._CHECKED_MAX):
-        gs._check_index((n + 1,))
-    assert len(gs._checked) <= gs._CHECKED_MAX
+
+
+def test_witness_batches_match_single_words():
+    # lengths go down and repeat, with a single word between two of one
+    # length, so a tail kept across a change of length would be caught
+    words = sorted(vf._all_words(5), key=len, reverse=True)
+    words += [b"\x01\x00", b"", b"\x01", bytes(4), b"\x00\x01", gs.BitPrefix(b"\x01\x01")]
+    family = vf._index_family(2, 2)
+    for s in family:
+        for t in family:
+            if s == t:
+                continue
+            batch = list(gs.disagreement_witnesses(s, t, words))
+            assert batch == [gs.disagreement_witness(s, t, u) for u in words], (s, t)
+            assert batch == [disagreement_witness_uncached(s, t, u) for u in words], (s, t)
 
 
 def test_h_eval_examples():
@@ -178,6 +191,22 @@ def test_h_eval_examples():
 def test_bit_prefix_tail():
     x = gs.BitPrefix(bytes([1, 0]), tail=bytes([0, 1]))
     assert [x.bit(i) for i in range(8)] == [1, 0, 0, 1, 0, 1, 0, 1]
+    assert gs.BitPrefix(bytes([1, 0])).bit(2) is Tri.UNKNOWN
+    with pytest.raises(IndexError):
+        x.bit(-1)
+
+
+def test_bit_prefix_value_semantics():
+    x = gs.BitPrefix(bytes([1, 0]), tail=bytes([0, 1]))
+    assert x == gs.BitPrefix(bytes([1, 0]), bytes([0, 1]))
+    assert hash(x) == hash(gs.BitPrefix(bytes([1, 0]), bytes([0, 1])))
+    assert x != gs.BitPrefix(bytes([1, 0]))
+    assert x != (bytes([1, 0]), bytes([0, 1]))
+    assert len(x) == 2
+    assert repr(x) == "BitPrefix(10+01^w)"
+    assert repr(gs.BitPrefix(bytes(65))) == "BitPrefix(" + "0" * 64 + "...(65 bits))"
+    with pytest.raises(AttributeError):
+        x.extra = 1
 
 
 def test_convergence_bound_examples():
@@ -238,3 +267,5 @@ def test_witness_symmetric_and_long_context():
 def test_witness_rejects_equal_indices():
     with pytest.raises(ValueError):
         gs.disagreement_witness((1,), (1,), b"")
+    with pytest.raises(ValueError):
+        gs.disagreement_witnesses((1, 2), [1, 2], ())

@@ -261,15 +261,17 @@ def test_good_suite_reports_match_recorded_hashes(case):
     assert hashlib.sha256(report.to_json_bytes()).hexdigest() == want
 
 
+class _Reached(Exception):
+    pass
+
+
+def _stop(*args):
+    raise _Reached
+
+
 def test_good_suite_refuses_horizon_over_cap_before_work(monkeypatch):
-    class Reached(Exception):
-        pass
-
-    def stop(*args):
-        raise Reached
-
-    monkeypatch.setattr(vf, "_index_map_checks", stop)
-    with pytest.raises(Reached):
+    monkeypatch.setattr(vf, "_index_map_checks", _stop)
+    with pytest.raises(_Reached):
         vf.verify_good_sequence(horizon=vf.HORIZON_CAP)
     for horizon in (vf.HORIZON_CAP + 1, 10**8):
         with pytest.raises(CapacityError, match="horizon"):
@@ -287,21 +289,22 @@ def test_good_suite_refuses_negative_parameters(param):
 
 @pytest.mark.parametrize("spoil", ["flip the source bit", "drop the word"])
 def test_good_suite_checks_every_witness(monkeypatch, spoil):
-    # one spoiled (s, t, u) out of 6 pairs x 15 words must fail exactly one
-    # check, so the witness check cannot run once per pair or per length
-    true_witness = vf.good.disagreement_witness
+    # one spoiled (s, t, u) out of 6 pairs x 15 words, spoiled inside the
+    # pair's witness sweep, must fail exactly one check, so the witness check
+    # cannot run once per pair or per length
+    true_witnesses = vf.good.disagreement_witnesses
     target = ((1,), (2,), bytes([1, 0]))
 
-    def spoiled(s, t, u):
-        x, k = true_witness(s, t, u)
-        if (s, t, u) != target:
-            return x, k
-        bits = bytearray(x.bits)
-        at = vf.good.sigma(s, k) if spoil == "flip the source bit" else 0
-        bits[at] ^= 1
-        return vf.good.BitPrefix(bytes(bits)), k
+    def spoiled(s, t, words):
+        for u, (x, k) in zip(words, true_witnesses(s, t, words)):
+            if (s, t, u) == target:
+                bits = bytearray(x.bits)
+                at = vf.good.sigma(s, k) if spoil == "flip the source bit" else 0
+                bits[at] ^= 1
+                x = vf.good.BitPrefix(bytes(bits))
+            yield x, k
 
-    monkeypatch.setattr(vf.good, "disagreement_witness", spoiled)
+    monkeypatch.setattr(vf.good, "disagreement_witnesses", spoiled)
     report = vf.verify_good_sequence(
         max_s_len=1, max_entry=1, horizon=10, pair_max_len=1, pair_max_entry=2,
         max_u_len=3,
@@ -311,6 +314,54 @@ def test_good_suite_checks_every_witness(monkeypatch, spoil):
     assert (witness["passed"], witness["failed"]) == (6 * 15 - 1, 1)
     [cex] = witness["counterexamples"]
     assert (cex["s"], cex["t"], cex["u"]) == ("(1)", "(2)", "0100")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # index maps x horizon: (2^31 - 1) x 10, 201 x 10^6, and the
+        # 10^9 + 1 maps the agreement check builds at max_s_len 0
+        dict(max_s_len=30, max_entry=2, horizon=10),
+        dict(max_s_len=1, max_entry=200, horizon=vf.HORIZON_CAP),
+        dict(max_s_len=0, max_entry=10**9, horizon=0),
+        # ordered pairs x words: 156 x (2^31 - 1), (2^61 - 1) indices with
+        # one word, and 2 pairs x (2^(10^12 + 1) - 1) words
+        dict(max_s_len=1, max_entry=1, horizon=10, max_u_len=30),
+        dict(pair_max_len=60, pair_max_entry=2, max_u_len=0),
+        dict(pair_max_len=1, pair_max_entry=1, max_u_len=10**12),
+    ],
+)
+def test_good_suite_refuses_over_cap_sweeps_before_work(monkeypatch, params):
+    monkeypatch.setattr(vf, "_index_map_checks", _stop)
+    monkeypatch.setattr(vf, "_index_family", _stop)
+    monkeypatch.setattr(vf, "_all_words", _stop)
+    with pytest.raises(CapacityError, match="more than"):
+        vf.verify_good_sequence(**params)
+
+
+def test_good_suite_caps_are_inclusive(monkeypatch):
+    monkeypatch.setattr(vf, "_index_map_checks", _stop)
+    gate_6 = dict(max_s_len=3, max_entry=4, horizon=100_000, pair_max_len=2,
+                  pair_max_entry=3, max_u_len=12)
+    for params in (gate_6, {}, dict(horizon=vf.HORIZON_CAP)):
+        with pytest.raises(_Reached):
+            vf.verify_good_sequence(**params)
+    # gate 6 sits exactly at caps of 85 x 10^5 reads and 156 x 8191 checks
+    monkeypatch.setattr(vf, "INDEX_MAP_READ_CAP", 85 * 100_000)
+    monkeypatch.setattr(vf, "WITNESS_CHECK_CAP", 156 * 8191)
+    with pytest.raises(_Reached):
+        vf.verify_good_sequence(**gate_6)
+    for over in (dict(horizon=100_001), dict(max_u_len=13), dict(pair_max_entry=4)):
+        with pytest.raises(CapacityError):
+            vf.verify_good_sequence(**{**gate_6, **over})
+
+
+def test_good_suite_lists_no_words_without_pairs(monkeypatch):
+    monkeypatch.setattr(vf, "_all_words", _stop)
+    report = vf.verify_good_sequence(
+        max_s_len=1, max_entry=1, horizon=10, pair_max_len=0, max_u_len=10**12
+    )
+    assert report.failed == 0 and report.checks[-1].passed == 0
 
 
 # SHA-256 of the departure-family reports, recorded while decode still

@@ -8,6 +8,7 @@ explicit --seed), so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .base import CapacityError, HorizonError, Tri
@@ -46,6 +47,16 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _flag(name: str) -> str:
+    return "--inject-fault" if name == "fault" else "--" + name.replace("_", "-")
+
+
+def _refuse(command: str, stray: list) -> None:
+    """A usage error naming the given flags ``command`` would ignore, if any."""
+    if stray:
+        raise ValueError(f"{command} does not take {', '.join(map(_flag, stray))}")
 
 
 # --- commands ----------------------------------------------------------------
@@ -105,8 +116,16 @@ def cmd_nodes(args) -> int:
     return 0
 
 
+# the flags a branch action does not read
+_BRANCH_IGNORES = {"constraints": ("point", "tail"), "apply": (), "find": ("t",)}
+
+
 def cmd_branch(args) -> int:
-    b = dep.BranchIndex(_parse_node(args.s), _parse_node(args.t)) if args.action != "find" else None
+    given = vars(args)
+    _refuse(f"branch {args.action}", [f for f in _BRANCH_IGNORES[args.action] if f in given])
+    s = _parse_node(args.s)
+    b = dep.BranchIndex(s, _parse_node(given.get("t", ""))) if args.action != "find" else None
+    x = _parse_point(given.get("point", ""), "tail" in given)
     lines = []
     if args.action == "constraints":
         cons = dep.constraints(b)
@@ -115,7 +134,6 @@ def cmd_branch(args) -> int:
         lines.append(f"must not be 1 at: {list(cons.non_ones)}")
         lines.append(f"top rewritten index: {b.top_index()}")
     elif args.action == "apply":
-        x = _parse_point(args.point, args.tail)
         state = dep.in_domain(x, b)
         if state is not Tri.YES:
             lines.append(f"point is {state.value} for the domain of {b}")
@@ -126,10 +144,9 @@ def cmd_branch(args) -> int:
         for q in dep.constraints(b).ones:
             lines.append(f"  rewritten coordinate {q}: {render_value(y.coord(q))}")
     else:  # find
-        x = _parse_point(args.point, args.tail)
-        outcome, t = dep.find_branch(_parse_node(args.s), x)
+        outcome, t = dep.find_branch(s, x)
         if outcome is Tri.YES:
-            lines.append(f"branch: {dep.BranchIndex(_parse_node(args.s), t)}")
+            lines.append(f"branch: {dep.BranchIndex(s, t)}")
         else:
             lines.append(f"outcome: {outcome.value}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -239,49 +256,22 @@ def cmd_witness(args) -> int:
     return 0
 
 
-# Flags of ``verify`` with their defaults, then per suite the flags it reads
-# and the faults it can inject; anything else given to a suite is a usage error.
-_VERIFY_FLAGS = {
-    "depth": 3,
-    "horizon": 10_000,
-    "samples": 50,
-    "seed": 0,
-    "trials": 10_000,
-    "max_chain": 1,
-    "max_s_len": 3,
-    "max_entry": 4,
-    "max_u_len": 12,
-}
-_BRANCH_FAULTS = (dep.FAULT_REWRITE_OFF_BY_ONE, dep.FAULT_DROP_NON_ONES)
-_SUITE_OPTIONS = {
-    "departure": (("depth", "horizon", "seed", "samples"), _BRANCH_FAULTS),
-    "no-isolated": (("depth", "horizon", "seed", "samples"), _BRANCH_FAULTS),
-    "arrival-scan": (("depth", "horizon", "seed", "max_chain"), ()),
-    "good-suite": (("max_s_len", "max_entry", "horizon", "max_u_len"), ()),
-    "cascade": (("trials", "seed"), (verifier.FAULT_EPSILON_NONSTRICT,)),
-    "mutation": (("seed",), ()),
-}
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
+# Integer flags of ``verify``.  A suite takes the flags its function's
+# parameters name, --inject-fault setting its ``fault``; only the flags given
+# are passed on, so every default is the suite's own.
+_VERIFY_FLAGS = (
+    "depth", "horizon", "samples", "seed", "trials",
+    "max_chain", "max_s_len", "max_entry", "max_u_len",
+)
 
 
 def cmd_verify(args) -> int:
-    flags, faults = _SUITE_OPTIONS[args.suite]
+    suite = verifier.SUITES[args.suite]
     given = vars(args)
-    stray = [_flag(f) for f in _VERIFY_FLAGS if f in given and f not in flags]
-    if stray:
-        raise ValueError(f"suite {args.suite} does not take {', '.join(stray)}")
-    kwargs = {f: given.get(f, _VERIFY_FLAGS[f]) for f in flags}
-    if args.inject_fault is not None:
-        if args.inject_fault not in faults:
-            raise ValueError(
-                f"suite {args.suite} cannot inject fault {args.inject_fault} "
-                f"(it honours: {', '.join(faults) or 'none'})"
-            )
-        kwargs["fault"] = args.inject_fault
-    report = verifier.SUITES[args.suite](**kwargs)
+    kwargs = {f: given[f] for f in (*_VERIFY_FLAGS, "fault") if f in given}
+    takes = inspect.signature(suite).parameters
+    _refuse(f"suite {args.suite}", [f for f in kwargs if f not in takes])
+    report = suite(**kwargs)
     _emit(report.to_json_bytes().decode(), args.out)
     summary = (
         f"suite {args.suite}: failed={report.failed} "
@@ -319,9 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branch", help="inspect one branch map")
     p.add_argument("action", choices=("constraints", "apply", "find"))
     p.add_argument("--s", required=True, help="stem, comma-separated (empty for ())")
-    p.add_argument("--t", default="", help="branch tuple, |t| = |s|+1")
-    p.add_argument("--point", default="", help="explicit point prefix entries")
-    p.add_argument("--tail", action="store_true", help="extend the point by 1s")
+    # absent unless given, so a flag the action ignores can be refused
+    p.add_argument("--t", default=argparse.SUPPRESS, help="branch tuple, |t| = |s|+1")
+    p.add_argument("--point", default=argparse.SUPPRESS, help="explicit point prefix entries")
+    p.add_argument("--tail", action="store_true", default=argparse.SUPPRESS,
+                   help="extend the point by 1s")
     p.add_argument("--out")
     p.set_defaults(func=cmd_branch)
 
@@ -363,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _VERIFY_FLAGS:
         # absent unless given, so a flag the suite ignores can be refused
         p.add_argument(_flag(name), type=int, default=argparse.SUPPRESS)
-    p.add_argument("--inject-fault", choices=verifier.ALL_FAULTS, default=None,
+    p.add_argument("--inject-fault", dest="fault", choices=verifier.ALL_FAULTS,
+                   default=argparse.SUPPRESS,
                    help="deliberately corrupt one rule to demonstrate detection")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .base import Tri
+from .base import CapacityError, Tri
 from .prime_coding import encode, nth_prime
 
 
@@ -173,13 +173,21 @@ def _sweep(s: tuple[int, ...], t: tuple[int, ...], words):
         yield BitPrefix(bits + tail), k
 
 
+# Longest witness tail _witness_core builds.  A tail grows exponentially with
+# the indices' entries (the pair (1), (30) needs 2^31 - 2 bytes); acceptance
+# gate 6's longest is 1,248 bytes.  The cache below holds at most 4096 tails,
+# so at most 4096 x 64 KiB = 256 MiB at the cap.
+WITNESS_TAIL_CAP = 1 << 16
+
+
 @lru_cache(maxsize=4096)
 def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[bytes, int]:
     """(tail, k) for distinct checked indices s and t and a word of length n:
     the output index k, whose two source coordinates a and b are distinct and
     both at least n, and the witness bits past the word, tail = word[n:], all
     0 but a 1 at b - n.  a lies under the index taking bit 0, b under the one
-    taking bit 1, and the tail ends at max(a, b)."""
+    taking bit 1, and the tail ends at max(a, b).  A tail longer than
+    WITNESS_TAIL_CAP is refused with CapacityError before it is built."""
     m = next((i for i in range(min(len(s), len(t))) if s[i] != t[i]), None)
     if m is not None:
         if s[m] > t[m]:
@@ -197,7 +205,13 @@ def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[bytes
         k = base * power - 1
         a, b = sig_s(k), sig_t(k)
         if a != b and min(a, b) >= n:
-            tail = bytearray(max(a, b) + 1 - n)
+            size = max(a, b) + 1 - n
+            if size > WITNESS_TAIL_CAP:
+                raise CapacityError(
+                    f"the witness for indices {s} and {t} past a word of length {n} "
+                    f"needs a tail of {size} bytes, over the cap {WITNESS_TAIL_CAP}"
+                )
+            tail = bytearray(size)
             tail[b - n] = 1
             return bytes(tail), k
         power *= step

@@ -6,6 +6,11 @@ repeated runs.  Limit statements are only ever checked as finite shadows with
 explicit index bounds; an exhausted horizon counts as inconclusive, never as
 a failure.  Deliberate fault switches let the test suite confirm that each
 check actually bites.
+
+A suite's signature is its whole interface: ``hurewicz-kit verify`` offers a
+suite the flags its parameters name and passes on only the flags given, so
+every default is the signature's.  A suite refuses a fault it cannot plant,
+and a negative count, before it does any work.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .prime_coding import make_code_value_sparse, render_value
 
 FAULT_EPSILON_NONSTRICT = "epsilon-nonstrict"
 ALL_FAULTS = (FAULT_REWRITE_OFF_BY_ONE, FAULT_DROP_NON_ONES, FAULT_EPSILON_NONSTRICT)
+# the faults a suite over the branch maps can plant
+_BRANCH_FAULTS = (FAULT_REWRITE_OFF_BY_ONE, FAULT_DROP_NON_ONES)
 
 _COUNTEREXAMPLE_CAP = 5
 
@@ -127,6 +134,22 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
+# --- parameter checks, made before a suite does any work ----------------------
+
+
+def _require_fault(suite: str, fault: str | None, honoured: tuple) -> None:
+    if fault is not None and fault not in honoured:
+        raise ValueError(
+            f"suite {suite} cannot inject fault {fault} (it honours: {', '.join(honoured)})"
+        )
+
+
+def _require_naturals(suite: str, **counts: int) -> None:
+    negative = [name for name, v in counts.items() if v < 0]
+    if negative:
+        raise ValueError(f"{suite} parameters must be naturals: {', '.join(negative)}")
+
+
 # --- sampling helpers --------------------------------------------------------
 
 
@@ -189,6 +212,17 @@ def verify_departure(
     exactly one enumerated branch domain per stem); and the relation axioms
     delegated to the relation machinery.
     """
+    _require_fault("departure", fault, _BRANCH_FAULTS)
+    unknown = [g for g in include if g not in _DEPARTURE_GROUPS]
+    if unknown:
+        raise ValueError(
+            f"departure has no check group {', '.join(unknown)} "
+            f"(it has: {', '.join(_DEPARTURE_GROUPS)})"
+        )
+    _require_naturals(
+        "departure", depth=depth, horizon=horizon, samples=samples,
+        relations_depth=relations_depth or 0,
+    )
     if relations_depth is None:
         relations_depth = min(depth, 3)
     params = {
@@ -423,9 +457,9 @@ def _relation_checks(relations_depth: int) -> list[Check]:
 
 
 def verify_no_isolated(
-    depth: int = 2,
-    horizon: int = 1000,
-    samples: int = 20,
+    depth: int = 3,
+    horizon: int = 10_000,
+    samples: int = 50,
     seed: int = 0,
     extensions: int = 3,
     fault: str | None = None,
@@ -435,6 +469,10 @@ def verify_no_isolated(
     original image up to the extension's top rewritten index while differing
     beyond it.  Also bounds the number of distinct image prefixes across all
     applicable branches (equicontinuity shadow)."""
+    _require_fault("no-isolated", fault, _BRANCH_FAULTS)
+    _require_naturals(
+        "no-isolated", depth=depth, horizon=horizon, samples=samples, extensions=extensions
+    )
     params = {
         "depth": depth,
         "horizon": horizon,
@@ -491,8 +529,8 @@ def verify_no_isolated(
 
 
 def verify_arrival_scan(
-    depth: int = 2,
-    horizon: int = 200,
+    depth: int = 3,
+    horizon: int = 10_000,
     max_chain: int = 1,
     seed: int = 0,
 ) -> VerificationReport:
@@ -500,6 +538,7 @@ def verify_arrival_scan(
     f^{-1}∘f∘...∘f of distinct branches.  Reports which compositions have a
     nonempty domain on the sampled points and whether any acts as the
     identity there; findings are informational, not failures."""
+    _require_naturals("arrival-scan", depth=depth, horizon=horizon, max_chain=max_chain)
     params = {"depth": depth, "horizon": horizon, "max_chain": max_chain, "seed": seed}
     scan = Check("alternating-compositions")
     branches = dep.branches_within(horizon)
@@ -582,9 +621,7 @@ def verify_good_sequence(
         "pair_max_entry": pair_max_entry,
         "max_u_len": max_u_len,
     }
-    negative = [name for name, v in params.items() if v < 0]
-    if negative:
-        raise ValueError(f"good-suite parameters must be naturals: {', '.join(negative)}")
+    _require_naturals("good-suite", **params)
     if horizon > HORIZON_CAP:
         raise CapacityError(f"horizon {horizon} exceeds the cap {HORIZON_CAP}")
     # a map counts at least once, and the agreement check builds the length-1
@@ -724,6 +761,7 @@ def verify_cascade(
     """Seeded cascade samples: admissibility by construction, then the derived
     separation inequality on every eligible triple, in exact arithmetic.
     Includes negative controls that the strict radius check must reject."""
+    _require_fault("cascade", fault, (FAULT_EPSILON_NONSTRICT,))
     if trials < 0 or max_depth < 1 or max_branching < 1:
         raise ValueError(
             "cascade needs trials >= 0 and max_depth, max_branching >= 1"

@@ -56,7 +56,7 @@ def test_census_outputs_match_recorded_hashes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _CENSUS_SHA256[argv]
 
 
-# SHA-256 of the no-isolated and arrival-scan reports at the CLI defaults
+# SHA-256 of the no-isolated and arrival-scan reports at their defaults
 # (depth 3, horizon 10^4), recorded before the code table and the branch-index
 # rule moved behind ``sequences_below`` and ``level_start``
 _VERIFY_DEFAULTS_SHA256 = {
@@ -72,13 +72,13 @@ def test_verify_cli_defaults_match_recorded_hashes(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DEFAULTS_SHA256[suite]
 
 
-# SHA-256 of the good-suite report at the CLI defaults and of two witnesses,
-# one short enough to print its bits and one of 432 bits printed as the
-# positions of its ones, recorded while each witness was built by setting two
-# bits in a fresh word
+# SHA-256 of the good-suite report at its defaults (acceptance gate 6's
+# report, pinned there) and of two witnesses, one short enough to print its
+# bits and one of 432 bits printed as the positions of its ones, recorded
+# while each witness was built by setting two bits in a fresh word
 _GOOD_PATH_SHA256 = {
     ("verify", "good-suite"):
-        "3e14aca7cd542ccff3cce728cf7fae458b46649f4acbe9442cac0ba3fae773b4",
+        "f1535776020a1593db713271f3f60f26b7df0e36c205c454bcce1882f7c7734c",
     ("witness", "--s", "1", "--t", "2", "--u", "01"):
         "45194ab4e24028e802f486af1c482e5a7cb64ceff4b85b3a58e176d83e6c9c47",
     ("witness", "--s", "-", "--t", "2,3", "--u", "111111111111"):
@@ -112,6 +112,20 @@ def test_depth_five_node_lists_are_refused(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("capacity error: depth 5 has 3263442 nodes")
     assert "node-count cap 100000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (("constraints", "--t", "1", "--point", "1"), "--point"),
+        (("constraints", "--t", "1", "--tail"), "--tail"),
+        (("find", "--point", "1,1,4", "--tail", "--t", "1"), "--t"),
+    ],
+)
+def test_branch_refuses_flag_the_action_ignores(capsys, argv, stray):
+    code, out, err = run(capsys, "branch", *argv, "--s", "")
+    assert code == 2 and out == ""
+    assert f"branch {argv[0]} does not take {stray}" in err
 
 
 def test_branch_commands(capsys):
@@ -180,10 +194,33 @@ def test_witness_refuses_non_binary_word(capsys):
     assert "binary word" in err
 
 
+def test_witness_refuses_over_cap_tail(capsys):
+    # the tail past the empty word would be 2^31 - 2 bytes
+    code, out, err = run(capsys, "witness", "--s", "1", "--t", "30")
+    assert code == 2 and out == ""
+    assert err.startswith("capacity error: the witness for indices (1,) and (30,)")
+
+
 def test_verify_cascade_refuses_negative_trials(capsys):
     code, out, err = run(capsys, "verify", "cascade", "--trials", "-3")
     assert code == 2 and out == ""
     assert "trials >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, negative",
+    [
+        (("departure", "--samples", "-1", "--depth", "1", "--horizon", "100"), "samples"),
+        (("departure", "--depth", "-1"), "depth"),
+        (("no-isolated", "--horizon", "-1", "--samples", "-2"), "horizon, samples"),
+        (("arrival-scan", "--horizon", "-5", "--depth", "1"), "horizon"),
+        (("arrival-scan", "--max-chain", "-1"), "max_chain"),
+    ],
+)
+def test_verify_refuses_negative_counts(capsys, argv, negative):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {argv[0]} parameters must be naturals: {negative}\n"
 
 
 def test_verify_good_suite_refuses_negative_parameters(capsys):
@@ -255,13 +292,41 @@ def test_verify_refuses_flag_the_suite_ignores(capsys):
     code, out, err = run(capsys, "verify", "mutation", "--depth", "2", "--trials", "3")
     assert code == 2 and out == ""
     assert "does not take --depth, --trials" in err
+    # a suite with no fault parameter takes no --inject-fault
+    code, out, err = run(capsys, "verify", "good-suite", "--inject-fault", "drop-non-ones")
+    assert code == 2 and out == ""
+    assert "suite good-suite does not take --inject-fault" in err
 
 
-def test_verify_options_cover_every_suite():
-    assert set(cli._SUITE_OPTIONS) == set(verifier.SUITES)
-    for flags, faults in cli._SUITE_OPTIONS.values():
-        assert set(flags) <= set(cli._VERIFY_FLAGS)
-        assert set(faults) <= set(verifier.ALL_FAULTS)
+# The flags each suite takes on the CLI, with a value to give each.  The CLI
+# reads them off the suite's signature, so a renamed parameter would drop a
+# flag without this list.
+_SUITE_FLAGS = {
+    "departure": dict(depth=1, horizon=2, samples=3, seed=4, fault="drop-non-ones"),
+    "no-isolated": dict(depth=1, horizon=2, samples=3, seed=4, fault="rewrite-off-by-one"),
+    "arrival-scan": dict(depth=1, horizon=2, seed=4, max_chain=5),
+    "good-suite": dict(horizon=2, max_s_len=6, max_entry=7, max_u_len=8),
+    "cascade": dict(seed=4, trials=9, fault="epsilon-nonstrict"),
+    "mutation": dict(seed=4),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(verifier.SUITES))
+def test_verify_passes_exactly_the_given_flags(capsys, monkeypatch, suite):
+    calls = []
+    real = verifier.SUITES[suite]
+
+    @functools.wraps(real)
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return verifier.VerificationReport(suite, kwargs, [])
+
+    monkeypatch.setitem(verifier.SUITES, suite, recorder)
+    assert run(capsys, "verify", suite)[0] == 0
+    flags = _SUITE_FLAGS[suite]
+    argv = [a for f, v in flags.items() for a in (cli._flag(f), str(v))]
+    assert run(capsys, "verify", suite, *argv)[0] == 0
+    assert calls == [{}, flags]
 
 
 def test_verify_departure_small(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from hurewicz_kit import good_sequence as gs
 from hurewicz_kit import verifier as vf
-from hurewicz_kit.base import Tri
+from hurewicz_kit.base import CapacityError, Tri
 
 from oracles import (
     agreement_below_bound_per_k,
@@ -269,3 +269,22 @@ def test_witness_rejects_equal_indices():
         gs.disagreement_witness((1,), (1,), b"")
     with pytest.raises(ValueError):
         gs.disagreement_witnesses((1, 2), [1, 2], ())
+
+
+def test_witness_tail_cap_is_inclusive_and_checked_before_building(monkeypatch):
+    u = bytes([1, 0, 1])
+    witness = gs.disagreement_witness((2, 2), (2, 1), u)
+    tail = len(witness[0]) - len(u)
+    for cap, refused in ((tail, False), (tail - 1, True)):
+        gs._witness_core.cache_clear()
+        monkeypatch.setattr(gs, "WITNESS_TAIL_CAP", cap)
+        if refused:
+            with pytest.raises(CapacityError, match=f"tail of {tail} bytes"):
+                gs.disagreement_witness((2, 2), (2, 1), u)
+        else:
+            assert gs.disagreement_witness((2, 2), (2, 1), u) == witness
+    gs._witness_core.cache_clear()
+    monkeypatch.undo()
+    # the pair's tail would be 2^31 - 2 bytes
+    with pytest.raises(CapacityError, match="tail of 2147483646 bytes"):
+        gs.disagreement_witness((1,), (30,), b"")

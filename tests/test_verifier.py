@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -11,6 +12,14 @@ from hurewicz_kit.base import CapacityError, Tri
 from hurewicz_kit.prime_coding import encode
 
 from oracles import pair_scan_relation_checks
+
+
+class _Reached(Exception):
+    pass
+
+
+def _stop(*args):
+    raise _Reached
 
 
 def test_departure_suite_small_green():
@@ -131,6 +140,61 @@ def test_density_unknown_branch_is_inconclusive():
     (density,) = r.checks
     assert density.failed == 0 and not density.counterexamples
     assert density.inconclusive == 1 and density.passed > 0
+
+
+# each faultable suite, the faults it plants, and a first step of its work
+_FAULTABLE = {
+    "departure": ((vf.FAULT_REWRITE_OFF_BY_ONE, vf.FAULT_DROP_NON_ONES), (dep, "branches_within")),
+    "no-isolated": ((vf.FAULT_REWRITE_OFF_BY_ONE, vf.FAULT_DROP_NON_ONES), (al, "enumerate_nodes")),
+    "cascade": ((vf.FAULT_EPSILON_NONSTRICT,), (vf.casc, "check_sample_capacity")),
+}
+
+
+@pytest.mark.parametrize("suite", _FAULTABLE)
+@pytest.mark.parametrize("fault", vf.ALL_FAULTS)
+def test_faultable_suites_refuse_faults_they_cannot_plant(monkeypatch, suite, fault):
+    planted, (module, first_step) = _FAULTABLE[suite]
+    monkeypatch.setattr(module, first_step, _stop)
+    if fault in planted:
+        with pytest.raises(_Reached):
+            vf.SUITES[suite](fault=fault)
+    else:
+        with pytest.raises(ValueError, match=f"suite {suite} cannot inject fault {fault} "):
+            vf.SUITES[suite](fault=fault)
+
+
+def test_faultable_suites_are_the_suites_with_a_fault_parameter():
+    takes_fault = {
+        name for name, fn in vf.SUITES.items()
+        if "fault" in inspect.signature(fn).parameters
+    }
+    assert takes_fault == set(_FAULTABLE)
+
+
+@pytest.mark.parametrize(
+    "run, negative",
+    [
+        (lambda: vf.verify_departure(depth=-1), "depth"),
+        (lambda: vf.verify_departure(horizon=-1, samples=-1), "horizon, samples"),
+        (lambda: vf.verify_departure(relations_depth=-1), "relations_depth"),
+        (lambda: vf.verify_no_isolated(samples=-1), "samples"),
+        (lambda: vf.verify_no_isolated(extensions=-1), "extensions"),
+        (lambda: vf.verify_arrival_scan(depth=-1, max_chain=-1), "depth, max_chain"),
+        (lambda: vf.verify_arrival_scan(horizon=-1), "horizon"),
+    ],
+)
+def test_branch_suites_refuse_negative_counts_before_work(monkeypatch, run, negative):
+    monkeypatch.setattr(dep, "branches_within", _stop)
+    monkeypatch.setattr(al, "enumerate_nodes", _stop)
+    with pytest.raises(ValueError, match=f"parameters must be naturals: {negative}$"):
+        run()
+
+
+@pytest.mark.parametrize("include", [("relation",), ("density", "branch_axioms")])
+def test_departure_refuses_unknown_check_groups(monkeypatch, include):
+    monkeypatch.setattr(dep, "branches_within", _stop)
+    with pytest.raises(ValueError, match="departure has no check group"):
+        vf.verify_departure(include=include)
 
 
 def test_departure_depth_zero_vacuous_pass():
@@ -261,14 +325,6 @@ def test_good_suite_reports_match_recorded_hashes(case):
     assert hashlib.sha256(report.to_json_bytes()).hexdigest() == want
 
 
-class _Reached(Exception):
-    pass
-
-
-def _stop(*args):
-    raise _Reached
-
-
 def test_good_suite_refuses_horizon_over_cap_before_work(monkeypatch):
     monkeypatch.setattr(vf, "_index_map_checks", _stop)
     with pytest.raises(_Reached):
@@ -356,6 +412,16 @@ def test_good_suite_caps_are_inclusive(monkeypatch):
             vf.verify_good_sequence(**{**gate_6, **over})
 
 
+def test_good_suite_refuses_over_cap_witness_tail():
+    # 31 indices, 930 pairs and one word are inside both sweep caps, but the
+    # pair (1), (30) alone would need a tail of 2^31 - 2 bytes
+    with pytest.raises(CapacityError, match="over the cap 65536"):
+        vf.verify_good_sequence(
+            max_s_len=0, max_entry=0, horizon=0, pair_max_len=1,
+            pair_max_entry=30, max_u_len=0,
+        )
+
+
 def test_good_suite_lists_no_words_without_pairs(monkeypatch):
     monkeypatch.setattr(vf, "_all_words", _stop)
     report = vf.verify_good_sequence(
@@ -372,13 +438,15 @@ _DEPARTURE_SHA256 = {
         lambda: vf.verify_departure(depth=3, horizon=10_000, samples=50, seed=0),
         "c294bbc5bf12c0086447df97bd2b8203fe0292f08950a663143748cd225eecb2",
     ),
+    # the same bytes as ``verify no-isolated`` and ``verify arrival-scan``,
+    # pinned in test_cli
     "no-isolated defaults": (
         lambda: vf.verify_no_isolated(),
-        "c0d7fb58e9ef18934563b5594a0e16adf6a6579c73cd2eec0ee643f33c5ba721",
+        "6978620819c74628ecc5ae7a8f97477d460a270ec1f7430c7ae2392cbfcbaaca",
     ),
     "arrival-scan defaults": (
         lambda: vf.verify_arrival_scan(),
-        "297066a92b85f43d96123df6927dfcb82eb435cd96f44a3f14e9ea9b00907143",
+        "f0d51ed3b3eadfe2c16e0a5d9a8fa04c8f0ad0e09130a2e210adcee4639c8a98",
     ),
     "acceptance gate 4": (
         lambda: vf.verify_departure(depth=4, horizon=10_000, seed=0, include=("density",)),

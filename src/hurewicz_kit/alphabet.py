@@ -183,15 +183,20 @@ def node_count(p: int) -> int:
     return count
 
 
-def enumerate_nodes(p: int) -> list[tuple]:
-    """All depth-p nodes in lexicographic order (first coordinate most
-    significant); product of sorted alphabets, so no duplicates.  Raises
-    CapacityError, before building any node, above NODE_COUNT_CAP nodes."""
+def require_node_count(p: int) -> None:
+    """Refuse depth p with CapacityError when it has over NODE_COUNT_CAP nodes."""
     count = node_count(p)
     if count > NODE_COUNT_CAP:
         raise CapacityError(
             f"depth {p} has {count} nodes, over the node-count cap {NODE_COUNT_CAP}"
         )
+
+
+def enumerate_nodes(p: int) -> list[tuple]:
+    """All depth-p nodes in lexicographic order (first coordinate most
+    significant); product of sorted alphabets, so no duplicates.  Raises
+    CapacityError, before building any node, above NODE_COUNT_CAP nodes."""
+    require_node_count(p)
     return list(itertools.product(*alphabets(p)))
 
 

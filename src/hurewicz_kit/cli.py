@@ -261,7 +261,7 @@ def cmd_witness(args) -> int:
 # are passed on, so every default is the suite's own.
 _VERIFY_FLAGS = (
     "depth", "horizon", "samples", "seed", "trials",
-    "max_chain", "max_s_len", "max_entry", "max_u_len",
+    "max_chain", "max_s_len", "max_entry", "max_u_len", "relations_depth",
 )
 
 

@@ -234,6 +234,9 @@ def verify_departure(
         "relations_depth": relations_depth,
         "include": ",".join(include),
     }
+    if "relations" in include:
+        # a relation census over the node cap is refused before branch work
+        alph.require_node_count(relations_depth)
     checks: list[Check] = []
     branches = dep.branches_within(horizon)
     # each stem's branches with their constraints, in the order of ``branches``
@@ -641,24 +644,12 @@ def verify_good_sequence(
             f"max_u_len {max_u_len} make more than {WITNESS_CHECK_CAP} witness "
             "checks (ordered index pairs x words)"
         )
-    injective, fixes = _index_map_checks(max_s_len, max_entry, horizon)
-    agree = Check("extension-agreement-horizon")
     witness = Check("disagreement-witness")
-
-    for s in _index_family(max_s_len - 1, max_entry):
-        previous = None
-        for k in range(1, max_entry + 1):
-            b = good.convergence_bound(s, k)
-            moved = good.agreement_below_bound(s, k, horizon)
-            agree.require(moved is None, s=s, k=k, first_disagreement=moved)
-            if previous is not None:
-                agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
-            previous = b
-
     # Every word gets its own witness and its own check, from one witness
     # sweep per ordered pair.  The pair's two index maps are looked up once
     # per pair, and the two source coordinates once per run of words with the
-    # same k (one run per word length).
+    # same k (one run per word length).  The sweep runs before the index-map
+    # checks, so a witness tail over WITNESS_TAIL_CAP is refused before them.
     family = _index_family(pair_max_len, pair_max_entry)
     # with no pair, the cap above does not bound the words: list none
     words = list(_all_words(max_u_len)) if pairs else []
@@ -685,6 +676,19 @@ def verify_good_sequence(
                 else:
                     witness.fail(s=s, t=t, u=u.hex(), k=k)
             witness.ok(passed)
+
+    injective, fixes = _index_map_checks(max_s_len, max_entry, horizon)
+    agree = Check("extension-agreement-horizon")
+
+    for s in _index_family(max_s_len - 1, max_entry):
+        previous = None
+        for k in range(1, max_entry + 1):
+            b = good.convergence_bound(s, k)
+            moved = good.agreement_below_bound(s, k, horizon)
+            agree.require(moved is None, s=s, k=k, first_disagreement=moved)
+            if previous is not None:
+                agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
+            previous = b
     return VerificationReport("good-suite", params, [injective, fixes, agree, witness])
 
 

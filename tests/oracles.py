@@ -5,9 +5,10 @@ evaluation of the coding, decoding by trial division, branch discovery
 re-encoding every level's base, branch constraints encoding every index
 anew, domain membership read one coordinate at a time, a branch map that rebuilds and re-sorts its image, alphabet membership
 decoded anew on every call, alphabets sorted by pairwise exact comparisons, brute-force enumeration of coded sequences and
-the same enumeration by trial division of every even number, and a
-relation decision that builds explicit points and pushes them through the
-branch maps instead of reasoning about constraint truncations, a relation
+the same enumeration by trial division of every even number, the image
+prefixes of a node found by building explicit points and pushing them
+through the branch maps instead of reasoning about constraint truncations,
+the relation witness search building a witness object per witness, a relation
 graph and relation checks built by testing every pair of nodes, the
 cascade generator, radius and admissibility check in ``Fraction`` arithmetic,
 the index-map checks, witnesses and agreement scan one index at a time, and
@@ -29,7 +30,9 @@ from hurewicz_kit import departure as dep
 from hurewicz_kit import good_sequence as good
 from hurewicz_kit import relations as rel
 from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
+from hurewicz_kit.relations import EffectiveWitness, _expected_rewrite
 from hurewicz_kit.base import DomainError, HorizonError, Tri
+from hurewicz_kit.departure import BranchIndex, e_inv, level_start
 from hurewicz_kit.prime_coding import (
     MATERIALIZE_BITS,
     SymbolicCode,
@@ -255,17 +258,19 @@ def codes_by_trial_division(limit: int) -> list[int]:
     return found
 
 
-def oracle_related(s: tuple, t: tuple, stem_len: int = 1, max_entry: int = 6) -> bool:
-    """Relation decision by explicit construction: try every branch over a
-    small grid, solve its constraints around the node s, apply the map, and
-    compare the first |s| output coordinates with t.
+def oracle_images(s: tuple, stem_len: int = 1, max_entry: int = 6) -> set[tuple]:
+    """Every image prefix of the s-cylinder, by explicit construction: try
+    every branch over a small grid, solve its constraints around the node s,
+    apply the map, and keep the first |s| output coordinates.
 
-    Complete for node depths <= 4: the only constrainable index below the
-    node is 2, so a witnessing branch can always be truncated (and closed by
-    huge extensions) to one whose stem is empty with a branch entry <= 1 in
-    range; the grid covers every such branch and more.
+    s R t exactly when t is among them, for node depths <= 4: the only
+    constrainable index below the node is 2, so a witnessing branch can
+    always be truncated (and closed by huge extensions) to one whose stem is
+    empty with a branch entry <= 1 in range; the grid covers every such
+    branch and more.
     """
     L = len(s)
+    images = set()
     for stem in all_seqs(stem_len, max_entry):
         for tt in itertools.product(range(max_entry), repeat=len(stem) + 1):
             b = dep.BranchIndex(tuple(stem), tt)
@@ -295,9 +300,8 @@ def oracle_related(s: tuple, t: tuple, stem_len: int = 1, max_entry: int = 6) ->
             if dep.in_domain(x, b) is not Tri.YES:
                 continue
             y = dep.apply(b, x)
-            if all(y.coord(i) == t[i] for i in range(L)):
-                return True
-    return False
+            images.add(tuple(y.coord(i) for i in range(L)))
+    return images
 
 
 def oracle_psi(s: tuple, t: tuple, max_rank: int = 40, max_entry: int = 6):
@@ -334,6 +338,63 @@ def oracle_psi(s: tuple, t: tuple, max_rank: int = 40, max_entry: int = 6):
             if all(y.coord(i) == t[i] for i in range(L)):
                 return n
     return None
+
+
+def object_witness_search(s: tuple, t: tuple) -> list[EffectiveWitness]:
+    """All closed effective witnesses carrying the s-cylinder into the
+    t-cylinder, shortest stems first."""
+    L = len(s)
+    remaining = []
+    for q in range(L):
+        if s[q] != t[q]:
+            if s[q] != 1 or t[q] != _expected_rewrite(s[:q]):
+                return []
+            remaining.append(q)
+    found: list[EffectiveWitness] = []
+
+    def at_level(u: tuple, v: tuple, todo: frozenset) -> None:
+        m = 0
+        idx, q = level_start(u + v)
+        while True:
+            if idx >= L:
+                # cut point: this level's rewrite lands past the node, and all
+                # scanned lower candidates were satisfied non-1 constraints
+                if not todo:
+                    found.append(EffectiveWitness(BranchIndex(u, v + (m,)), len(u)))
+                return
+            if s[idx] == 1:
+                # only this m can rewrite here; larger m would demand a non-1
+                if idx in todo:
+                    rest = todo - {idx}
+                    if not rest:
+                        found.append(
+                            EffectiveWitness(BranchIndex(u, v + (m,)), len(u) + 1)
+                        )
+                    else:
+                        # code(u ⌢ a ⌢ v ⌢ m ⌢ 0) grows by q_|u| with a
+                        start = level_start(u + (0,) + v + (m,))[0]
+                        step = level_start(u)[1]
+                        a = 0
+                        while start < L:
+                            at_level(u + (a,), v + (m,), rest)
+                            a += 1
+                            start *= step
+                return
+            m += 1
+            idx *= q
+
+    at_level((), (), frozenset(remaining))
+    return found
+
+
+def object_psi(s: tuple, t: tuple) -> rel.PsiResult:
+    """``psi`` over ``object_witness_search``: the least stem rank, with the
+    first witness of that rank."""
+    ws = object_witness_search(s, t)
+    if not ws:
+        return rel.PsiResult(None, None)
+    rank, best = min(((e_inv(w.branch.s), w) for w in ws), key=lambda rw: rw[0])
+    return rel.PsiResult(rank, best)
 
 
 def pair_scan_graph(p: int) -> rel.RelationGraph:

@@ -302,7 +302,9 @@ def test_verify_refuses_flag_the_suite_ignores(capsys):
 # reads them off the suite's signature, so a renamed parameter would drop a
 # flag without this list.
 _SUITE_FLAGS = {
-    "departure": dict(depth=1, horizon=2, samples=3, seed=4, fault="drop-non-ones"),
+    "departure": dict(
+        depth=1, horizon=2, samples=3, seed=4, fault="drop-non-ones", relations_depth=5
+    ),
     "no-isolated": dict(depth=1, horizon=2, samples=3, seed=4, fault="rewrite-off-by-one"),
     "arrival-scan": dict(depth=1, horizon=2, seed=4, max_chain=5),
     "good-suite": dict(horizon=2, max_s_len=6, max_entry=7, max_u_len=8),
@@ -327,6 +329,30 @@ def test_verify_passes_exactly_the_given_flags(capsys, monkeypatch, suite):
     argv = [a for f, v in flags.items() for a in (cli._flag(f), str(v))]
     assert run(capsys, "verify", suite, *argv)[0] == 0
     assert calls == [{}, flags]
+
+
+def test_verify_departure_refuses_relation_census_over_cap(capsys, monkeypatch):
+    def no_branch_work(*args):
+        raise AssertionError("branch work ran before the node-count test")
+
+    monkeypatch.setattr(verifier, "_branch_axiom_checks", no_branch_work)
+    code, out, err = run(capsys, "verify", "departure", "--relations-depth", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("capacity error: depth 5 has 3263442 nodes")
+
+
+def test_verify_cascade_refuses_relations_depth(capsys):
+    code, out, err = run(capsys, "verify", "cascade", "--relations-depth", "2")
+    assert code == 2 and out == ""
+    assert "suite cascade does not take --relations-depth" in err
+
+
+def test_verify_departure_relations_depth_matches_library(capsys):
+    params = dict(depth=1, horizon=100, samples=2, seed=3, relations_depth=4)
+    argv = [a for f, v in params.items() for a in (cli._flag(f), str(v))]
+    code, out, _ = run(capsys, "verify", "departure", *argv)
+    assert code == 0
+    assert out.encode() == verifier.verify_departure(**params).to_json_bytes()
 
 
 def test_verify_departure_small(capsys):

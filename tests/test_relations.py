@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,7 +8,15 @@ from hurewicz_kit import departure as dep
 from hurewicz_kit import relations as rel
 from hurewicz_kit.prime_coding import encode
 
-from oracles import j_code, oracle_psi, oracle_related, pair_scan_graph
+from oracles import (
+    decode_trial_division,
+    j_code,
+    object_psi,
+    object_witness_search,
+    oracle_images,
+    oracle_psi,
+    pair_scan_graph,
+)
 
 
 def test_examples():
@@ -30,11 +39,54 @@ def test_witness_shapes():
 
 
 def test_against_oracle_exhaustive_depth_up_to_three():
+    # each node's image prefixes are listed once, and every target is tested
+    # against them
     for p in range(4):
         nodes = al.enumerate_nodes(p)
         for s in nodes:
+            images = oracle_images(s)
             for t in nodes:
-                assert rel.rel_R(s, t) == oracle_related(s, t), (s, t)
+                assert rel.rel_R(s, t) == (t in images), (s, t)
+
+
+def _generated_pairs(p):
+    """Each depth-p node paired with itself and with every node that rewrites
+    a nonempty set of its coded positions holding 1 (the pairs t_graph
+    searches), coded positions found by trial division."""
+    coded = [q for q in range(1, p) if decode_trial_division(q) is not None]
+    for s in al.enumerate_nodes(p):
+        yield s, s
+        ones = [q for q in coded if s[q] == 1]
+        for k in range(1, len(ones) + 1):
+            for subset in itertools.combinations(ones, k):
+                t = list(s)
+                for q in subset:
+                    t[q] = j_code(s[:q] + (1,))
+                yield s, tuple(t)
+
+
+def _oracle_pairs():
+    for p in range(4):
+        yield from itertools.product(al.enumerate_nodes(p), repeat=2)
+    yield from _generated_pairs(4)
+    # a witness through two levels (test_two_rewrite_relation_at_depth_thirty_one)
+    s = (1,) * 31
+    yield s, s[:2] + (900,) + s[3:30] + (encode(s),)
+
+
+def test_raw_search_matches_object_oracle():
+    for s, t in _oracle_pairs():
+        assert rel.rel_witnesses(s, t) == object_witness_search(s, t), (s, t)
+        assert rel.psi(s, t) == object_psi(s, t), (s, t)
+
+
+def test_generated_pairs_cover_the_graph():
+    # the depth-4 pairs above are the loops and candidates t_graph decides
+    g = rel.t_graph(4)
+    pairs = set(_generated_pairs(4))
+    assert len(pairs) == 1806 + 258
+    assert {(g.nodes[i], g.nodes[i]) for i in g.loops} <= pairs
+    assert {(g.nodes[i], g.nodes[j]) for i, j, _ in g.edges} <= pairs
 
 
 def test_psi_examples():
@@ -142,6 +194,18 @@ def test_forest_reports():
 def test_generated_graph_matches_pair_scan(p):
     # nodes, edges with their ranks and order, and loops all agree exactly
     assert rel.t_graph(p) == pair_scan_graph(p)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_census_closed_form(p):
+    # loops(p) = prod over q < p of |A_q| less 1 at q in {2, 4, 8, ...}, and
+    # every non-loop node is the earlier end of exactly one edge
+    loops = math.prod(
+        len(al.alphabet_at(q)) - (q >= 2 and q & (q - 1) == 0) for q in range(p)
+    )
+    g = rel.t_graph(p)
+    assert len(g.loops) == loops
+    assert len(g.edges) == al.node_count(p) - loops
 
 
 @pytest.mark.parametrize("p", (3, 4))

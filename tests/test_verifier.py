@@ -202,6 +202,32 @@ def test_departure_depth_zero_vacuous_pass():
     assert r.failed == 0
 
 
+def test_departure_refuses_relation_census_over_cap_before_branch_work(monkeypatch):
+    monkeypatch.setattr(vf, "_branch_axiom_checks", _stop)
+    monkeypatch.setattr(dep, "branches_within", _stop)
+    with pytest.raises(CapacityError, match="depth 5 has 3263442 nodes"):
+        vf.verify_departure(relations_depth=5)
+    # without the relation group the depth builds no nodes and is not refused
+    with pytest.raises(_Reached):
+        vf.verify_departure(relations_depth=5, include=("branch-axioms",))
+
+
+def test_relation_checks_search_once_per_loop_and_candidate(monkeypatch):
+    calls = []
+    search = vf.rel._witness_search
+
+    def counted(s, t):
+        calls.append((s, t))
+        return search(s, t)
+
+    monkeypatch.setattr(vf.rel, "_witness_search", counted)
+    monkeypatch.setattr(vf.rel, "psi", _stop)
+    vf._relation_checks(4)
+    # one search per node of depths 0-4 (1,857) and per generated candidate
+    # (6 at depth 3, 258 at depth 4)
+    assert len(calls) == 2_121
+
+
 @pytest.mark.parametrize("depth", range(5))
 def test_relation_checks_match_pair_scan(depth):
     fast = [c.as_dict() for c in vf._relation_checks(depth)]
@@ -326,6 +352,8 @@ def test_good_suite_reports_match_recorded_hashes(case):
 
 
 def test_good_suite_refuses_horizon_over_cap_before_work(monkeypatch):
+    # the witness sweep lists the index family first; the index-map checks follow
+    monkeypatch.setattr(vf, "_index_family", _stop)
     monkeypatch.setattr(vf, "_index_map_checks", _stop)
     with pytest.raises(_Reached):
         vf.verify_good_sequence(horizon=vf.HORIZON_CAP)
@@ -396,6 +424,8 @@ def test_good_suite_refuses_over_cap_sweeps_before_work(monkeypatch, params):
 
 
 def test_good_suite_caps_are_inclusive(monkeypatch):
+    # the witness sweep lists the index family first; the index-map checks follow
+    monkeypatch.setattr(vf, "_index_family", _stop)
     monkeypatch.setattr(vf, "_index_map_checks", _stop)
     gate_6 = dict(max_s_len=3, max_entry=4, horizon=100_000, pair_max_len=2,
                   pair_max_entry=3, max_u_len=12)
@@ -420,6 +450,14 @@ def test_good_suite_refuses_over_cap_witness_tail():
             max_s_len=0, max_entry=0, horizon=0, pair_max_len=1,
             pair_max_entry=30, max_u_len=0,
         )
+
+
+def test_good_suite_refuses_over_cap_witness_tail_before_index_maps(monkeypatch):
+    # the pair (), (13) needs a 73,728-byte tail; the default horizon-10^5
+    # index-map checks must not run first
+    monkeypatch.setattr(vf, "_index_map_checks", _stop)
+    with pytest.raises(CapacityError, match="over the cap 65536"):
+        vf.verify_good_sequence(pair_max_len=1, pair_max_entry=13, max_u_len=0)
 
 
 def test_good_suite_lists_no_words_without_pairs(monkeypatch):

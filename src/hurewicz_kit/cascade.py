@@ -12,18 +12,16 @@ by construction.  The conditions checked are
        earlier-sibling gap,
 
 and the derived inequality: whenever s and t first differ at level i with
-s(i) < t(i), d(s, t) >= d(s|i+1, s|i) / 3.  All arithmetic is exact: positions
-are checked as integer numerators over one common denominator (a power of two
-for generated samples, which are dyadic).  A generated sample is integers from
-draw to verdict; ``Fraction`` remains only on the hand-built distance-table
-route, in violation payloads, and in ``CascadeSample.values`` and ``d``,
-which derive it on request.
+s(i) < t(i), d(s, t) >= d(s|i+1, s|i) / 3.  All arithmetic is exact: every
+sample holds integer numerators over one common denominator (a power of two
+for generated samples, which are dyadic), and the checkers compute with those
+integers.  ``Fraction`` appears only in violation payloads, in ``epsilon``,
+and in ``CascadeSample.values`` and ``d``, which derive it on request.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -55,20 +53,18 @@ def _tree(nodes) -> tuple:
 
 @dataclass(frozen=True)
 class CascadeSample:
-    """Finite family of tree nodes with synthetic distances.
+    """Finite family of tree nodes at abstract rational positions, so the
+    metric axioms hold by construction.
 
-    Either built from abstract positions (the generator's route, metric
-    axioms automatic) or from an explicit symmetric table (hand-built checker
-    sanity cases).  Positions are held as integers over one common
-    denominator: node n sits at ``nums[n] / scale``, and the checkers compute
-    with those integers.  ``values``, the positions as Fractions, is derived
-    from them on request; on the table route ``nums`` and ``values`` are None.
+    Positions are held as integers over one common denominator: node n sits
+    at ``nums[n] / scale``, and the checkers compute with those integers.
+    ``values``, the positions as Fractions, and ``d``, the distance as a
+    Fraction, are derived from them on request.
     """
 
     nodes: tuple
-    nums: dict | None = None
+    nums: dict
     scale: int = 1
-    table: dict | None = None
 
     @classmethod
     def from_values(cls, values: dict) -> "CascadeSample":
@@ -76,40 +72,13 @@ class CascadeSample:
         nums = {n: int(v * scale) for n, v in values.items()}
         return cls(_tree(values), nums=nums, scale=scale)
 
-    @classmethod
-    def from_table(cls, nodes, table: dict) -> "CascadeSample":
-        full = {}
-        for (a, b), v in table.items():
-            v = Fraction(v)
-            if v < 0:
-                raise ValueError("distances must be nonnegative")
-            full[(a, b)] = v
-            full[(b, a)] = v
-        return cls(_tree(nodes), table=full)
-
     @property
-    def values(self) -> dict | None:
-        """node -> position as a Fraction, or None on the table route."""
-        if self.nums is None:
-            return None
+    def values(self) -> dict:
+        """node -> position as a Fraction."""
         return {n: Fraction(x, self.scale) for n, x in self.nums.items()}
 
     def d(self, y: tuple, z: tuple) -> Fraction:
-        if y == z:
-            return Fraction(0)
-        if self.nums is not None:
-            return Fraction(abs(self.nums[y] - self.nums[z]), self.scale)
-        return self.table[(y, z)]
-
-
-def _metric(sample: CascadeSample):
-    """(unit, gap): distances in units of 1/unit, as integer numerator
-    differences on the positions route and as the table's Fractions (unit 1)
-    otherwise."""
-    if sample.nums is None:
-        return 1, sample.d
-    nums = sample.nums
-    return sample.scale, lambda y, z: abs(nums[y] - nums[z])
+        return Fraction(abs(self.nums[y] - self.nums[z]), self.scale)
 
 
 def _radius(k: int, low, unit: int) -> Fraction:
@@ -129,11 +98,10 @@ def epsilon(sample: CascadeSample, child: tuple) -> Fraction:
     if not child:
         raise ValueError("the root has no admissible radius")
     s, k = child[:-1], child[-1]
-    unit, gap = _metric(sample)
-    present = sample.nums if sample.nums is not None else set(sample.nodes)
-    terms = [gap(s[: i + 1], s[:i]) for i in range(len(s))]
-    terms += [gap(s + (j,), s) for j in range(k) if s + (j,) in present]
-    return _radius(k, min(terms, default=math.inf), unit)
+    nums = sample.nums
+    terms = [abs(nums[s[: i + 1]] - nums[s[:i]]) for i in range(len(s))]
+    terms += [abs(nums[s + (j,)] - nums[s]) for j in range(k) if s + (j,) in nums]
+    return _radius(k, min(terms, default=math.inf), sample.scale)
 
 
 @dataclass(frozen=True)
@@ -142,7 +110,7 @@ class ConditionReport:
     violations: tuple
 
 
-def check_admissibility(sample: CascadeSample, strict: bool = True) -> ConditionReport:
+def check_admissibility(sample: CascadeSample) -> ConditionReport:
     """Both admissibility conditions over every non-root node of the sample.
 
     One walk down the tree in level order, where each parent's children come
@@ -150,12 +118,8 @@ def check_admissibility(sample: CascadeSample, strict: bool = True) -> Condition
     parent's chain, carried down, or the least gap of its earlier siblings,
     kept as the walk passes them.  In units of 1/scale, s⌢k at gap g from s
     is inside its radius exactly when g·2^k < scale and 4g < every gap term,
-    so on the positions route every comparison is between integers.
-
-    ``strict=False`` relaxes the radius bound to <= (a deliberate fault mode
-    used by the mutation harness; the genuine condition is strict)."""
-    if sample.nums is None:
-        return _check_table_admissibility(sample, strict)
+    so every comparison is between integers.  A radius violation carries the
+    gap and the radius as Fractions."""
     nums = sample.nums
     unit = sample.scale
     # generated samples never put a node on an ancestor's position, so the
@@ -174,7 +138,7 @@ def check_admissibility(sample: CascadeSample, strict: bool = True) -> Condition
         k = node[-1]
         x = nums[node]
         g = x - at if x > at else at - x
-        if (g << k >= unit or g << 2 >= low) if strict else (g << k > unit or g << 2 > low):
+        if g << k >= unit or g << 2 >= low:
             violations.append(("radius", node, Fraction(g, unit), _radius(k, low, unit)))
         if collide:
             for i in range(len(node)):
@@ -183,28 +147,6 @@ def check_admissibility(sample: CascadeSample, strict: bool = True) -> Condition
         chain[node] = g if g < top else top
         if g < low:
             low = g
-    return ConditionReport(not violations, tuple(violations))
-
-
-def _check_table_admissibility(sample: CascadeSample, strict: bool) -> ConditionReport:
-    """check_admissibility on the distance-table route, in Fractions."""
-    reaches = operator.ge if strict else operator.gt
-    chain = {(): math.inf}
-    earlier: dict = {}  # parent -> least gap of the children walked so far
-    violations = []
-    for node in sample.nodes:
-        if not node:
-            continue
-        parent, k = node[:-1], node[-1]
-        g = sample.d(node, parent)
-        low = min(chain[parent], earlier.get(parent, math.inf))
-        if reaches(g * (1 << k), 1) or reaches(4 * g, low):
-            violations.append(("radius", node, g, _radius(k, low, 1)))
-        for i in range(len(node)):
-            if sample.d(node, node[:i]) == 0:
-                violations.append(("ancestor-collision", node, node[:i]))
-        chain[node] = min(chain[parent], g)
-        earlier[parent] = min(earlier.get(parent, math.inf), g)
     return ConditionReport(not violations, tuple(violations))
 
 
@@ -235,17 +177,6 @@ def eligible_triples(sample: CascadeSample):
             yield (a, b, i) if a[i] < b[i] else (b, a, i)
 
 
-def _scan_triples(sample: CascadeSample) -> tuple[int, list]:
-    """check_separation on every eligible triple: the count and the violators."""
-    checked = 0
-    bad = []
-    for s, t, i in eligible_triples(sample):
-        checked += 1
-        if not check_separation(sample, s, t, i):
-            bad.append((s, t, i))
-    return checked, bad
-
-
 def _least_gap(a: list, b: list):
     """min |s - t| over s in a and t in b, both sorted and nonempty."""
     best = math.inf
@@ -263,7 +194,7 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
     """The separation inequality on every eligible triple, exactly: the count
     of triples and the violators.
 
-    On the positions route the triples (s, t, i) with w = s|i and x = s|i+1
+    The triples (s, t, i) with w = s|i and x = s|i+1
     share the right-hand side |x - w|, and t ranges over the subtrees of the
     siblings of x after it.  So for each parent w and child x one inequality,
     3·mingap(sub x, later) >= |x - w|, covers |sub x|·|later| triples, where
@@ -271,10 +202,8 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
     found by binary search of each member of sub x in ``later``.  The walk
     goes from the deepest nodes up, merging each subtree's sorted numerators
     into its parent's.  Only when an inequality fails are the violators
-    listed, by the triple-by-triple scan the table route always runs.
+    listed, by check_separation on each eligible triple.
     """
-    if sample.nums is None:
-        return _scan_triples(sample)
     nums = sample.nums
     children: dict[tuple, list] = {}
     for n in sample.nodes:  # in label order under each parent
@@ -295,7 +224,10 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
                 later = sub
         insort(later, nums[w])
         below[w] = later
-    return (checked, _scan_triples(sample)[1]) if hit else (checked, [])
+    if not hit:
+        return checked, []
+    triples = eligible_triples(sample)
+    return checked, [(s, t, i) for s, t, i in triples if not check_separation(sample, s, t, i)]
 
 
 def check_sample_capacity(depth: int, branching: int) -> int:

@@ -17,7 +17,9 @@ from . import departure as dep
 from . import good_sequence as good
 from . import relations as rel
 from . import verifier
-from .prime_coding import decode, factored_str, render_value
+from .prime_coding import (
+    MATERIALIZE_BITS, SymbolicCode, decode, factored_str, make_code_value, render_value,
+)
 
 
 def _parse_node(text: str) -> tuple:
@@ -124,7 +126,15 @@ def cmd_branch(args) -> int:
     given = vars(args)
     _refuse(f"branch {args.action}", [f for f in _BRANCH_IGNORES[args.action] if f in given])
     s = _parse_node(args.s)
-    b = dep.BranchIndex(s, _parse_node(given.get("t", ""))) if args.action != "find" else None
+    t = _parse_node(given.get("t", ""))
+    b = dep.BranchIndex(s, t) if args.action != "find" else None
+    # every index an action reads is at most code(s⌢t) (code(s) for find), and
+    # the work grows with their bit length: refuse past the materialization cutoff
+    if isinstance(make_code_value(s + t), SymbolicCode):
+        raise CapacityError(
+            f"code{_node_label(s + t)} is past the {MATERIALIZE_BITS}-bit "
+            "materialization cutoff"
+        )
     x = _parse_point(given.get("point", ""), "tail" in given)
     lines = []
     if args.action == "constraints":
@@ -225,9 +235,14 @@ def cmd_chain(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    upto = args.upto if args.upto is not None else args.k + 1
+    # the lines are joined in memory before printing, so their count is capped
+    if upto - args.k > verifier.HORIZON_CAP:
+        raise CapacityError(
+            f"sigma would list {upto - args.k} indices; the cap is {verifier.HORIZON_CAP}"
+        )
     s = _parse_node(args.s)
     sig = good.IndexMap(s)
-    upto = args.upto if args.upto is not None else args.k + 1
     lines = [f"sigma_{list(s)}({k}) = {sig(k)}" for k in range(args.k, upto)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -755,6 +755,15 @@ def _all_words(max_len: int):
 # --- cascade suite -------------------------------------------------------------
 
 
+def _nonstrict_admissibility(sample: casc.CascadeSample) -> casc.ConditionReport:
+    """The epsilon-nonstrict fault: check_admissibility with the radius bound
+    relaxed to <=.  It drops the radius violations that <= admits, those whose
+    gap equals its radius; both are exact Fractions of the same integers."""
+    report = casc.check_admissibility(sample)
+    kept = tuple(v for v in report.violations if v[0] != "radius" or v[2] != v[3])
+    return casc.ConditionReport(not kept, kept)
+
+
 def verify_cascade(
     trials: int = 10_000,
     seed: int = 0,
@@ -764,7 +773,8 @@ def verify_cascade(
 ) -> VerificationReport:
     """Seeded cascade samples: admissibility by construction, then the derived
     separation inequality on every eligible triple, in exact arithmetic.
-    Includes negative controls that the strict radius check must reject."""
+    Includes negative controls that the strict radius check must reject;
+    ``epsilon-nonstrict`` checks with _nonstrict_admissibility instead."""
     _require_fault("cascade", fault, (FAULT_EPSILON_NONSTRICT,))
     if trials < 0 or max_depth < 1 or max_branching < 1:
         raise ValueError(
@@ -787,6 +797,7 @@ def verify_cascade(
     if rest:
         casc.check_sample_capacity(rest, rows + 1)
     strict = fault != FAULT_EPSILON_NONSTRICT
+    admissible = casc.check_admissibility if strict else _nonstrict_admissibility
     valid = Check("generated-samples-admissible")
     implication = Check("admissible-implies-separation")
     boundary = Check("boundary-control-rejected")
@@ -797,7 +808,7 @@ def verify_cascade(
         depth = 1 + t % max_depth
         branching = 1 + (t // max_depth) % max_branching
         sample = casc.gen_cascade(seed + t, depth, branching)
-        report = casc.check_admissibility(sample, strict=strict)
+        report = admissible(sample)
         valid.require(
             report.ok, trial=t, depth=depth, branching=branching,
             violations=report.violations[:2],
@@ -813,12 +824,12 @@ def verify_cascade(
 
     tight = casc.tight_child_sample()
     boundary.require(
-        not casc.check_admissibility(tight, strict=strict).ok,
+        not admissible(tight).ok,
         sample="single child exactly on its admissible radius",
         strict=strict,
     )
     broken = casc.violating_sample()
-    rep = casc.check_admissibility(broken, strict=strict)
+    rep = admissible(broken)
     _, bad = casc.check_separation_all(broken)
     control.require(
         (not rep.ok) and bool(bad),

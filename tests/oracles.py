@@ -522,10 +522,12 @@ def epsilon_fraction(sample: cs.CascadeSample, child: tuple) -> Fraction:
 def check_admissibility_fraction(
     sample: cs.CascadeSample, strict: bool = True
 ) -> cs.ConditionReport:
-    """Both admissibility conditions over every non-root node of the sample.
+    """Both admissibility conditions over every non-root node of the sample,
+    in Fractions read through ``sample.d``: the oracle of
+    ``cascade.check_admissibility``.
 
-    ``strict=False`` relaxes the radius bound to <= (a deliberate fault mode
-    used by the mutation harness; the genuine condition is strict)."""
+    ``strict=False`` relaxes the radius bound to <=, the oracle of the
+    verifier's epsilon-nonstrict fault; the genuine condition is strict."""
     violations = []
     for node in sample.nodes:
         if not node:

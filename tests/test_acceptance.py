@@ -69,12 +69,18 @@ def test_criterion_3_departure_axioms():
     _gate(3, "departure-axioms", 60, t0, report.failed + changed)
 
 
+# SHA-256 of the gate-4 report, recorded while decode still trial-divided by
+# every prime and every rewritten value rebuilt its all-ones product
+_GATE_4_SHA256 = "81b85fcc160690d8cbbd5ab23fca838507d2e0096d5c10c1900b463765a6fa11"
+
+
 def test_criterion_4_density():
     t0 = time.perf_counter()
     report = vf.verify_departure(
         depth=4, horizon=10_000, seed=0, include=("density",)
     )
-    _gate(4, "density", 60, t0, report.failed)
+    changed = hashlib.sha256(report.to_json_bytes()).hexdigest() != _GATE_4_SHA256
+    _gate(4, "density", 60, t0, report.failed + changed)
 
 
 def test_criterion_5_relation_axioms():
@@ -135,10 +141,15 @@ def test_criterion_6_good_sequence_suite():
     _gate(6, "good-sequence-suite", 120, t0, report.failed + changed)
 
 
+# SHA-256 of the gate-7 report
+_GATE_7_SHA256 = "07dea3dbbdf5938890ec6afa00d0da763d68d63d00772db9af311ac9132502af"
+
+
 def test_criterion_7_cascade_suite():
     t0 = time.perf_counter()
     report = vf.verify_cascade(trials=10_000, seed=0, max_depth=4, max_branching=4)
-    _gate(7, "cascade-suite", 120, t0, report.failed)
+    changed = hashlib.sha256(report.to_json_bytes()).hexdigest() != _GATE_7_SHA256
+    _gate(7, "cascade-suite", 120, t0, report.failed + changed)
 
 
 def test_criterion_8_mutation_sensitivity():

@@ -141,6 +141,21 @@ def test_branch_commands(capsys):
     assert code == 0 and "t=[1]" in out
 
 
+def test_branch_refuses_codes_past_the_materialization_cutoff(capsys):
+    # code((4095)) is still an int; code((4096)) is kept in factored form
+    code, out, _ = run(capsys, "branch", "constraints", "--s", "", "--t", "4095")
+    assert code == 0 and out.startswith("branch (s=[], t=[4095])")
+    for argv in (
+        ("constraints", "--s", "", "--t", "4096"),
+        ("constraints", "--s", "", "--t", "100000"),
+        ("apply", "--s", "", "--t", "4096", "--point", "1"),
+        ("find", "--s", "4096", "--point", "1", "--tail"),
+    ):
+        code, out, err = run(capsys, "branch", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("capacity error: code(") and "cutoff" in err, argv
+
+
 def test_relations_dot(capsys):
     code, out, _ = run(capsys, "relations", "--length", "3", "--format", "dot")
     assert code == 0
@@ -181,6 +196,20 @@ def test_chain(capsys):
 def test_sigma(capsys):
     code, out, _ = run(capsys, "sigma", "--s", "1", "--k", "3")
     assert code == 0 and "= 5" in out
+
+
+def test_sigma_range_at_the_cap_prints(capsys):
+    cap = verifier.HORIZON_CAP
+    code, out, _ = run(capsys, "sigma", "--s", "", "--k", "7", "--upto", str(7 + cap))
+    assert code == 0 and out.count("\n") == cap
+    assert out.endswith(f"sigma_[]({6 + cap}) = {6 + cap}\n")
+
+
+def test_sigma_range_past_the_cap_is_refused(capsys):
+    cap = verifier.HORIZON_CAP
+    code, out, err = run(capsys, "sigma", "--s", "1", "--k", "7", "--upto", str(8 + cap))
+    assert code == 2 and out == ""
+    assert err.startswith(f"capacity error: sigma would list {cap + 1} indices")
 
 
 def test_witness(capsys):

@@ -486,6 +486,10 @@ _DEPARTURE_SHA256 = {
         lambda: vf.verify_arrival_scan(),
         "f0d51ed3b3eadfe2c16e0a5d9a8fa04c8f0ad0e09130a2e210adcee4639c8a98",
     ),
+    "acceptance gate 4": (
+        lambda: vf.verify_departure(depth=4, horizon=10_000, seed=0, include=("density",)),
+        "81b85fcc160690d8cbbd5ab23fca838507d2e0096d5c10c1900b463765a6fa11",
+    ),
 }
 
 

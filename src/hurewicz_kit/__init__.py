@@ -49,6 +49,7 @@ from .departure import (
     e,
     e_inv,
     find_branch,
+    find_branches,
     in_domain,
 )
 from .relations import (

@@ -234,8 +234,9 @@ def _int_member_valid(level: int, v: int) -> bool:
     O is built only for a v that may reach it.  First v < 4**(L+1) <= O is
     rejected, which bounds L by v's size; then so is any v whose bit length
     is at most ``all_ones_log2_floor(L+1)`` <= log2(O).  A v that passes has
-    more than log2(O) - 1 bits, so O, which enters ``_all_ones_code``'s
-    cache, is at most a bit longer than v, whatever the level.
+    more than log2(O) - 1 bits, so O, which ``_all_ones_code`` keeps when
+    its length is materializable, is at most a bit longer than v, whatever
+    the level.
 
     Each distinct value is checked once: rewritten coordinates repeat a few
     hundred alphabet members, so the bound holds them all; ones and factored
@@ -295,14 +296,19 @@ class PointPrefix:
     ``length`` are undetermined.
 
     ``overrides`` holds the non-1 (position, value) pairs sorted by position,
-    every position below ``length``, and ``override_map`` maps the same
-    positions to their values; both are read-only.
+    every position below ``length`` and none twice, and ``override_map``
+    maps the same positions to their values; both are read-only.  The
+    constructor refuses a position given twice.
     """
 
     __slots__ = ("length", "tail_ones", "overrides", "override_map")
 
     def __init__(self, length: int, overrides=(), tail_ones: bool = False):
-        items = tuple(sorted((p, v) for p, v in overrides if v != 1))
+        given = tuple(overrides)
+        if len(dict(given)) != len(given):
+            raise ValueError("override position given twice")
+        # positions are distinct, so the pairs sort by position alone
+        items = tuple(sorted([(p, v) for p, v in given if v != 1]))
         if items and not (0 <= items[0][0] and items[-1][0] < length):
             raise ValueError("override position outside the explicit prefix")
         self._fill(length, items, tail_ones)
@@ -317,6 +323,11 @@ class PointPrefix:
         """The overrides at positions below q (sorted, non-1)."""
         items = self.overrides
         return items[: bisect_left(items, q, key=_position)]
+
+    def overrides_from(self, q: int) -> tuple:
+        """The overrides at positions q and beyond (sorted, non-1)."""
+        items = self.overrides
+        return items[bisect_left(items, q, key=_position) :]
 
     def with_overrides(self, length: int, added: tuple) -> "PointPrefix":
         """``PointPrefix(length, self.overrides + added, self.tail_ones)`` for
@@ -367,9 +378,11 @@ class PointPrefix:
         return tuple(self.override_map.get(i, 1) for i in range(self.length))
 
     def key(self):
-        """Denotation key: two prefixes with equal key denote the same data."""
+        """Denotation key: two prefixes with equal key denote the same data.
+        Overrides are canonical (sorted, one per position), so a completed
+        point's overrides alone name it, whatever its explicit length."""
         if self.tail_ones:
-            return ("point", frozenset(self.overrides))
+            return ("point", self.overrides)
         return ("prefix", self.length, self.overrides)
 
     def __eq__(self, other) -> bool:

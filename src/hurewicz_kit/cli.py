@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 from .base import CapacityError, HorizonError, Tri
 from . import alphabet as alph
@@ -236,15 +238,21 @@ def cmd_chain(args) -> int:
 
 def cmd_sigma(args) -> int:
     upto = args.upto if args.upto is not None else args.k + 1
-    # the lines are joined in memory before printing, so their count is capped
+    # the lines are written in chunks as they are made, so memory stays
+    # flat; the cap bounds the time a request may take
     if upto - args.k > verifier.HORIZON_CAP:
         raise CapacityError(
             f"sigma would list {upto - args.k} indices; the cap is {verifier.HORIZON_CAP}"
         )
     s = _parse_node(args.s)
     sig = good.IndexMap(s)
-    lines = [f"sigma_{list(s)}({k}) = {sig(k)}" for k in range(args.k, upto)]
-    _emit("\n".join(lines) + "\n", args.out)
+    name = f"sigma_{list(s)}"
+    lines = (f"{name}({k}) = {sig(k)}\n" for k in range(args.k, upto))
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        while chunk := "".join(islice(lines, 4096)):
+            fh.write(chunk)
+        if upto <= args.k:
+            fh.write("\n")  # an empty range prints one empty line
     return 0
 
 

@@ -10,6 +10,11 @@ For fixed s the branch domains over t are pairwise disjoint with dense union,
 so the branches glue to one partial map per s; the family is enumerated by
 ranking the s parts by their coded value (slot n of the enumeration is the
 glued map for the n-th sequence in code order).
+
+``find_branch(s, x)`` finds the one branch at stem s whose domain holds x,
+greedily, level by level; ``find_branches(stems, x)`` does so for many stems
+at once, scanning each level once: a stem's levels are its parent's plus
+one, so over a prefix-closed list of stems it makes one level scan per stem.
 """
 
 from __future__ import annotations
@@ -176,23 +181,56 @@ def find_branch(
     candidate index reads 1 at x.  When it succeeds the branch is the unique
     one at this s-level containing x (domains over t are pairwise disjoint).
     Never definitely fails: a finite prefix cannot refute every t, and a scan
-    leaving the index horizon reports unknown."""
-    t: tuple[int, ...] = ()
-    for j in range(len(s) + 1):
-        idx, q_j = level_start(s[:j] + t)
-        p = 0
-        while True:
-            if idx > horizon:
-                return Tri.UNKNOWN, None
-            v = x.coord(idx)
-            if v is Tri.UNKNOWN:
-                return Tri.UNKNOWN, None
-            if v == 1:
-                t += (p,)
-                break
-            p += 1
-            idx *= q_j
-    return Tri.YES, t
+    leaving the index horizon reports unknown.  The one-stem case of
+    ``find_branches``."""
+    return find_branches((s,), x, horizon)[0]
+
+
+def find_branches(
+    stems, x: PointPrefix, horizon: int = DEFAULT_HORIZON
+) -> list[tuple[Tri, tuple[int, ...] | None]]:
+    """``find_branch(s, x, horizon)`` for every stem s, in order, with each
+    level scanned once.
+
+    The first |s| levels of a stem's scan are its parent's (s less its last
+    entry): their bases s⌈j ⌢ t⌈j do not read s's last entry.  So a stem's
+    t is its parent's t and one more level, scanned at base s ⌢ t(parent),
+    and a parent the scan gave no verdict gives its children none.  The t of
+    every prefix met is kept for the call: stems listed parents first (as
+    ``sequences_below`` lists a prefix-closed set, in code order) cost one
+    level scan each, and any other stem scans on from its deepest prefix
+    met so far."""
+    found: dict[tuple, tuple | None] = {}  # prefix met -> its t, None without verdict
+    out = []
+    for s in stems:
+        k = len(s)
+        while k >= 0 and s[:k] not in found:
+            k -= 1
+        t = found[s[:k]] if k >= 0 else ()
+        for j in range(k + 1, len(s) + 1):
+            if t is not None:
+                p = _scan_level(s[:j] + t, x, horizon)
+                t = None if p is None else t + (p,)
+            found[s[:j]] = t
+        out.append((Tri.UNKNOWN, None) if t is None else (Tri.YES, t))
+    return out
+
+
+def _scan_level(base: tuple[int, ...], x: PointPrefix, horizon: int) -> int | None:
+    """The least p whose index code(base ⌢ p) reads 1 at x; None when the
+    scan passes the index horizon or an unreadable index first.  Reads the
+    prefix directly, as ``CylinderConstraint.membership`` does."""
+    idx, q = level_start(base)
+    length, tail, values = x.length, x.tail_ones, x.override_map
+    p = 0
+    while idx <= horizon:
+        if idx >= length:
+            return p if tail else None
+        if idx not in values:
+            return p
+        p += 1
+        idx *= q
+    return None
 
 
 # --- enumeration of sequences by coded value --------------------------------

@@ -32,6 +32,7 @@ _LOG2_SCALE = 1 << 24
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 _log2q: list[int] = []          # round(log2(q_i) * _LOG2_SCALE)
 _cum_log2q: list[int] = [0]     # prefix sums of _log2q
+_ones_codes: list[int] = [1]    # code of (1,) * n at index n, materializable n only
 
 
 def _sieve(bound: int) -> list[int]:
@@ -74,12 +75,18 @@ def nth_prime(n: int) -> int:
     return _primes[n]
 
 
-def _log2q_scaled(i: int) -> int:
-    while len(_log2q) <= i:
-        v = round(math.log2(nth_prime(len(_log2q))) * _LOG2_SCALE)
-        _log2q.append(v)
-        _cum_log2q.append(_cum_log2q[-1] + v)
-    return _log2q[i]
+def _extend_log2q(length: int) -> None:
+    """Grow the scaled prime-log table to its first ``length`` entries (and
+    its prefix sums to index ``length``) in one pass, and no further."""
+    start = len(_log2q)
+    if length <= start:
+        return
+    if length > len(_primes):
+        _ensure_primes(length)
+    new = [round(math.log2(q) * _LOG2_SCALE) for q in _primes[start:length]]
+    _log2q.extend(new)
+    # the running sums start from the last one held, which accumulate repeats
+    _cum_log2q.extend(itertools.accumulate(new, initial=_cum_log2q.pop()))
 
 
 def encode(seq: Sequence[int]) -> int:
@@ -200,11 +207,14 @@ _EXACT_LENGTH_CAP = 100_000
 
 
 def _canonical_items(length: int, items) -> tuple:
-    """The non-1 (position, entry) pairs, sorted, each inside the sequence."""
+    """The non-1 (position, entry) pairs, sorted, each inside the sequence
+    and each entry a natural or a factored code."""
     its = tuple(sorted((p, v) for p, v in items if v != 1))
-    for p, _ in its:
+    for p, v in its:
         if not 0 <= p < length:
             raise ValueError("item position outside the coded sequence")
+        if isinstance(v, int) and v < 0:
+            raise ValueError("entries must be naturals")
     return its
 
 
@@ -221,7 +231,7 @@ def _seq_bits_scaled(length: int, items) -> int | None:
             total += (v - 1) * _LOG2_SCALE
         return total
     if length >= len(_cum_log2q):
-        _log2q_scaled(length)
+        _extend_log2q(length)
     total = 2 * _cum_log2q[length]
     for pos, v in items:
         if isinstance(v, SymbolicCode):
@@ -235,7 +245,7 @@ def all_ones_log2_floor(length: int) -> int:
     without building it: twice the sum of the scaled prime logs, each within
     one unit of the true scaled log, less two units per position.  Extends
     the prime-log table to the length, so callers bound the length first."""
-    _log2q_scaled(length - 1)
+    _extend_log2q(length)
     return (2 * _cum_log2q[length] - 2 * length) // _LOG2_SCALE
 
 
@@ -272,15 +282,27 @@ def make_code_value_sparse(
     return code
 
 
-@lru_cache(maxsize=1024)
 def _all_ones_code(length: int) -> int:
-    """Code of (1,) * length.  Called for materialized values, whose length
-    stays below the few hundred positions whose primes fit the cutoff, and
-    by ``alphabet.member_valid`` only for an int at most a bit shorter than
-    this code, so no entry outgrows the data its caller was handed."""
-    value = 1
-    for i in range(length):
-        value *= nth_prime(i) ** 2
+    """Code of (1,) * length.
+
+    The codes of the materializable lengths, those whose least code (every
+    entry 0: the square root of this one) is estimated within the cutoff,
+    are kept in ``_ones_codes``, grown one length at a time from its last
+    entry up to the length asked for; a longer code is built on from that
+    entry and not kept.  Every value ``make_code_value_sparse``
+    materializes has a materializable length, and ``alphabet.member_valid``
+    asks only for a code at most a bit longer than the int it was handed,
+    so no entry outgrows the data its caller was handed."""
+    codes = _ones_codes
+    if length < len(codes):
+        return codes[length]
+    _extend_log2q(length)
+    cap = MATERIALIZE_BITS * _LOG2_SCALE
+    value = codes[-1]
+    for n in range(len(codes), length + 1):
+        value *= _primes[n - 1] ** 2
+        if _cum_log2q[n] <= cap:
+            codes.append(value)
     return value
 
 

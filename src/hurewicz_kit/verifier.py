@@ -163,29 +163,46 @@ def _noise_member(level: int, rng: random.Random):
     return make_code_value_sparse(level + 1, () if pick == 1 else ((0, 4),))
 
 
-def _non_one_member(level: int, rng: random.Random):
+def _non_one_members(level: int) -> tuple:
+    """The members a sample may put at a must-not-be-1 index of this level:
+    the alphabet's non-1 members below level 4, and from level 4 on, where
+    the alphabet is not built, the codes of (4, 1, ..., 1) and (1, ..., 1)."""
     if level < 4:
-        return rng.choice(alph.alphabet_at(level)[1:])
-    if rng.randrange(2):
-        return make_code_value_sparse(level + 1, ())
-    return make_code_value_sparse(level + 1, ((0, 4),))
+        return alph.alphabet_at(level)[1:]
+    return (
+        make_code_value_sparse(level + 1, ((0, 4),)),
+        make_code_value_sparse(level + 1, ()),
+    )
 
 
-def _sample_domain_point(cons: dep.CylinderConstraint, rng: random.Random) -> PointPrefix:
-    top = cons.ones[-1]
-    length = top + 1 + rng.randrange(3)
-    overrides = {}
-    for q in cons.non_ones:
-        overrides[q] = _non_one_member(q, rng)
-    blocked = set(cons.ones) | set(cons.non_ones)
-    for _ in range(rng.randrange(4)):
-        i = rng.randrange(length)
-        if i in blocked:
-            continue
-        v = _noise_member(i, rng)
-        if v != 1:
-            overrides[i] = v
-    return PointPrefix(length, overrides.items(), tail_ones=True)
+class _SamplePlan:
+    """Random points of one branch domain, completed by the all-ones tail.
+
+    Built once per branch from its constraint: the blocked indices (every
+    constrained one) and, for each must-not-be-1 index, the tuple of members
+    ``rng.choice`` picks its value from.  A draw reads its explicit length
+    past the top rewritten index, a value for each must-not-be-1 index, and
+    up to three noise coordinates at unblocked indices, in that order.
+    """
+
+    __slots__ = ("top", "blocked", "non_ones")
+
+    def __init__(self, cons: dep.CylinderConstraint):
+        self.top = cons.ones[-1]
+        self.blocked = frozenset(cons.ones + cons.non_ones)
+        self.non_ones = tuple((q, _non_one_members(q)) for q in cons.non_ones)
+
+    def draw(self, rng: random.Random) -> PointPrefix:
+        length = self.top + 1 + rng.randrange(3)
+        overrides = {q: rng.choice(members) for q, members in self.non_ones}
+        for _ in range(rng.randrange(4)):
+            i = rng.randrange(length)
+            if i in self.blocked:
+                continue
+            v = _noise_member(i, rng)
+            if v != 1:
+                overrides[i] = v
+        return PointPrefix(length, overrides.items(), tail_ones=True)
 
 
 # --- departure suite ---------------------------------------------------------
@@ -274,10 +291,12 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
         )
 
         top_index = b.top_index()
+        top = cons.ones[-1]
+        plan = _SamplePlan(cons)
         rng = random.Random(seed * 1_000_003 + top_index)
         seen: dict = {}
         for _ in range(samples):
-            x = _sample_domain_point(cons, rng)
+            x = plan.draw(rng)
             y = dep.apply(b, x, fault=fault)
             fd = first_disagreement(x, y)
             lex.require(
@@ -289,10 +308,9 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
                 image=y,
                 first_disagreement=fd,
             )
-            top = cons.ones[-1]
-            tail_positions = {p for p, _ in x.overrides} | {p for p, _ in y.overrides}
+            # both overrides are canonical and both tails all 1s
             stab.require(
-                all(x.coord(p) == y.coord(p) for p in tail_positions if p > top),
+                x.overrides_from(top + 1) == y.overrides_from(top + 1),
                 branch=b,
                 point=x,
                 image=y,
@@ -305,11 +323,10 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
                     point=x,
                     rewrites=tuple(render_value(y.coord(q)) for q in cons.ones),
                 )
-            k = y.key()
-            if k in seen and seen[k] != x.key():
+            xk = x.key()
+            if seen.setdefault(y.key(), xk) != xk:
                 inject.fail(branch=b, image=y, point=x)
             else:
-                seen[k] = x.key()
                 inject.ok()
 
         # extensions of b inside the horizon: nested domains + disagreement bound
@@ -324,7 +341,7 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
             )
             rng2 = random.Random(seed * 2_000_003 + top_index)
             for _ in range(samples):
-                x = _sample_domain_point(cons, rng2)
+                x = plan.draw(rng2)
                 if pcons.membership(x) is not Tri.YES:
                     nested.fail(child=b, parent=parent, point=x)
                     continue
@@ -355,13 +372,14 @@ def _density_check(depth, horizon, by_stem, fault) -> Check:
     per stem with coded value below the horizon."""
     check = Check("density-unique-branch")
     stems = dep.sequences_below(horizon)
-    found_at: dict[tuple, tuple] = {}  # (s, t) -> (branch, its top index)
+    # (s, t) -> (branch, its top index, its constraint)
+    found_at: dict[tuple, tuple] = {}
     for p in range(depth + 1):
         for node in alph.enumerate_nodes(p):
             x = alph.point_from_node(node)
-            for s in stems:
-                # reads are decidable at any index under the tail convention
-                outcome, t = dep.find_branch(s, x, horizon=10**15)
+            # reads are decidable at any index under the tail convention
+            results = dep.find_branches(stems, x, horizon=10**15)
+            for s, (outcome, t) in zip(stems, results):
                 if outcome is Tri.UNKNOWN:
                     # the scan left the index horizon: no verdict either way
                     check.skip()
@@ -372,14 +390,16 @@ def _density_check(depth, horizon, by_stem, fault) -> Check:
                 known = found_at.get((s, t))
                 if known is None:
                     found = BranchIndex(s, t)
-                    known = found_at[s, t] = (found, found.top_index())
-                found, top = known
-                if dep.in_domain(x, found, fault=fault) is not Tri.YES:
+                    known = found_at[s, t] = (
+                        found, found.top_index(), dep.constraints(found, fault=fault)
+                    )
+                found, top, cons = known
+                if cons.membership(x) is not Tri.YES:
                     check.fail(stem=s, node=node, found=found)
                     continue
                 expected = 1 if top < horizon else 0
                 hits = sum(
-                    1 for _, cons in by_stem.get(s, ()) if cons.membership(x) is Tri.YES
+                    1 for _, c in by_stem.get(s, ()) if c.membership(x) is Tri.YES
                 )
                 check.require(
                     hits == expected,
@@ -551,8 +571,7 @@ def verify_arrival_scan(
     # one extra point per branch from inside its image, so inverses get traffic
     rng = random.Random(seed)
     for b in branches:
-        cons = dep.constraints(b)
-        x = _sample_domain_point(cons, rng)
+        x = _SamplePlan(dep.constraints(b)).draw(rng)
         points.append(dep.apply(b, x))
 
     findings = []

@@ -11,9 +11,9 @@ through the branch maps instead of reasoning about constraint truncations,
 the relation witness search building a witness object per witness, a relation
 graph and relation checks built by testing every pair of nodes, the
 cascade generator, radius and admissibility check in ``Fraction`` arithmetic,
-the index-map checks, witnesses and agreement scan one index at a time, and
-the first disagreement of two prefixes over the sorted union of their
-override positions.
+the index-map checks, witnesses and agreement scan one index at a time, the
+first disagreement of two prefixes over the sorted union of their override
+positions, and the domain sampler building its members anew on every draw.
 """
 
 from __future__ import annotations
@@ -630,3 +630,39 @@ def first_disagreement_by_position_set(x: PointPrefix, y: PointPrefix):
     if x.tail_ones and y.tail_ones:
         return None
     return Tri.UNKNOWN
+
+
+def _sampled_non_one(level: int, rng: random.Random):
+    if level < 4:
+        return rng.choice(alph.alphabet_at(level)[1:])
+    if rng.randrange(2):
+        return make_code_value_sparse(level + 1, ())
+    return make_code_value_sparse(level + 1, ((0, 4),))
+
+
+def _sampled_noise(level: int, rng: random.Random):
+    if level < 4:
+        return rng.choice(alph.alphabet_at(level))
+    pick = rng.randrange(3)
+    if pick == 0:
+        return 1
+    return make_code_value_sparse(level + 1, () if pick == 1 else ((0, 4),))
+
+
+def sample_domain_point(cons: dep.CylinderConstraint, rng: random.Random) -> PointPrefix:
+    """A random point of the domain, each member built on the draw that
+    picks it, and the blocked set rebuilt on every call."""
+    top = cons.ones[-1]
+    length = top + 1 + rng.randrange(3)
+    overrides = {}
+    for q in cons.non_ones:
+        overrides[q] = _sampled_non_one(q, rng)
+    blocked = set(cons.ones) | set(cons.non_ones)
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(length)
+        if i in blocked:
+            continue
+        v = _sampled_noise(i, rng)
+        if v != 1:
+            overrides[i] = v
+    return PointPrefix(length, overrides.items(), tail_ones=True)

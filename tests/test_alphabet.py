@@ -82,8 +82,9 @@ def test_member_valid_matches_uncached_oracle():
     branches = dep.branches_within(3000)
     for b in rng.sample(branches, 40):
         cons = dep.constraints(b)
+        plan = vf._SamplePlan(cons)
         for _ in range(4):
-            x = vf._sample_domain_point(cons, rng)
+            x = plan.draw(rng)
             for fault in (None, dep.FAULT_REWRITE_OFF_BY_ONE):
                 y = dep.apply(b, x, fault=fault)
                 for q in cons.ones:
@@ -161,14 +162,27 @@ def test_int_membership_by_all_ones_division_matches_oracle():
         assert verdicts[kind] == {True, False}, kind
 
 
-def test_int_membership_builds_no_all_ones_code_longer_than_the_int():
+def test_int_membership_builds_no_all_ones_code_longer_than_the_int(monkeypatch):
     """An int far shorter than the all-ones code of its level is rejected by
-    the size bound before that code is built (or cached)."""
-    before = pc._all_ones_code.cache_info().misses
+    the size bound before that code is built (or kept)."""
+    built = []
+    monkeypatch.setattr(pc, "_all_ones_code", lambda length: built.append(length))
+    kept = len(pc._ones_codes)
     for level, v in ((2000, 2**4097 * 3), (1500, 2**5000 - 1), (40, 2**100)):
         assert al.member_valid(level, v) is False
         assert member_valid_uncached(level, v) is False
-    assert pc._all_ones_code.cache_info().misses == before
+    assert built == [] and len(pc._ones_codes) == kept
+
+
+def test_point_prefix_refuses_a_repeated_position():
+    for pairs in ([(1, 5), (1, 7)], [(1, 1), (1, 7)], [(0, 4), (2, 9), (0, 4)]):
+        with pytest.raises(ValueError, match="twice"):
+            al.PointPrefix(3, pairs, tail_ones=True)
+    # one pair per position, so the sorted overrides name the point
+    x = al.PointPrefix(3, [(1, 7)], tail_ones=True)
+    assert x.coord(1) == 7 and x.key() == ("point", ((1, 7),))
+    assert x == al.PointPrefix(9, [(4, 1), (1, 7)], tail_ones=True)
+    assert x != al.PointPrefix(3, [(1, 7), (2, 4)], tail_ones=True)
 
 
 def test_alphabets_sorted():

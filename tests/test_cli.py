@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hurewicz_kit import cascade, cli, verifier
+from hurewicz_kit import good_sequence as good
 
 
 def run(capsys, *argv):
@@ -141,6 +142,12 @@ def test_branch_commands(capsys):
     assert code == 0 and "t=[1]" in out
 
 
+def test_branch_refuses_a_negative_stem(capsys):
+    code, out, err = run(capsys, "branch", "find", "--s=-1", "--point", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: entries must be naturals")
+
+
 def test_branch_refuses_codes_past_the_materialization_cutoff(capsys):
     # code((4095)) is still an int; code((4096)) is kept in factored form
     code, out, _ = run(capsys, "branch", "constraints", "--s", "", "--t", "4095")
@@ -196,6 +203,19 @@ def test_chain(capsys):
 def test_sigma(capsys):
     code, out, _ = run(capsys, "sigma", "--s", "1", "--k", "3")
     assert code == 0 and "= 5" in out
+
+
+@pytest.mark.parametrize("k, upto", [(3, 3), (9, 3), (0, 4096), (0, 4097), (5, 9000)])
+def test_sigma_streams_the_bytes_of_the_joined_lines(capsys, tmp_path, k, upto):
+    code, out, _ = run(capsys, "sigma", "--s", "2,1", "--k", str(k), "--upto", str(upto))
+    sig = good.IndexMap((2, 1))
+    assert code == 0
+    assert out == "\n".join(f"sigma_[2, 1]({i}) = {sig(i)}" for i in range(k, upto)) + "\n"
+    path = tmp_path / "sigma.txt"
+    code, printed, _ = run(
+        capsys, "sigma", "--s", "2,1", "--k", str(k), "--upto", str(upto), "--out", str(path)
+    )
+    assert code == 0 and printed == "" and path.read_text(encoding="utf-8") == out
 
 
 def test_sigma_range_at_the_cap_prints(capsys):

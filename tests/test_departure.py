@@ -131,6 +131,46 @@ def test_find_branch_matches_reencoding_oracle():
     assert outcomes == {Tri.YES, Tri.UNKNOWN}
 
 
+def _find_branches_cases():
+    """(stems, point, horizon): a prefix-closed list in code order; a list
+    out of order with a parent missing; a point with no tail, whose scans
+    can reach its end; and a horizon small enough to stop scans."""
+    stems = dep.sequences_below(10_000)
+    x = al.point_from_node((4, 288, 1))
+    return [
+        (stems, x, 10**15),
+        ([(2, 0, 1), (0,), (1, 3), (2,), (), (2, 0), (0,), (5, 0, 0, 1)], x, 10**15),
+        (stems, al.point_from_node((4, 288, 1), tail_ones=False), 10**15),
+        (stems, x, 300),
+    ]
+
+
+def test_find_branches_matches_per_stem_find_branch():
+    outcomes = []
+    for stems, x, horizon in _find_branches_cases():
+        got = dep.find_branches(stems, x, horizon)
+        assert got == [dep.find_branch(s, x, horizon) for s in stems]
+        assert got == [find_branch_reencoding(s, x, horizon) for s in stems]
+        outcomes.append({outcome for outcome, _ in got})
+    # the first two cases find every branch; the last two leave some unknown
+    assert outcomes == [{Tri.YES}, {Tri.YES}, {Tri.YES, Tri.UNKNOWN}, {Tri.YES, Tri.UNKNOWN}]
+
+
+def test_find_branches_scans_each_level_once(monkeypatch):
+    scans = []
+    scan = dep._scan_level
+
+    def counted(base, x, horizon):
+        scans.append(base)
+        return scan(base, x, horizon)
+
+    monkeypatch.setattr(dep, "_scan_level", counted)
+    stems, x, horizon = _find_branches_cases()[0]
+    dep.find_branches(stems, x, horizon)
+    # one scan per stem of a prefix-closed list, none of them repeated
+    assert len(scans) == len(set(scans)) == len(stems) == 148
+
+
 def test_enumeration_examples():
     assert dep.e(0) == ()
     assert dep.e(1) == (0,)
@@ -288,9 +328,10 @@ def _assert_canonical(x):
 def test_apply_matches_rebuilding_oracle():
     for b in dep.branches_within(10_000):
         cons = dep.constraints(b)
+        plan = vf._SamplePlan(cons)
         rng = random.Random(b.top_index())
         for _ in range(20):
-            x = vf._sample_domain_point(cons, rng)
+            x = plan.draw(rng)
             _assert_canonical(x)
             for fault in ALL_FAULTS:
                 y = dep.apply(b, x, fault=fault)
@@ -321,7 +362,7 @@ def test_apply_errors_match_rebuilding_oracle():
     rng = random.Random(5)
     seen = set()
     for b in branches:
-        x = vf._sample_domain_point(dep.constraints(b), rng)
+        x = vf._SamplePlan(dep.constraints(b)).draw(rng)
         cuts = [rng.randrange(x.length + 1) for _ in range(3)] + [x.length]
         points = [x] + [
             al.PointPrefix(n, [(p, v) for p, v in x.overrides if p < n]) for n in cuts
@@ -372,6 +413,9 @@ def test_find_branch_horizon_cap():
     assert outcome is Tri.UNKNOWN and t is None
     outcome, t = dep.find_branch((10,), al.ALL_ONES)
     assert outcome is Tri.YES and t == (0, 0)
+    # the horizon is inclusive: an index at it is read, one past it is not
+    assert dep.find_branch((10,), al.ALL_ONES, horizon=30720) == (Tri.YES, (0, 0))
+    assert dep.find_branch((10,), al.ALL_ONES, horizon=30719) == (Tri.UNKNOWN, None)
 
 
 def test_branch_by_rank_and_slot():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -290,3 +291,41 @@ def test_all_ones_log2_floor_bounds_the_code():
         ones = math.prod(pc.nth_prime(i) ** 2 for i in range(length))
         # 2**lb <= O < 2**(lb + 2): a lower bound, and a tight one
         assert lb < ones.bit_length() <= lb + 2, length
+
+
+def test_code_values_refuse_negative_entries():
+    with pytest.raises(ValueError, match="naturals"):
+        pc.make_code_value((-1,))
+    with pytest.raises(ValueError, match="naturals"):
+        pc.make_code_value_sparse(3, ((1, -2),))
+    with pytest.raises(ValueError, match="naturals"):
+        pc.SymbolicCode(5000, ((7, -1),))
+    assert pc.make_code_value((0,)) == 2
+
+
+def test_tables_match_their_per_entry_formulas(monkeypatch):
+    """From empty, the prime-log table grows to exactly the length asked
+    for, and the all-ones table over the materializable lengths only; every
+    entry is its own formula."""
+    monkeypatch.setattr(pc, "_log2q", [])
+    monkeypatch.setattr(pc, "_cum_log2q", [0])
+    monkeypatch.setattr(pc, "_ones_codes", [1])
+    pc._extend_log2q(7)
+    assert len(pc._log2q) == 7
+    pc.make_code_value_sparse(3000, ())
+    assert len(pc._log2q) == 3000 and len(pc._ones_codes) == 1
+    assert pc._log2q == [round(math.log2(prime(i)) * pc._LOG2_SCALE) for i in range(3000)]
+    assert pc._cum_log2q == list(itertools.accumulate(pc._log2q, initial=0))
+    assert pc._all_ones_code(5) == j_code((1,) * 5)
+    assert len(pc._ones_codes) == 6
+    # the least code of each materializable length (every entry 0) fits
+    cap = pc.MATERIALIZE_BITS * pc._LOG2_SCALE
+    last = max(n for n, c in enumerate(pc._cum_log2q) if c <= cap)
+    assert pc.make_code_value((0,) * last).bit_length() <= pc.MATERIALIZE_BITS
+    assert isinstance(pc.make_code_value((0,) * (last + 1)), pc.SymbolicCode)
+    assert len(pc._ones_codes) == last + 1
+    # a longer code is built, and not kept
+    assert pc._all_ones_code(last + 3) == math.prod(prime(i) ** 2 for i in range(last + 3))
+    assert len(pc._ones_codes) == last + 1
+    for n, code in enumerate(pc._ones_codes):
+        assert code == math.prod(prime(i) ** 2 for i in range(n))

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Tri
 from hurewicz_kit.prime_coding import encode
 
-from oracles import pair_scan_relation_checks
+from oracles import pair_scan_relation_checks, sample_domain_point
 
 
 class _Reached(Exception):
@@ -55,6 +56,45 @@ def test_no_isolated_suite():
     assert r.failed == 0
     approx = next(c for c in r.checks if c.name == "extension-approximates")
     assert approx.passed > 0
+
+
+def test_sample_plan_draws_match_oracle_sampler():
+    """On every branch below 10^4, with and without each branch fault, a
+    plan draws the oracle sampler's points from the same seeds and leaves
+    the generator where the oracle leaves it."""
+    branches = dep.branches_within(10_000)
+    assert len(branches) == 74
+    for fault in (None, *vf._BRANCH_FAULTS):
+        for b in branches:
+            cons = dep.constraints(b, fault=fault)
+            plan = vf._SamplePlan(cons)
+            for seed in range(4):
+                fast = random.Random(seed * 1_000_003 + b.top_index())
+                slow = random.Random(seed * 1_000_003 + b.top_index())
+                for _ in range(10):
+                    x, y = plan.draw(fast), sample_domain_point(cons, slow)
+                    assert (x.length, x.tail_ones, x.overrides) == (
+                        y.length, y.tail_ones, y.overrides
+                    ), (b, fault, seed)
+                assert fast.getstate() == slow.getstate(), (b, fault, seed)
+
+
+def test_stabilization_check_catches_a_change_past_the_top(monkeypatch):
+    """An image that differs from its point right after the top rewritten
+    index fails the stabilization check."""
+    apply = dep.apply
+
+    def leaky(b, x, fault=None):
+        y = apply(b, x, fault=fault)
+        past = dep.constraints(b).ones[-1] + 1
+        if y.coord(past) != 1:
+            return y
+        return y.with_overrides(max(y.length, past + 1), ((past, 4),))
+
+    monkeypatch.setattr(dep, "apply", leaky)
+    r = vf.verify_departure(depth=1, horizon=300, samples=5, include=("branch-axioms",))
+    stab = next(c for c in r.checks if c.name == "stabilization-beyond-top")
+    assert stab.failed > 0
 
 
 def test_arrival_scan_reports_findings():

@@ -10,9 +10,11 @@ moves the first possible disagreement out beyond J(s⌢k)/q_{|s|} - 1.
 
 A dense-disagreement witness extends a word u to a prefix on which the maps
 at two distinct indices disagree.  Everything past u depends only on the two
-indices and |u|, so disagreement_witnesses sweeps a pair over many words:
-it checks the two indices once and reads the shared tail once per run of
-words of equal length, yielding one witness per word as it goes.
+indices and |u|, so witness_bits sweeps a pair over many words on plain
+bytes: it checks the two indices once and reads the shared tail once per run
+of words of equal length, yielding one witness (u + tail, k) per word as it
+goes.  disagreement_witnesses is the same sweep at the public API, taking
+BitPrefix words too and wrapping each witness in a BitPrefix.
 """
 
 from __future__ import annotations
@@ -153,9 +155,27 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
 
 def disagreement_witnesses(s, t, words):
     """disagreement_witness(s, t, u) for each word u of ``words``, in order,
-    yielded one at a time.  s and t are checked here, before the first word;
-    the tail and output index come from _witness_core once per run of words
-    of equal length, so words may come in any order of lengths."""
+    yielded one at a time: witness_bits over the words' bits, each witness
+    wrapped in a BitPrefix.  A BitPrefix word with a tail is refused with
+    ValueError when the sweep reaches it, since no finite prefix extends the
+    infinite word it stands for."""
+    return ((BitPrefix(x), k) for x, k in witness_bits(s, t, map(_word_bits, words)))
+
+
+def _word_bits(u) -> bytes:
+    if not isinstance(u, BitPrefix):
+        return bytes(u)
+    if u.tail:
+        raise ValueError(f"a witness extends a finite word, not {u!r}")
+    return u.bits
+
+
+def witness_bits(s, t, words):
+    """(u + tail, k) for each bytes word u of ``words``, in order, yielded one
+    at a time: the witness bits and the disagreeing output index.  s and t
+    are checked here, before the first word; the tail and output index come
+    from _witness_core once per run of words of equal length, so words may
+    come in any order of lengths."""
     s = _check_index(s)
     t = _check_index(t)
     if s == t:
@@ -166,11 +186,10 @@ def disagreement_witnesses(s, t, words):
 def _sweep(s: tuple[int, ...], t: tuple[int, ...], words):
     n = None
     for u in words:
-        bits = u.bits if isinstance(u, BitPrefix) else bytes(u)
-        if len(bits) != n:
-            n = len(bits)
+        if len(u) != n:
+            n = len(u)
             tail, k = _witness_core(s, t, n)
-        yield BitPrefix(bits + tail), k
+        yield u + tail, k
 
 
 # Longest witness tail _witness_core builds.  A tail grows exponentially with

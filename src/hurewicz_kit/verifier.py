@@ -65,9 +65,14 @@ class Check:
     def ok(self, n: int = 1) -> None:
         self.passed += n
 
+    @property
+    def full(self) -> bool:
+        """True once the check keeps no further counterexample."""
+        return len(self.counterexamples) >= _COUNTEREXAMPLE_CAP
+
     def fail(self, **payload) -> None:
         self.failed += 1
-        if len(self.counterexamples) < _COUNTEREXAMPLE_CAP:
+        if not self.full:
             self.counterexamples.append({k: _show(v) for k, v in payload.items()})
 
     def skip(self, n: int = 1) -> None:
@@ -318,11 +323,11 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
             if all(y.coord(q) != 1 and member_valid(q, y.coord(q)) for q in cons.ones):
                 closure.ok()
             else:
-                closure.fail(
-                    branch=b,
-                    point=x,
-                    rewrites=tuple(render_value(y.coord(q)) for q in cons.ones),
+                # rendering is costly: only a kept counterexample is rendered
+                rewrites = None if closure.full else tuple(
+                    render_value(y.coord(q)) for q in cons.ones
                 )
+                closure.fail(branch=b, point=x, rewrites=rewrites)
             xk = x.key()
             if seen.setdefault(y.key(), xk) != xk:
                 inject.fail(branch=b, image=y, point=x)
@@ -664,11 +669,14 @@ def verify_good_sequence(
             "checks (ordered index pairs x words)"
         )
     witness = Check("disagreement-witness")
-    # Every word gets its own witness and its own check, from one witness
-    # sweep per ordered pair.  The pair's two index maps are looked up once
-    # per pair, and the two source coordinates once per run of words with the
-    # same k (one run per word length).  The sweep runs before the index-map
-    # checks, so a witness tail over WITNESS_TAIL_CAP is refused before them.
+    # Every word gets its own witness and its own check, from one raw witness
+    # sweep per ordered pair (good.witness_bits: plain bytes, one witness at
+    # a time, no BitPrefix).  The pair's two index maps are looked up once
+    # per pair, and the two source coordinates and the farther of them once
+    # per run of words with the same k (one run per word length).  A witness
+    # passes when both source bits lie inside it, they differ, and it extends
+    # its word.  The sweep runs before the index-map checks, so a witness
+    # tail over WITNESS_TAIL_CAP is refused before them.
     family = _index_family(pair_max_len, pair_max_entry)
     # with no pair, the cap above does not bound the words: list none
     words = list(_all_words(max_u_len)) if pairs else []
@@ -680,17 +688,11 @@ def verify_good_sequence(
             sig_t = good._index_map(t)
             last_k = None
             passed = 0
-            for u, (x, k) in zip(words, good.disagreement_witnesses(s, t, words)):
+            for u, (x, k) in zip(words, good.witness_bits(s, t, words)):
                 if k != last_k:
                     last_k, src_s, src_t = k, sig_s(k), sig_t(k)
-                a, b = x.bit(src_s), x.bit(src_t)
-                okay = (
-                    a is not Tri.UNKNOWN
-                    and b is not Tri.UNKNOWN
-                    and a != b
-                    and x.bits.startswith(u)
-                )
-                if okay:
+                    far = max(src_s, src_t)
+                if far < len(x) and x[src_s] != x[src_t] and x.startswith(u):
                     passed += 1
                 else:
                     witness.fail(s=s, t=t, u=u.hex(), k=k)

@@ -155,6 +155,8 @@ def test_index_check_rejects_at_every_entry_point():
         # refused at the call, before a word is read
         lambda s: gs.disagreement_witnesses(s, good, ()),
         lambda s: gs.disagreement_witnesses(good, s, ()),
+        lambda s: gs.witness_bits(s, good, ()),
+        lambda s: gs.witness_bits(good, s, ()),
         lambda s: gs.agreement_below_bound(s, 1, 10),
     ]
     for s in bad:
@@ -176,7 +178,25 @@ def test_witness_batches_match_single_words():
                 continue
             batch = list(gs.disagreement_witnesses(s, t, words))
             assert batch == [gs.disagreement_witness(s, t, u) for u in words], (s, t)
-            assert batch == [disagreement_witness_uncached(s, t, u) for u in words], (s, t)
+            uncached = [disagreement_witness_uncached(s, t, u) for u in words]
+            assert batch == uncached, (s, t)
+            # the raw sweep the good suite reads: the same words as bytes
+            raw = list(gs.witness_bits(s, t, [getattr(u, "bits", u) for u in words]))
+            assert raw == [(x.bits, k) for x, k in batch], (s, t)
+            assert raw == [(x.bits, k) for x, k in uncached], (s, t)
+            assert all(type(x) is bytes for x, _ in raw)
+
+
+def test_witness_refuses_word_with_tail():
+    # 1000... is not extended by 100100, which has a 1 at bit 3: the tail is
+    # refused, not dropped, and only when the sweep reaches that word
+    u = gs.BitPrefix(b"\x01", tail=b"\x00")
+    with pytest.raises(ValueError, match="finite word"):
+        gs.disagreement_witness((1,), (2,), u)
+    sweep = gs.disagreement_witnesses((1,), (2,), [b"\x01", u])
+    assert next(sweep) == gs.disagreement_witness((1,), (2,), b"\x01")
+    with pytest.raises(ValueError, match="finite word"):
+        next(sweep)
 
 
 def test_h_eval_examples():

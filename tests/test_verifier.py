@@ -41,6 +41,26 @@ def test_departure_detects_rewrite_fault():
     assert closure.failed > 0 and closure.counterexamples
 
 
+def test_faulted_departure_renders_only_kept_rewrites(monkeypatch):
+    # rendering a rewrite is costly, and every sample of the fault fails the
+    # closure check: only the counterexamples the check keeps are rendered
+    rendered = []
+    true_render = vf.render_value
+
+    def counting(v):
+        rendered.append(v)
+        return true_render(v)
+
+    monkeypatch.setattr(vf, "render_value", counting)
+    fault = vf.FAULT_REWRITE_OFF_BY_ONE
+    r = vf.verify_departure(fault=fault, seed=3)
+    closure = next(c for c in r.checks if c.name == "alphabet-closure")
+    assert closure.failed > vf._COUNTEREXAMPLE_CAP
+    assert len(closure.counterexamples) == vf._COUNTEREXAMPLE_CAP
+    ones = max(len(dep.constraints(b, fault=fault).ones) for b in dep.branches_within(10**4))
+    assert 0 < len(rendered) <= vf._COUNTEREXAMPLE_CAP * ones
+
+
 def test_departure_detects_dropped_constraints():
     r = vf.verify_departure(
         depth=2, horizon=200, samples=10, seed=0,
@@ -411,24 +431,29 @@ def test_good_suite_refuses_negative_parameters(param):
         vf.verify_good_sequence(**{param: -1})
 
 
-@pytest.mark.parametrize("spoil", ["flip the source bit", "drop the word"])
+@pytest.mark.parametrize(
+    "spoil", ["flip the source bit", "drop the word", "cut before the farther source"]
+)
 def test_good_suite_checks_every_witness(monkeypatch, spoil):
     # one spoiled (s, t, u) out of 6 pairs x 15 words, spoiled inside the
-    # pair's witness sweep, must fail exactly one check, so the witness check
-    # cannot run once per pair or per length
-    true_witnesses = vf.good.disagreement_witnesses
+    # pair's raw witness sweep, must fail exactly one check, so the witness
+    # check cannot run once per pair or per length
+    true_witnesses = vf.good.witness_bits
     target = ((1,), (2,), bytes([1, 0]))
 
     def spoiled(s, t, words):
         for u, (x, k) in zip(words, true_witnesses(s, t, words)):
             if (s, t, u) == target:
-                bits = bytearray(x.bits)
-                at = vf.good.sigma(s, k) if spoil == "flip the source bit" else 0
-                bits[at] ^= 1
-                x = vf.good.BitPrefix(bytes(bits))
+                a, b = vf.good.sigma(s, k), vf.good.sigma(t, k)
+                if spoil == "cut before the farther source":
+                    x = x[: max(a, b)]
+                else:
+                    bits = bytearray(x)
+                    bits[a if spoil == "flip the source bit" else 0] ^= 1
+                    x = bytes(bits)
             yield x, k
 
-    monkeypatch.setattr(vf.good, "disagreement_witnesses", spoiled)
+    monkeypatch.setattr(vf.good, "witness_bits", spoiled)
     report = vf.verify_good_sequence(
         max_s_len=1, max_entry=1, horizon=10, pair_max_len=1, pair_max_entry=2,
         max_u_len=3,

@@ -34,7 +34,12 @@ def _parse_node(text: str) -> tuple:
 
 
 def _parse_point(text: str, tail: bool) -> alph.PointPrefix:
-    return alph.PointPrefix.from_entries(_parse_node(text), tail_ones=tail)
+    """A point prefix of the space: entry i must be a member of A_i."""
+    entries = _parse_node(text)
+    for i, v in enumerate(entries):
+        if not alph.member_valid(i, v):
+            raise ValueError(f"point coordinate {i} is not in the alphabet A_{i}")
+    return alph.PointPrefix.from_entries(entries, tail_ones=tail)
 
 
 def _entry_json(v):

@@ -25,19 +25,9 @@ from functools import lru_cache
 
 from .base import CapacityError, DomainError, HorizonError, Tri
 from .alphabet import PointPrefix
-from .prime_coding import (
-    SymbolicCode,
-    decode,
-    encode,
-    make_code_value_sparse,
-    nth_prime,
-)
+from .prime_coding import decode, encode, make_code_value_sparse, nth_prime
 
 DEFAULT_HORIZON = 10**6
-
-# test-device fault switches; see the verifier's mutation harness
-FAULT_REWRITE_OFF_BY_ONE = "rewrite-off-by-one"
-FAULT_DROP_NON_ONES = "drop-non-ones"
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,7 @@ def level_start(base: tuple[int, ...]) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=65536)
-def constraints(b: BranchIndex, fault: str | None = None) -> CylinderConstraint:
+def constraints(b: BranchIndex) -> CylinderConstraint:
     ones = []
     non_ones = []
     for j in range(len(b.s) + 1):
@@ -112,18 +102,22 @@ def constraints(b: BranchIndex, fault: str | None = None) -> CylinderConstraint:
             non_ones.append(idx)
             idx *= q
         ones.append(idx)
-    if fault == FAULT_DROP_NON_ONES:
-        non_ones = []
     return CylinderConstraint(tuple(ones), tuple(sorted(non_ones)))
 
 
-def in_domain(x: PointPrefix, b: BranchIndex, fault: str | None = None) -> Tri:
+def in_domain(x: PointPrefix, b: BranchIndex) -> Tri:
     """Membership of x in the domain of b (``CylinderConstraint.membership``)."""
-    return constraints(b, fault=fault).membership(x)
+    return constraints(b).membership(x)
 
 
-def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPrefix:
-    """Image of x under the branch map.
+def apply(b: BranchIndex, x: PointPrefix) -> PointPrefix:
+    """Image of x under the branch map: ``image`` under b's constraint."""
+    return image(b, constraints(b), x)
+
+
+def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPrefix:
+    """Image of x under the map that rewrites the must-be-1 indices of the
+    domain ``cons`` (b names the branch in errors).
 
     Raises DomainError when x is decidably outside the domain and HorizonError
     (carrying the needed index) when the prefix is too short to decide.  A
@@ -131,7 +125,6 @@ def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPref
     readable too, and x reads 1 there: the rewrites are added to x's
     overrides.
     """
-    cons = constraints(b, fault=fault)
     membership = cons.membership(x)
     if membership is Tri.NO:
         raise DomainError(f"point is outside the domain of {b}")
@@ -140,14 +133,7 @@ def apply(b: BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPref
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
     rewrites = []
     for q in cons.ones:
-        val = _rewrite_value(x, q)
-        if fault == FAULT_REWRITE_OFF_BY_ONE:
-            if isinstance(val, int):
-                val += 1
-            else:
-                # same corruption in factored form: final entry off by one
-                val = SymbolicCode(val.length, val.items + ((val.length - 1, 2),))
-        rewrites.append((q, val))
+        rewrites.append((q, _rewrite_value(x, q)))
     return x.with_overrides(max(x.length, cons.ones[-1] + 1), tuple(rewrites))
 
 

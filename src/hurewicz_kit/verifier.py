@@ -4,8 +4,8 @@ Every suite is a pure function of its parameters (depth, horizon, sample
 count, seed) and produces a report that serializes to byte-identical JSON on
 repeated runs.  Limit statements are only ever checked as finite shadows with
 explicit index bounds; an exhausted horizon counts as inconclusive, never as
-a failure.  Deliberate fault switches let the test suite confirm that each
-check actually bites.
+a failure.  Deliberate faults, planted here over the layers' functions, let
+the test suite confirm that each check actually bites.
 
 A suite's signature is its whole interface: ``hurewicz-kit verify`` offers a
 suite the flags its parameters name and passes on only the flags given, so
@@ -27,17 +27,29 @@ from . import departure as dep
 from . import good_sequence as good
 from . import relations as rel
 from .alphabet import PointPrefix, first_disagreement, member_cmp, member_valid
-from .departure import (
-    FAULT_DROP_NON_ONES,
-    FAULT_REWRITE_OFF_BY_ONE,
-    BranchIndex,
-)
-from .prime_coding import make_code_value_sparse, render_value
+from .departure import BranchIndex, CylinderConstraint
+from .prime_coding import SymbolicCode, make_code_value_sparse, render_value
 
+FAULT_REWRITE_OFF_BY_ONE = "rewrite-off-by-one"
+FAULT_DROP_NON_ONES = "drop-non-ones"
 FAULT_EPSILON_NONSTRICT = "epsilon-nonstrict"
-ALL_FAULTS = (FAULT_REWRITE_OFF_BY_ONE, FAULT_DROP_NON_ONES, FAULT_EPSILON_NONSTRICT)
-# the faults a suite over the branch maps can plant
-_BRANCH_FAULTS = (FAULT_REWRITE_OFF_BY_ONE, FAULT_DROP_NON_ONES)
+
+# Every fault the verifier can plant, once: the suites that plant it, and
+# the parameters (all but the seed) of mutation_report's run of the first of
+# them.  Horizon 200 keeps every rewritten value materialized, which the
+# off-by-one corruption needs.
+FAULTS = {
+    FAULT_REWRITE_OFF_BY_ONE: (
+        ("departure", "no-isolated"),
+        dict(depth=2, horizon=200, samples=20, include=("branch-axioms",)),
+    ),
+    FAULT_DROP_NON_ONES: (
+        ("departure", "no-isolated"),
+        dict(depth=2, horizon=200, samples=20, include=("branch-axioms", "density")),
+    ),
+    FAULT_EPSILON_NONSTRICT: (("cascade",), dict(trials=20)),
+}
+ALL_FAULTS = tuple(FAULTS)
 
 _COUNTEREXAMPLE_CAP = 5
 
@@ -142,7 +154,8 @@ def dump_json(doc: dict) -> str:
 # --- parameter checks, made before a suite does any work ----------------------
 
 
-def _require_fault(suite: str, fault: str | None, honoured: tuple) -> None:
+def _require_fault(suite: str, fault: str | None) -> None:
+    honoured = [f for f, (suites, _) in FAULTS.items() if suite in suites]
     if fault is not None and fault not in honoured:
         raise ValueError(
             f"suite {suite} cannot inject fault {fault} (it honours: {', '.join(honoured)})"
@@ -210,6 +223,48 @@ class _SamplePlan:
         return PointPrefix(length, overrides.items(), tail_ones=True)
 
 
+# --- branch faults -------------------------------------------------------------
+
+
+def _branch_maps(fault: str | None) -> tuple:
+    """The constraint and apply functions a branch suite runs with: the
+    departure layer's own, looked up when the suite runs (so a function
+    swapped into the layer is the one run), or the pair a branch fault
+    plants over them."""
+    if fault == FAULT_DROP_NON_ONES:
+        return _dropped_constraints, _dropped_image
+    if fault == FAULT_REWRITE_OFF_BY_ONE:
+        return dep.constraints, _off_by_one_image
+    return dep.constraints, dep.apply
+
+
+def _dropped_constraints(b: BranchIndex) -> CylinderConstraint:
+    """The drop-non-ones fault: b's constraint with no must-not-be-1 index."""
+    return CylinderConstraint(dep.constraints(b).ones, ())
+
+
+def _dropped_image(b: BranchIndex, x: PointPrefix) -> PointPrefix:
+    """The drop-non-ones fault's branch map: the rewrite of b's must-be-1
+    indices on the larger domain ``_dropped_constraints(b)``."""
+    return dep.image(b, _dropped_constraints(b), x)
+
+
+def _off_by_one_image(b: BranchIndex, x: PointPrefix) -> PointPrefix:
+    """The rewrite-off-by-one fault: b's image with every rewritten value
+    increased by one (a factored value gains a final entry off by one)."""
+    y = dep.apply(b, x)
+    ones = dep.constraints(b).ones
+    rewrites = []
+    for q in ones:
+        v = y.coord(q)
+        if isinstance(v, int):
+            v += 1
+        else:
+            v = SymbolicCode(v.length, v.items + ((v.length - 1, 2),))
+        rewrites.append((q, v))
+    return y.without(set(ones)).with_overrides(y.length, tuple(rewrites))
+
+
 # --- departure suite ---------------------------------------------------------
 
 _DEPARTURE_GROUPS = ("branch-axioms", "density", "relations")
@@ -234,7 +289,7 @@ def verify_departure(
     exactly one enumerated branch domain per stem); and the relation axioms
     delegated to the relation machinery.
     """
-    _require_fault("departure", fault, _BRANCH_FAULTS)
+    _require_fault("departure", fault)
     unknown = [g for g in include if g not in _DEPARTURE_GROUPS]
     if unknown:
         raise ValueError(
@@ -260,22 +315,27 @@ def verify_departure(
         # a relation census over the node cap is refused before branch work
         alph.require_node_count(relations_depth)
     checks: list[Check] = []
-    branches = dep.branches_within(horizon)
-    # each stem's branches with their constraints, in the order of ``branches``
+    constraints, apply = _branch_maps(fault)
+    # every branch within the horizon with its constraint, by top index, and
+    # each stem's branches in that order
+    cons_of = {b: constraints(b) for b in dep.branches_within(horizon)}
     by_stem: dict[tuple, list] = {}
-    for b in branches:
-        by_stem.setdefault(b.s, []).append((b, dep.constraints(b, fault=fault)))
+    for b, cons in cons_of.items():
+        by_stem.setdefault(b.s, []).append((b, cons))
 
     if "branch-axioms" in include:
-        checks.extend(_branch_axiom_checks(branches, by_stem, samples, seed, fault))
+        checks.extend(_branch_axiom_checks(cons_of, by_stem, samples, seed, apply))
     if "density" in include:
-        checks.append(_density_check(depth, horizon, by_stem, fault))
+        checks.append(_density_check(depth, horizon, by_stem, constraints))
     if "relations" in include:
         checks.extend(_relation_checks(relations_depth))
     return VerificationReport("departure", params, checks)
 
 
-def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
+def _branch_axiom_checks(cons_of, by_stem, samples, seed, apply):
+    """The branch-map axioms on every branch of ``cons_of`` (branch ->
+    constraint) with the suite's ``apply``.  A branch's parent is within the
+    horizon too: its must-be-1 indices are some of the branch's."""
     wellformed = Check("constraint-wellformedness")
     lex = Check("lex-increase")
     stab = Check("stabilization-beyond-top")
@@ -285,8 +345,7 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
     bound = Check("stability-bound")
     disjoint = Check("branch-disjointness")
 
-    for b in branches:
-        cons = dep.constraints(b, fault=fault)
+    for b, cons in cons_of.items():
         increasing = all(a < c for a, c in zip(cons.ones, cons.ones[1:]))
         wellformed.require(
             increasing and not (set(cons.ones) & set(cons.non_ones)),
@@ -302,7 +361,7 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
         seen: dict = {}
         for _ in range(samples):
             x = plan.draw(rng)
-            y = dep.apply(b, x, fault=fault)
+            y = apply(b, x)
             fd = first_disagreement(x, y)
             lex.require(
                 isinstance(fd, int)
@@ -337,7 +396,7 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
         # extensions of b inside the horizon: nested domains + disagreement bound
         if b.s:
             parent = BranchIndex(b.s[:-1], b.t[:-1])
-            pcons = dep.constraints(parent, fault=fault)
+            pcons = cons_of[parent]
             nested.require(
                 set(pcons.ones) <= set(cons.ones)
                 and set(pcons.non_ones) <= set(cons.non_ones),
@@ -350,9 +409,7 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
                 if pcons.membership(x) is not Tri.YES:
                     nested.fail(child=b, parent=parent, point=x)
                     continue
-                fd = first_disagreement(
-                    dep.apply(b, x, fault=fault), dep.apply(parent, x, fault=fault)
-                )
+                fd = first_disagreement(apply(b, x), apply(parent, x))
                 bound.require(
                     isinstance(fd, int) and fd >= top_index,
                     child=b,
@@ -371,10 +428,11 @@ def _branch_axiom_checks(branches, by_stem, samples, seed, fault):
     return [wellformed, lex, stab, closure, inject, nested, bound, disjoint]
 
 
-def _density_check(depth, horizon, by_stem, fault) -> Check:
+def _density_check(depth, horizon, by_stem, constraints) -> Check:
     """Every node of each depth up to ``depth``, completed by the all-ones
     tail, lands via greedy discovery in exactly one enumerated branch domain
-    per stem with coded value below the horizon."""
+    per stem with coded value below the horizon (domains as the suite's
+    ``constraints`` gives them)."""
     check = Check("density-unique-branch")
     stems = dep.sequences_below(horizon)
     # (s, t) -> (branch, its top index, its constraint)
@@ -396,7 +454,7 @@ def _density_check(depth, horizon, by_stem, fault) -> Check:
                 if known is None:
                     found = BranchIndex(s, t)
                     known = found_at[s, t] = (
-                        found, found.top_index(), dep.constraints(found, fault=fault)
+                        found, found.top_index(), constraints(found)
                     )
                 found, top, cons = known
                 if cons.membership(x) is not Tri.YES:
@@ -497,7 +555,7 @@ def verify_no_isolated(
     original image up to the extension's top rewritten index while differing
     beyond it.  Also bounds the number of distinct image prefixes across all
     applicable branches (equicontinuity shadow)."""
-    _require_fault("no-isolated", fault, _BRANCH_FAULTS)
+    _require_fault("no-isolated", fault)
     _require_naturals(
         "no-isolated", depth=depth, horizon=horizon, samples=samples, extensions=extensions
     )
@@ -515,15 +573,16 @@ def verify_no_isolated(
     nodes = alph.enumerate_nodes(depth)
     picked = sorted(rng.sample(range(len(nodes)), min(samples, len(nodes))))
     points = [alph.ALL_ONES] + [alph.point_from_node(nodes[i]) for i in picked]
-    branches = dep.branches_within(horizon)
+    constraints, apply = _branch_maps(fault)
+    cons_of = {b: constraints(b) for b in dep.branches_within(horizon)}
     prec = depth + 2
     ceiling = 1 + len(dep.branches_within(prec))
 
     for x in points:
-        applicable = [b for b in branches if dep.in_domain(x, b, fault=fault) is Tri.YES]
+        applicable = [b for b, cons in cons_of.items() if cons.membership(x) is Tri.YES]
         prefixes = set()
         for b in applicable:
-            y = dep.apply(b, x, fault=fault)
+            y = apply(b, x)
             prefixes.add(tuple(y.coord(i) for i in range(prec)))
             base_image = y
             for n in range(extensions):
@@ -536,7 +595,7 @@ def verify_no_isolated(
                 if ext.top_index() > 10**7:
                     approx.skip()
                     continue
-                fd = first_disagreement(dep.apply(ext, x, fault=fault), base_image)
+                fd = first_disagreement(apply(ext, x), base_image)
                 approx.require(
                     isinstance(fd, int) and fd >= ext.top_index(),
                     base=b,
@@ -796,7 +855,7 @@ def verify_cascade(
     separation inequality on every eligible triple, in exact arithmetic.
     Includes negative controls that the strict radius check must reject;
     ``epsilon-nonstrict`` checks with _nonstrict_admissibility instead."""
-    _require_fault("cascade", fault, (FAULT_EPSILON_NONSTRICT,))
+    _require_fault("cascade", fault)
     if trials < 0 or max_depth < 1 or max_branching < 1:
         raise ValueError(
             "cascade needs trials >= 0 and max_depth, max_branching >= 1"
@@ -864,27 +923,13 @@ def verify_cascade(
 
 
 def mutation_report(seed: int = 0) -> VerificationReport:
-    """Run each documented fault through a small suite and demand detection
-    with a concrete counterexample."""
+    """Run each fault of ``FAULTS``, in order, through a small run of the
+    first suite that plants it, and demand detection with a concrete
+    counterexample."""
     params = {"seed": seed}
     checks = []
-    runs = {
-        # horizon 200 keeps every rewritten value materialized, which the
-        # off-by-one corruption needs
-        FAULT_REWRITE_OFF_BY_ONE: lambda: verify_departure(
-            depth=2, horizon=200, samples=20, seed=seed,
-            fault=FAULT_REWRITE_OFF_BY_ONE, include=("branch-axioms",),
-        ),
-        FAULT_DROP_NON_ONES: lambda: verify_departure(
-            depth=2, horizon=200, samples=20, seed=seed,
-            fault=FAULT_DROP_NON_ONES, include=("branch-axioms", "density"),
-        ),
-        FAULT_EPSILON_NONSTRICT: lambda: verify_cascade(
-            trials=20, seed=seed, fault=FAULT_EPSILON_NONSTRICT
-        ),
-    }
-    for fault, run in runs.items():
-        report = run()
+    for fault, (suites, probe) in FAULTS.items():
+        report = SUITES[suites[0]](seed=seed, fault=fault, **probe)
         detected = report.failed > 0
         witnesses = [
             {"check": c.name, "counterexample": c.counterexamples[0]}

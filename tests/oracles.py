@@ -3,9 +3,12 @@
 Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, decoding by trial division, branch discovery
 re-encoding every level's base, branch constraints encoding every index
-anew, domain membership read one coordinate at a time, a branch map that rebuilds and re-sorts its image, alphabet membership
-decoded anew on every call, alphabets sorted by pairwise exact comparisons, brute-force enumeration of coded sequences and
-the same enumeration by trial division of every even number, the image
+anew, domain membership read one coordinate at a time, a branch map that
+decides membership so and rebuilds and re-sorts its image (and the
+verifier's two branch faults by their definitions over it), alphabet
+membership decoded anew on every call, alphabets sorted by pairwise exact
+comparisons, brute-force enumeration of coded sequences and the same
+enumeration by trial division of every even number, the image
 prefixes of a node found by building explicit points and pushing them
 through the branch maps instead of reasoning about constraint truncations,
 the relation witness search building a witness object per witness, a relation
@@ -186,9 +189,7 @@ def find_branch_reencoding(s: tuple, x: PointPrefix, horizon: int = dep.DEFAULT_
     return Tri.YES, tuple(t)
 
 
-def constraints_by_encoding(
-    b: dep.BranchIndex, fault: str | None = None
-) -> dep.CylinderConstraint:
+def constraints_by_encoding(b: dep.BranchIndex) -> dep.CylinderConstraint:
     """Branch constraints with every constrained index encoded anew."""
     ones = []
     non_ones = []
@@ -197,8 +198,6 @@ def constraints_by_encoding(
         for p in range(b.t[j]):
             non_ones.append(encode(base + (p,)))
         ones.append(encode(base + (b.t[j],)))
-    if fault == dep.FAULT_DROP_NON_ONES:
-        non_ones = []
     return dep.CylinderConstraint(tuple(ones), tuple(sorted(non_ones)))
 
 
@@ -220,33 +219,62 @@ def membership_by_coord(cons: dep.CylinderConstraint, x: PointPrefix) -> Tri:
     return Tri.UNKNOWN if unknown else Tri.YES
 
 
-def apply_rebuilding(b: dep.BranchIndex, x: PointPrefix, fault: str | None = None) -> PointPrefix:
-    """Branch map that decides membership twice, collects each rewrite's
-    prefix by scanning every override, and re-sorts and re-filters the
-    rewrite items and the image."""
-    membership = dep.in_domain(x, b, fault=fault)
+def image_rebuilding(
+    b: dep.BranchIndex, cons: dep.CylinderConstraint, x: PointPrefix
+) -> PointPrefix:
+    """The map rewriting the must-be-1 indices of the domain ``cons``:
+    membership read one coordinate at a time (``membership_by_coord``),
+    each rewrite's prefix collected by scanning every override, and the
+    rewrite items and the image re-sorted and re-filtered."""
+    membership = membership_by_coord(cons, x)
     if membership is Tri.NO:
         raise DomainError(f"point is outside the domain of {b}")
     if membership is Tri.UNKNOWN:
-        cons = dep.constraints(b, fault=fault)
         needed = max(cons.ones + cons.non_ones)
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
-    cons = dep.constraints(b, fault=fault)
     new_items = list(x.overrides)
     for q in cons.ones:
         if not x.tail_ones and q >= x.length:
             raise HorizonError(q)
         below = tuple((p, v) for p, v in x.overrides if p < q)
-        val = make_code_value_sparse(q + 1, below)
-        if fault == dep.FAULT_REWRITE_OFF_BY_ONE:
-            if isinstance(val, int):
-                val += 1
-            else:
-                # same corruption in factored form: final entry off by one
-                val = SymbolicCode(val.length, val.items + ((val.length - 1, 2),))
-        new_items.append((q, val))
+        new_items.append((q, make_code_value_sparse(q + 1, below)))
     length = max(x.length, cons.ones[-1] + 1)
     return PointPrefix(length, new_items, tail_ones=x.tail_ones)
+
+
+def apply_rebuilding(b: dep.BranchIndex, x: PointPrefix) -> PointPrefix:
+    """Branch map: ``image_rebuilding`` under ``constraints_by_encoding(b)``."""
+    return image_rebuilding(b, constraints_by_encoding(b), x)
+
+
+def dropped_constraints_by_encoding(b: dep.BranchIndex) -> dep.CylinderConstraint:
+    """The verifier's drop-non-ones fault by its definition: b's constraint,
+    encoded anew, with no must-not-be-1 index."""
+    return dep.CylinderConstraint(constraints_by_encoding(b).ones, ())
+
+
+def dropped_rebuilding(b: dep.BranchIndex, x: PointPrefix) -> PointPrefix:
+    """The drop-non-ones fault's branch map by its definition:
+    ``image_rebuilding`` under ``dropped_constraints_by_encoding(b)``."""
+    return image_rebuilding(b, dropped_constraints_by_encoding(b), x)
+
+
+def off_by_one_rebuilding(b: dep.BranchIndex, x: PointPrefix) -> PointPrefix:
+    """The verifier's rewrite-off-by-one fault by its definition: the image
+    of ``apply_rebuilding`` with every rewritten value increased by one, a
+    factored value by a final entry off by one, rebuilt from its entries."""
+    y = apply_rebuilding(b, x)
+    ones = constraints_by_encoding(b).ones
+    items = []
+    for p, v in y.overrides:
+        if p in ones:
+            if isinstance(v, int):
+                v += 1
+            else:
+                entries = v.seq()
+                v = SymbolicCode(v.length, enumerate(entries[:-1] + (entries[-1] + 1,)))
+        items.append((p, v))
+    return PointPrefix(y.length, items, tail_ones=y.tail_ones)
 
 
 def codes_by_trial_division(limit: int) -> list[int]:

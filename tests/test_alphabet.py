@@ -85,8 +85,8 @@ def test_member_valid_matches_uncached_oracle():
         plan = vf._SamplePlan(cons)
         for _ in range(4):
             x = plan.draw(rng)
-            for fault in (None, dep.FAULT_REWRITE_OFF_BY_ONE):
-                y = dep.apply(b, x, fault=fault)
+            for apply in (dep.apply, vf._branch_maps(vf.FAULT_REWRITE_OFF_BY_ONE)[1]):
+                y = apply(b, x)
                 for q in cons.ones:
                     verdicts.add(_assert_member_valid_matches_oracle(q, y.coord(q)))
                     _assert_member_valid_matches_oracle(q - 1, y.coord(q))

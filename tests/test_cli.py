@@ -137,9 +137,26 @@ def test_branch_commands(capsys):
     )
     assert code == 0 and "900" in out
     code, out, _ = run(
-        capsys, "branch", "find", "--s", "", "--point", "1,1,4", "--tail"
+        capsys, "branch", "find", "--s", "", "--point", "1,1,900", "--tail"
     )
     assert code == 0 and "t=[1]" in out
+
+
+@pytest.mark.parametrize(
+    "action, point, bad",
+    [
+        # 7 is not in A_0 = {1, 4}; before, apply printed coordinate 2 = 57600
+        (("apply", "--t", "0"), "7,1,1", 0),
+        (("find",), "1,1,4", 2),  # 4 is not in A_2
+        (("apply", "--t", "1"), "4,36,0", 2),
+        (("find",), "1,-1", 1),
+        (("find",), "1,1,1,1,1,1," + "7" * 4000, 6),
+    ],
+)
+def test_branch_refuses_points_outside_the_space(capsys, action, point, bad):
+    code, out, err = run(capsys, "branch", *action, "--s", "", "--point", point, "--tail")
+    assert code == 2 and out == ""
+    assert err == f"usage error: point coordinate {bad} is not in the alphabet A_{bad}\n"
 
 
 def test_branch_refuses_a_negative_stem(capsys):

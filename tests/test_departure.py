@@ -14,12 +14,22 @@ from oracles import (
     codes_in_order,
     constraints_by_encoding,
     decode_trial_division,
+    dropped_constraints_by_encoding,
+    dropped_rebuilding,
     find_branch_reencoding,
     j_code,
     membership_by_coord,
+    off_by_one_rebuilding,
 )
 
-ALL_FAULTS = (None, dep.FAULT_REWRITE_OFF_BY_ONE, dep.FAULT_DROP_NON_ONES)
+# The branch maps the verifier runs with (its ``_branch_maps``): the layer's
+# own (no fault) and the two it plants over them, each with the oracle pair
+# of constraint and apply functions that defines it.
+BRANCH_MAPS = {
+    None: (constraints_by_encoding, apply_rebuilding),
+    vf.FAULT_REWRITE_OFF_BY_ONE: (constraints_by_encoding, off_by_one_rebuilding),
+    vf.FAULT_DROP_NON_ONES: (dropped_constraints_by_encoding, dropped_rebuilding),
+}
 
 
 def branch(s, t):
@@ -54,9 +64,10 @@ def test_constraint_indices_increase_and_stay_disjoint():
 def test_constraints_match_encoding_oracle():
     branches = dep.branches_within(10_000)
     assert len(branches) == 74
-    for b in branches:
-        for fault in ALL_FAULTS:
-            assert dep.constraints(b, fault=fault) == constraints_by_encoding(b, fault)
+    for fault, (want, _) in BRANCH_MAPS.items():
+        constraints, _ = vf._branch_maps(fault)
+        for b in branches:
+            assert constraints(b) == want(b), (b, fault)
 
 
 def test_in_domain_examples():
@@ -333,31 +344,32 @@ def test_apply_matches_rebuilding_oracle():
         for _ in range(20):
             x = plan.draw(rng)
             _assert_canonical(x)
-            for fault in ALL_FAULTS:
-                y = dep.apply(b, x, fault=fault)
+            for fault, (_, want) in BRANCH_MAPS.items():
+                y = vf._branch_maps(fault)[1](b, x)
                 _assert_canonical(y)
-                assert _fields(y) == _fields(apply_rebuilding(b, x, fault=fault))
+                assert _fields(y) == _fields(want(b, x)), (b, fault)
             outcome, back = dep.apply_inverse(b, dep.apply(b, x))
             assert outcome is Tri.YES
             _assert_canonical(back)
             assert _fields(back) == _fields(x)
 
 
-def _apply_outcome(fn, b, x, fault):
+def _apply_outcome(fn, b, x):
     try:
-        y = fn(b, x, fault=fault)
-    except DomainError:
-        return ("domain",)
+        y = fn(b, x)
+    except DomainError as exc:
+        return ("domain", str(exc))
     except HorizonError as exc:
-        return ("horizon", exc.required_index)
+        return ("horizon", exc.required_index, str(exc))
     return ("image",) + _fields(y)
 
 
 def test_apply_errors_match_rebuilding_oracle():
     """Sampled points pushed through other branches, and cut to prefixes
-    with no tail: the same image, DomainError or HorizonError (with the
-    same needed index) as the oracle, and the same membership as reading
-    every constrained coordinate."""
+    with no tail, by each branch map the verifier runs with: the same image,
+    DomainError or HorizonError (with the same needed index and message) as
+    its oracle, and the same membership as reading every constrained
+    coordinate."""
     branches = dep.branches_within(10_000)
     rng = random.Random(5)
     seen = set()
@@ -368,12 +380,13 @@ def test_apply_errors_match_rebuilding_oracle():
             al.PointPrefix(n, [(p, v) for p, v in x.overrides if p < n]) for n in cuts
         ]
         for other in rng.sample(branches, 5) + [b]:
-            for fault in ALL_FAULTS:
-                cons = dep.constraints(other, fault=fault)
+            for fault, (_, want) in BRANCH_MAPS.items():
+                constraints, apply = vf._branch_maps(fault)
+                cons = constraints(other)
                 for pt in points:
                     assert cons.membership(pt) is membership_by_coord(cons, pt)
-                    got = _apply_outcome(dep.apply, other, pt, fault)
-                    assert got == _apply_outcome(apply_rebuilding, other, pt, fault)
+                    got = _apply_outcome(apply, other, pt)
+                    assert got == _apply_outcome(want, other, pt), (other, fault)
                     seen.add(got[0])
     assert seen == {"domain", "horizon", "image"}
 

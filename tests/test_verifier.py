@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import inspect
 import json
 import random
@@ -57,7 +58,7 @@ def test_faulted_departure_renders_only_kept_rewrites(monkeypatch):
     closure = next(c for c in r.checks if c.name == "alphabet-closure")
     assert closure.failed > vf._COUNTEREXAMPLE_CAP
     assert len(closure.counterexamples) == vf._COUNTEREXAMPLE_CAP
-    ones = max(len(dep.constraints(b, fault=fault).ones) for b in dep.branches_within(10**4))
+    ones = max(len(dep.constraints(b).ones) for b in dep.branches_within(10**4))
     assert 0 < len(rendered) <= vf._COUNTEREXAMPLE_CAP * ones
 
 
@@ -79,14 +80,15 @@ def test_no_isolated_suite():
 
 
 def test_sample_plan_draws_match_oracle_sampler():
-    """On every branch below 10^4, with and without each branch fault, a
-    plan draws the oracle sampler's points from the same seeds and leaves
-    the generator where the oracle leaves it."""
+    """On every branch below 10^4, under the constraints of the layer and of
+    each branch fault, a plan draws the oracle sampler's points from the
+    same seeds and leaves the generator where the oracle leaves it."""
     branches = dep.branches_within(10_000)
     assert len(branches) == 74
-    for fault in (None, *vf._BRANCH_FAULTS):
+    for fault in (None, *_FAULTABLE["departure"][0]):
+        constraints, _ = vf._branch_maps(fault)
         for b in branches:
-            cons = dep.constraints(b, fault=fault)
+            cons = constraints(b)
             plan = vf._SamplePlan(cons)
             for seed in range(4):
                 fast = random.Random(seed * 1_000_003 + b.top_index())
@@ -104,8 +106,8 @@ def test_stabilization_check_catches_a_change_past_the_top(monkeypatch):
     index fails the stabilization check."""
     apply = dep.apply
 
-    def leaky(b, x, fault=None):
-        y = apply(b, x, fault=fault)
+    def leaky(b, x):
+        y = apply(b, x)
         past = dep.constraints(b).ones[-1] + 1
         if y.coord(past) != 1:
             return y
@@ -229,6 +231,42 @@ def test_faultable_suites_are_the_suites_with_a_fault_parameter():
         if "fault" in inspect.signature(fn).parameters
     }
     assert takes_fault == set(_FAULTABLE)
+
+
+def test_no_layer_function_takes_a_fault():
+    # the verifier plants every fault over the layers' functions, so no
+    # public function or method of a layer has a fault switch
+    layers = ("prime_coding", "alphabet", "departure", "relations", "good_sequence", "cascade")
+    checked = 0
+    for module in (importlib.import_module(f"hurewicz_kit.{name}") for name in layers):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [m for n, m in vars(obj).items() if not n.startswith("_")]
+            for fn in filter(callable, members):
+                assert "fault" not in inspect.signature(fn).parameters, (module.__name__, name)
+                checked += 1
+    assert checked > 50
+
+
+def test_mutation_report_runs_every_fault_in_order(monkeypatch):
+    ran = []
+
+    def recording(name, suite):
+        def run(*, fault, **params):
+            ran.append((fault, name))
+            return suite(fault=fault, **params)
+        return run
+
+    for name in _FAULTABLE:
+        monkeypatch.setitem(vf.SUITES, name, recording(name, vf.SUITES[name]))
+    report = vf.mutation_report()
+    assert [fault for fault, _ in ran] == list(vf.ALL_FAULTS)
+    assert [c.name for c in report.checks] == [f"detects-{f}" for f in vf.ALL_FAULTS]
+    # each fault is run through a suite that plants it
+    assert all(fault in _FAULTABLE[name][0] for fault, name in ran)
 
 
 @pytest.mark.parametrize(
@@ -562,3 +600,28 @@ _DEPARTURE_SHA256 = {
 def test_departure_reports_match_recorded_hashes(case):
     run, want = _DEPARTURE_SHA256[case]
     assert hashlib.sha256(run().to_json_bytes()).hexdigest() == want
+
+
+# SHA-256 of the faulted branch-suite reports, recorded while each branch
+# fault was still a switch of the departure layer's functions
+_FAULTED_SHA256 = {
+    ("departure", "rewrite-off-by-one", 0):
+        "f9b2811dc55908a18005f75a4b5312f3bfd191cc8363253c84aad4de4b02ef0f",
+    ("departure", "rewrite-off-by-one", 3):
+        "a4fe9f478c4495aba52debc7cc82dfe17732349080272cff78e07e9d92bf6d59",
+    ("departure", "drop-non-ones", 0):
+        "6c1e39b8f4fd30a01fff189778e6872249be20d47dc7ed0346c1c51cd0d04fff",
+    ("departure", "drop-non-ones", 3):
+        "3c7b275705cb38ab526192ca09a20c9eb81f2b63d49cd0f8e80e4ccfa1a206f1",
+    ("no-isolated", "rewrite-off-by-one", 0):
+        "41333e6ad4e2748c2405ae9fb404464a9c8fde782c027ff7568090a24d5b176f",
+    ("no-isolated", "drop-non-ones", 0):
+        "bfbfc22eef808560040aa359589dd9b025d4940425339a83d1ca380c765911f1",
+}
+
+
+@pytest.mark.parametrize("suite, fault, seed", _FAULTED_SHA256)
+def test_faulted_reports_match_recorded_hashes(suite, fault, seed):
+    report = vf.SUITES[suite](fault=fault, seed=seed)
+    want = _FAULTED_SHA256[suite, fault, seed]
+    assert hashlib.sha256(report.to_json_bytes()).hexdigest() == want

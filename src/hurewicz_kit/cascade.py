@@ -178,9 +178,21 @@ def eligible_triples(sample: CascadeSample):
 
 
 def _least_gap(a: list, b: list):
-    """min |s - t| over s in a and t in b, both sorted and nonempty."""
-    best = math.inf
+    """min |s - t| over s in a and t in b, both sorted and nonempty.
+
+    One bisection of a[0] into b first: when no member of b lies in the hull
+    [a[0], a[-1]], every t in b is below a[0] or above a[-1], so the least gap
+    is a[0] minus its left neighbour in b or a[-1]'s right neighbour minus
+    a[-1], exactly.  Otherwise each member of a is bisected into b."""
+    lo = a[0]
     n = len(b)
+    j = bisect_left(b, lo)
+    if j == n or b[j] > a[-1]:
+        best = b[j] - a[-1] if j < n else math.inf
+        if j and lo - b[j - 1] < best:
+            best = lo - b[j - 1]
+        return best
+    best = math.inf
     for s in a:
         j = bisect_left(b, s)
         if j < n and b[j] - s < best:
@@ -199,31 +211,36 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
     siblings of x after it.  So for each parent w and child x one inequality,
     3·mingap(sub x, later) >= |x - w|, covers |sub x|·|later| triples, where
     ``later`` holds the sorted numerators of those subtrees; the least gap is
-    found by binary search of each member of sub x in ``later``.  The walk
-    goes from the deepest nodes up, merging each subtree's sorted numerators
-    into its parent's.  Only when an inequality fails are the violators
-    listed, by check_separation on each eligible triple.
+    found by binary search in ``later`` (_least_gap: of sub x's hull ends
+    when no member of ``later`` falls inside that hull, the usual case, else
+    of each member of sub x).  One walk over the nodes from the last up (in
+    level order, and in label order under each parent, so every node comes
+    after its subtree and its later siblings' subtrees) merges each
+    subtree's sorted numerators into its parent's; a leaf's are its own.
+    Only when an inequality fails are the violators listed, by
+    check_separation on each eligible triple.
     """
     nums = sample.nums
-    children: dict[tuple, list] = {}
-    for n in sample.nodes:  # in label order under each parent
-        if n:
-            children.setdefault(n[:-1], []).append(n)
-    below: dict[tuple, list] = {}  # node -> sorted numerators of its subtree
+    # node -> sorted numerators of the subtrees of the children walked so far
+    merged: dict[tuple, list] = {}
     checked = 0
     hit = False
-    for w in reversed(sample.nodes):
-        later: list = []
-        for x in reversed(children.get(w, ())):
-            sub = below.pop(x)
-            if later:
-                checked += len(sub) * len(later)
-                hit = hit or 3 * _least_gap(sub, later) < abs(nums[x] - nums[w])
-                later = sorted(later + sub)  # a merge of two sorted runs
-            else:
-                later = sub
-        insort(later, nums[w])
-        below[w] = later
+    for x in reversed(sample.nodes):
+        if not x:  # the root, last: no sibling, no inequality
+            break
+        sub = merged.pop(x, None)
+        if sub is None:  # a leaf
+            sub = [nums[x]]
+        else:
+            insort(sub, nums[x])
+        w = x[:-1]
+        later = merged.get(w)
+        if later is None:
+            merged[w] = sub
+        else:
+            checked += len(sub) * len(later)
+            hit = hit or 3 * _least_gap(sub, later) < abs(nums[x] - nums[w])
+            merged[w] = sorted(later + sub)  # a merge of two sorted runs
     if not hit:
         return checked, []
     triples = eligible_triples(sample)
@@ -250,6 +267,18 @@ def check_sample_capacity(depth: int, branching: int) -> int:
     return bits
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw in [0, n), n >= 1, by CPython's rule for ``randrange(n)``: k =
+    n.bit_length() bits, drawn again while they read n or more.  Python
+    promises only ``random()``'s sequence across versions, so the kit owns
+    this rule and its samples depend on ``getrandbits`` alone."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     """Deterministic-from-seed sample satisfying both admissibility conditions
     by construction: ancestor gaps drawn first, children placed strictly
@@ -269,6 +298,11 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     The shifts below are checked anyway, and raise rather than round.  The
     numerators are then reduced to the least power-of-two scale.
 
+    The draws are those of ``random.Random(seed)``'s ``randrange(1, 128)``
+    and ``randrange(2)``, made by the kit's own rule (_below) from
+    ``getrandbits``: the same values and the same bits consumed, without
+    ``randrange``'s two Python frames per draw.
+
     The sample holds only those integers and the scale; its ``values`` are
     derived from them on request.  Its nodes, the complete tree with labels
     1..branching, come out in level order by construction (each level's
@@ -279,7 +313,7 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     more than SAMPLE_BITS_CAP numerator bits (check_sample_capacity).
     """
     bits = check_sample_capacity(depth, branching)
-    draw = random.Random(seed).randrange
+    getbits = random.Random(seed).getrandbits
     one = 1 << bits
     labels = range(1, branching + 1)
     nums = {(): 0}
@@ -300,11 +334,11 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
                     raise ArithmeticError(f"inexact quarter gap at scale 2^{bits}")
                 eps = low >> 2
             while True:
-                off = eps * draw(1, 128)
+                off = eps * (1 + _below(getbits, 127))
                 if off & 255:
                     raise ArithmeticError(f"inexact offset at scale 2^{bits}")
                 g = off >> 8
-                pos = v + g if draw(2) else v - g
+                pos = v + g if _below(getbits, 2) else v - g
                 if pos not in ancestors:
                     break
             child = node + (k,)

@@ -33,13 +33,19 @@ def _parse_node(text: str) -> tuple:
         raise ValueError(f"node syntax is comma-separated decimal entries: {text!r}") from exc
 
 
-def _parse_point(text: str, tail: bool) -> alph.PointPrefix:
-    """A point prefix of the space: entry i must be a member of A_i."""
+def _parse_members(text: str, what: str) -> tuple:
+    """Entries of a node or point prefix of the space: entry i must be a
+    member of A_i; ``what`` names the argument in the refusal."""
     entries = _parse_node(text)
     for i, v in enumerate(entries):
         if not alph.member_valid(i, v):
-            raise ValueError(f"point coordinate {i} is not in the alphabet A_{i}")
-    return alph.PointPrefix.from_entries(entries, tail_ones=tail)
+            raise ValueError(f"{what} coordinate {i} is not in the alphabet A_{i}")
+    return entries
+
+
+def _parse_point(text: str, tail: bool) -> alph.PointPrefix:
+    """A point prefix of the space."""
+    return alph.PointPrefix.from_entries(_parse_members(text, "point"), tail_ones=tail)
 
 
 def _entry_json(v):
@@ -217,7 +223,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    s, t = _parse_node(args.s), _parse_node(args.t)
+    s, t = _parse_members(args.s, "s"), _parse_members(args.t, "t")
     result = rel.psi(s, t)
     if result.rank is None:
         _emit("none\n", args.out)

@@ -7,10 +7,13 @@ explicit index bounds; an exhausted horizon counts as inconclusive, never as
 a failure.  Deliberate faults, planted here over the layers' functions, let
 the test suite confirm that each check actually bites.
 
-A suite's signature is its whole interface: ``hurewicz-kit verify`` offers a
-suite the flags its parameters name and passes on only the flags given, so
-every default is the signature's.  A suite refuses a fault it cannot plant,
-and a negative count, before it does any work.
+A suite's signature is its whole interface: ``hurewicz-kit verify`` passes a
+suite only the flags given, each to the parameter of its name, so every
+default is the signature's.  The CLI has flags for the integer parameters
+named in ``cli._VERIFY_FLAGS`` and for ``fault``; the rest (``include``,
+``extensions``, the good suite's pair bounds, the cascade's shape bounds)
+only the library can set.  A suite refuses a fault it cannot plant, and a
+negative count, before it does any work.
 """
 
 from __future__ import annotations

@@ -147,10 +147,74 @@ def test_fast_scan_agrees_with_slow_scan():
 
 def test_least_gap_matches_every_pair():
     rng = random.Random(4)
+    cases = [
+        ([-3, 5, 9], [-20, -8, -4]),  # b wholly left of a's hull
+        ([-3, 5, 9], [12, 30]),  # wholly right
+        ([-3, 5, 9], [-7, 10, 11]),  # on both sides, none inside
+        ([-3, 5, 9], [-40, 13]),  # both sides, the right one nearer
+        ([-3, 5, 9], [-3, 20]),  # touching a's left end
+        ([-3, 5, 9], [-9, 9]),  # touching its right end
+        ([-3, 5, 9], [4]),  # inside the hull
+        ([6], [2]), ([6], [9]), ([6], [6]), ([6], [1, 10]),  # single elements
+        ([1, 10], [6]), ([-5], [-6, -4]),
+    ]
     for _ in range(300):
         a = sorted(rng.sample(range(-40, 40), rng.randint(1, 6)))
         b = sorted(rng.sample(range(-40, 40), rng.randint(1, 9)))
+        cases.append((a, b))
+    for a, b in cases:
         assert cs._least_gap(a, b) == min(abs(s - t) for s in a for t in b), (a, b)
+
+
+def test_separation_walk_with_interleaved_sibling_subtrees(monkeypatch):
+    # (1)'s subtree spans (2)'s and (2, 1) falls between (1) and (1, 1), so
+    # the least gap of the root's children takes the per-member path
+    walks = []  # per walk, whether each least-gap call met an interleaving
+    true_gap = cs._least_gap
+
+    def gap(a, b):
+        walks[-1].append(any(a[0] <= t <= a[-1] for t in b))
+        return true_gap(a, b)
+
+    monkeypatch.setattr(cs, "_least_gap", gap)
+    v = {
+        (): Fraction(0),
+        (1,): Fraction(1, 2),
+        (2,): Fraction(1, 4),
+        (1, 1): Fraction(1, 8),
+        (1, 2): Fraction(3, 4),
+        (2, 1): Fraction(3, 8),
+        (2, 2): Fraction(5, 8),
+        (2, 1, 1): Fraction(7, 16),
+    }
+    samples = [
+        cs.CascadeSample.from_values({**v, (1, 1): v[(1, 1)] + shift})
+        for shift in (Fraction(0), Fraction(-1, 3))
+    ]
+    # (2) between (1) and its far child: interleaved, and the inequality holds
+    samples.append(cs.CascadeSample.from_values(
+        {(): Fraction(0), (1,): Fraction(1, 100), (1, 1): Fraction(1), (2,): Fraction(1, 2)}
+    ))
+    for sample in samples:
+        walks.append([])
+        checked, bad = cs.check_separation_all(sample)
+        assert (checked, bad) == _slow_scan(sample)
+    # the root's children, last in each walk, interleave; below them the
+    # first walk takes the hull path
+    assert all(walk[-1] for walk in walks) and not all(walks[0])
+    assert not bad and checked == 2  # the last sample holds the inequality
+
+
+def test_below_draws_as_randrange():
+    # the kit's draw rule against CPython's randrange: the same values, and
+    # the same generator state after, so the same bits consumed
+    sizes = [*range(1, 301)]
+    sizes += [2**k + e for k in range(1, 71) for e in (-1, 0, 1)]
+    for seed in (0, 1, 7, 2718281):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            assert cs._below(ours.getrandbits, n) == theirs.randrange(n), (seed, n)
+        assert ours.getstate() == theirs.getstate(), seed
 
 
 def test_sampled_implication_holds():

@@ -210,6 +210,16 @@ def test_psi(capsys):
     assert code == 2 and "usage" in err
 
 
+@pytest.mark.parametrize(
+    "s, t, arg, i",
+    [("5", "5", "s", 0), ("-1", "-1", "s", 0), ("1", "5", "t", 0), ("1,1,7", "1,1,1", "s", 2)],
+)
+def test_psi_refuses_nodes_outside_the_space(capsys, s, t, arg, i):
+    code, out, err = run(capsys, "psi", s, t)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {arg} coordinate {i} is not in the alphabet A_{i}\n"
+
+
 def test_chain(capsys):
     code, out, _ = run(capsys, "chain", "1,1,1", "1,1,900", "--length", "3")
     assert code == 0 and out.count("--") == 1

@@ -203,12 +203,13 @@ def enumerate_nodes(p: int) -> list[tuple]:
 def member_valid(level: int, v) -> bool:
     """Whether ``v`` belongs to the level's alphabet: 1, or the code of u⌢1
     with u a valid depth-``level`` node."""
-    if v == 1:
-        return True
+    # a factored code is never 1, so it skips the test for 1
     if isinstance(v, SymbolicCode):
         if v.length != level + 1 or v.entry(level) != 1:
             return False
         return all(member_valid(p, w) for p, w in v.items)
+    if v == 1:
+        return True
     if not isinstance(v, int):
         return False
     return _int_member_valid(level, v)
@@ -338,7 +339,10 @@ class PointPrefix:
             raise ValueError("with_overrides cannot shorten the prefix")
         values = self.override_map
         for p, v in added:
-            if not 0 <= p < length or p in values or v == 1:
+            # a factored code never equals 1: skip its Python-level __eq__
+            if not 0 <= p < length or p in values or (
+                v.__class__ is not SymbolicCode and v == 1
+            ):
                 raise ValueError("added override must set a 1 inside the prefix")
         if len({p for p, _ in added}) != len(added):
             raise ValueError("added overrides repeat a position")

@@ -1,4 +1,5 @@
-"""Shared error types and the three-valued outcome used by finite-prefix checks."""
+"""Shared error types, the three-valued outcome used by finite-prefix checks,
+and the kit's rule for a uniform random draw."""
 
 from __future__ import annotations
 
@@ -37,3 +38,16 @@ class Tri(enum.Enum):
     def __bool__(self) -> bool:
         # forbid accidental `if in_domain(...)`: compare against members instead
         raise TypeError("tri-state outcome is not a boolean")
+
+
+def _below(getrandbits, n: int) -> int:
+    """A draw in [0, n), n >= 1, by CPython's rule for ``randrange(n)``: k =
+    n.bit_length() bits, drawn again while they read n or more.  Python
+    promises only ``random()``'s sequence across versions, so the kit owns
+    this rule and its samples depend on ``getrandbits`` alone.
+    ``seq[_below(bits, len(seq))]`` is ``choice(seq)`` by the same rule."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

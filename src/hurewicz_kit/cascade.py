@@ -27,7 +27,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import CapacityError
+from .base import CapacityError, _below
 
 # Numerator bits a generated sample may hold (node count times the bits of
 # its scale, see gen_cascade), refused before any work.  The default suite
@@ -265,18 +265,6 @@ def check_sample_capacity(depth: int, branching: int) -> int:
                 f"least {count} nodes of {bits} bits; the cap is {SAMPLE_BITS_CAP} bits"
             )
     return bits
-
-
-def _below(getrandbits, n: int) -> int:
-    """A draw in [0, n), n >= 1, by CPython's rule for ``randrange(n)``: k =
-    n.bit_length() bits, drawn again while they read n or more.  Python
-    promises only ``random()``'s sequence across versions, so the kit owns
-    this rule and its samples depend on ``getrandbits`` alone."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:

@@ -117,13 +117,17 @@ def apply(b: BranchIndex, x: PointPrefix) -> PointPrefix:
 
 def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPrefix:
     """Image of x under the map that rewrites the must-be-1 indices of the
-    domain ``cons`` (b names the branch in errors).
+    domain ``cons`` (b names the branch in errors).  ``apply`` passes b's
+    own constraint; a suite that holds a table of constraints passes the
+    one it holds.
 
     Raises DomainError when x is decidably outside the domain and HorizonError
     (carrying the needed index) when the prefix is too short to decide.  A
     decided membership has read every rewritten index, so every rewrite is
     readable too, and x reads 1 there: the rewrites are added to x's
-    overrides.
+    overrides.  The overrides are walked once, in step with the sorted
+    must-be-1 indices: the rewrite at q codes x's length-(q+1) prefix, whose
+    non-1 entries are the overrides before the first one past q.
     """
     membership = cons.membership(x)
     if membership is Tri.NO:
@@ -131,9 +135,14 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
     if membership is Tri.UNKNOWN:
         needed = max(cons.ones + cons.non_ones)
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
+    items = x.overrides
+    end = len(items)
+    lo = 0
     rewrites = []
     for q in cons.ones:
-        rewrites.append((q, _rewrite_value(x, q)))
+        while lo < end and items[lo][0] < q:
+            lo += 1
+        rewrites.append((q, make_code_value_sparse(q + 1, items[:lo], canonical=True)))
     return x.with_overrides(max(x.length, cons.ones[-1] + 1), tuple(rewrites))
 
 

@@ -241,12 +241,19 @@ def _seq_bits_scaled(length: int, items) -> int | None:
 
 
 def all_ones_log2_floor(length: int) -> int:
-    """A lower bound on log2 of the code of (1,) * length (length >= 1),
-    without building it: twice the sum of the scaled prime logs, each within
-    one unit of the true scaled log, less two units per position.  Extends
-    the prime-log table to the length, so callers bound the length first."""
+    """A lower bound on log2 of the code of (1,) * length (length >= 1):
+    ``repeated_code_log2_floor(length, 1)``."""
+    return repeated_code_log2_floor(length, 1)
+
+
+def repeated_code_log2_floor(length: int, entry: int) -> int:
+    """A lower bound on log2 of the code of (entry,) * length (length >= 1),
+    without building it: entry + 1 times the sum of the scaled prime logs,
+    each within one unit of the true scaled log, less entry + 1 units per
+    position.  Extends the prime-log table to the length, so callers bound
+    the length first."""
     _extend_log2q(length)
-    return (2 * _cum_log2q[length] - 2 * length) // _LOG2_SCALE
+    return (entry + 1) * (_cum_log2q[length] - length) // _LOG2_SCALE
 
 
 def make_code_value(seq: Sequence) -> "int | SymbolicCode":

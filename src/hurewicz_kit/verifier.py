@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress, count
 
-from .base import CapacityError, Tri
+from .base import CapacityError, Tri, _below
 from . import alphabet as alph
 from . import cascade as casc
 from . import departure as dep
@@ -31,7 +31,12 @@ from . import good_sequence as good
 from . import relations as rel
 from .alphabet import PointPrefix, first_disagreement, member_cmp, member_valid
 from .departure import BranchIndex, CylinderConstraint
-from .prime_coding import SymbolicCode, make_code_value_sparse, render_value
+from .prime_coding import (
+    SymbolicCode,
+    make_code_value_sparse,
+    render_value,
+    repeated_code_log2_floor,
+)
 
 FAULT_REWRITE_OFF_BY_ONE = "rewrite-off-by-one"
 FAULT_DROP_NON_ONES = "drop-non-ones"
@@ -63,7 +68,11 @@ HORIZON_CAP = 10**6
 # index-map checks read every index map on [0, horizon); the witness check
 # builds and checks one witness per ordered pair of distinct indices and word.
 # Acceptance gate 6 reads 85 maps x 10^5 values and makes 156 x 8191 = 1.28M
-# witness checks; the horizon cap at the default maps reads 8.5 x 10^7.
+# witness checks; the horizon cap at the default maps reads 8.5 x 10^7.  A
+# map's codes and divisors, and so its values, grow with the index entries,
+# so the reads are also capped in 64-bit words of the family's largest code
+# (maps x horizon x words): one word at gate 6 and the defaults, 1,563 at
+# max_s_len 1 and max_entry 10^5.
 INDEX_MAP_READ_CAP = 10**8
 WITNESS_CHECK_CAP = 1 << 22
 
@@ -174,14 +183,23 @@ def _require_naturals(suite: str, **counts: int) -> None:
 # --- sampling helpers --------------------------------------------------------
 
 
-def _noise_member(level: int, rng: random.Random):
+def _noise_value(level: int, bits):
+    """A noise draw for a coordinate of this level, by ``choice``'s rule
+    (``_below``) on ``getrandbits`` ``bits``: a member of the level's
+    alphabet, or None when the member drawn is 1 (every alphabet lists 1
+    first).  From level 4 on, where the alphabet is not built, the draw is
+    among 1 and the codes of (1, ..., 1) and (4, 1, ..., 1), building only
+    the one drawn."""
     if level < 4:
-        return rng.choice(alph.alphabet_at(level))
-    # the draw rng.choice would make among the three, building only the one drawn
-    pick = rng.randrange(3)
+        members = alph.alphabet_at(level)
+        k = _below(bits, len(members))
+        return members[k] if k else None
+    pick = _below(bits, 3)
     if pick == 0:
-        return 1
-    return make_code_value_sparse(level + 1, () if pick == 1 else ((0, 4),))
+        return None
+    return make_code_value_sparse(
+        level + 1, () if pick == 1 else ((0, 4),), canonical=True
+    )
 
 
 def _non_one_members(level: int) -> tuple:
@@ -191,8 +209,8 @@ def _non_one_members(level: int) -> tuple:
     if level < 4:
         return alph.alphabet_at(level)[1:]
     return (
-        make_code_value_sparse(level + 1, ((0, 4),)),
-        make_code_value_sparse(level + 1, ()),
+        make_code_value_sparse(level + 1, ((0, 4),), canonical=True),
+        make_code_value_sparse(level + 1, (), canonical=True),
     )
 
 
@@ -201,9 +219,13 @@ class _SamplePlan:
 
     Built once per branch from its constraint: the blocked indices (every
     constrained one) and, for each must-not-be-1 index, the tuple of members
-    ``rng.choice`` picks its value from.  A draw reads its explicit length
-    past the top rewritten index, a value for each must-not-be-1 index, and
-    up to three noise coordinates at unblocked indices, in that order.
+    its value is drawn from.  A draw takes a generator's ``getrandbits``
+    and reads, by ``_below`` (``randrange``'s rule, and ``choice``'s as
+    ``seq[_below(bits, len(seq))]``), its explicit length past the top
+    rewritten index, a value for each must-not-be-1 index, and up to three
+    noise coordinates at unblocked indices, in that order: the values and
+    the bits ``random.Random``'s own ``randrange`` and ``choice`` would
+    draw.
     """
 
     __slots__ = ("top", "blocked", "non_ones")
@@ -213,15 +235,15 @@ class _SamplePlan:
         self.blocked = frozenset(cons.ones + cons.non_ones)
         self.non_ones = tuple((q, _non_one_members(q)) for q in cons.non_ones)
 
-    def draw(self, rng: random.Random) -> PointPrefix:
-        length = self.top + 1 + rng.randrange(3)
-        overrides = {q: rng.choice(members) for q, members in self.non_ones}
-        for _ in range(rng.randrange(4)):
-            i = rng.randrange(length)
+    def draw(self, bits) -> PointPrefix:
+        length = self.top + 1 + _below(bits, 3)
+        overrides = {q: m[_below(bits, len(m))] for q, m in self.non_ones}
+        for _ in range(_below(bits, 4)):
+            i = _below(bits, length)
             if i in self.blocked:
                 continue
-            v = _noise_member(i, rng)
-            if v != 1:
+            v = _noise_value(i, bits)
+            if v is not None:
                 overrides[i] = v
         return PointPrefix(length, overrides.items(), tail_ones=True)
 
@@ -230,15 +252,19 @@ class _SamplePlan:
 
 
 def _branch_maps(fault: str | None) -> tuple:
-    """The constraint and apply functions a branch suite runs with: the
-    departure layer's own, looked up when the suite runs (so a function
-    swapped into the layer is the one run), or the pair a branch fault
-    plants over them."""
+    """The constraint and image functions a branch suite runs with.  The
+    image function takes (b, cons, x), cons being the constraint function's
+    value at b, which the suite holds in its table, so no image looks a
+    constraint up again.  With no fault they are the departure layer's
+    ``constraints`` and ``image``, looked up when the suite runs (so a
+    function swapped into the layer is the one run); drop-non-ones swaps in
+    constraints with no must-not-be-1 index, over which ``image`` rewrites
+    unchanged; rewrite-off-by-one wraps ``image``."""
     if fault == FAULT_DROP_NON_ONES:
-        return _dropped_constraints, _dropped_image
+        return _dropped_constraints, dep.image
     if fault == FAULT_REWRITE_OFF_BY_ONE:
         return dep.constraints, _off_by_one_image
-    return dep.constraints, dep.apply
+    return dep.constraints, dep.image
 
 
 def _dropped_constraints(b: BranchIndex) -> CylinderConstraint:
@@ -246,26 +272,21 @@ def _dropped_constraints(b: BranchIndex) -> CylinderConstraint:
     return CylinderConstraint(dep.constraints(b).ones, ())
 
 
-def _dropped_image(b: BranchIndex, x: PointPrefix) -> PointPrefix:
-    """The drop-non-ones fault's branch map: the rewrite of b's must-be-1
-    indices on the larger domain ``_dropped_constraints(b)``."""
-    return dep.image(b, _dropped_constraints(b), x)
-
-
-def _off_by_one_image(b: BranchIndex, x: PointPrefix) -> PointPrefix:
-    """The rewrite-off-by-one fault: b's image with every rewritten value
+def _off_by_one_image(
+    b: BranchIndex, cons: CylinderConstraint, x: PointPrefix
+) -> PointPrefix:
+    """The rewrite-off-by-one fault: the image with every rewritten value
     increased by one (a factored value gains a final entry off by one)."""
-    y = dep.apply(b, x)
-    ones = dep.constraints(b).ones
+    y = dep.image(b, cons, x)
     rewrites = []
-    for q in ones:
+    for q in cons.ones:
         v = y.coord(q)
         if isinstance(v, int):
             v += 1
         else:
             v = SymbolicCode(v.length, v.items + ((v.length - 1, 2),))
         rewrites.append((q, v))
-    return y.without(set(ones)).with_overrides(y.length, tuple(rewrites))
+    return y.without(set(cons.ones)).with_overrides(y.length, tuple(rewrites))
 
 
 # --- departure suite ---------------------------------------------------------
@@ -318,7 +339,7 @@ def verify_departure(
         # a relation census over the node cap is refused before branch work
         alph.require_node_count(relations_depth)
     checks: list[Check] = []
-    constraints, apply = _branch_maps(fault)
+    constraints, image = _branch_maps(fault)
     # every branch within the horizon with its constraint, by top index, and
     # each stem's branches in that order
     cons_of = {b: constraints(b) for b in dep.branches_within(horizon)}
@@ -327,7 +348,7 @@ def verify_departure(
         by_stem.setdefault(b.s, []).append((b, cons))
 
     if "branch-axioms" in include:
-        checks.extend(_branch_axiom_checks(cons_of, by_stem, samples, seed, apply))
+        checks.extend(_branch_axiom_checks(cons_of, by_stem, samples, seed, image))
     if "density" in include:
         checks.append(_density_check(depth, horizon, by_stem, constraints))
     if "relations" in include:
@@ -335,10 +356,14 @@ def verify_departure(
     return VerificationReport("departure", params, checks)
 
 
-def _branch_axiom_checks(cons_of, by_stem, samples, seed, apply):
+def _branch_axiom_checks(cons_of, by_stem, samples, seed, image):
     """The branch-map axioms on every branch of ``cons_of`` (branch ->
-    constraint) with the suite's ``apply``.  A branch's parent is within the
-    horizon too: its must-be-1 indices are some of the branch's."""
+    constraint) with the suite's ``image``, each image under the constraint
+    the table holds.  A branch's parent is within the horizon too: its
+    must-be-1 indices are some of the branch's.
+
+    A sample's checks count a pass and build no payload; only a failure
+    builds one."""
     wellformed = Check("constraint-wellformedness")
     lex = Check("lex-increase")
     stab = Check("stabilization-beyond-top")
@@ -347,80 +372,85 @@ def _branch_axiom_checks(cons_of, by_stem, samples, seed, apply):
     nested = Check("nested-domains")
     bound = Check("stability-bound")
     disjoint = Check("branch-disjointness")
+    lex_ok = stab_ok = closure_ok = inject_ok = bound_ok = 0
 
     for b, cons in cons_of.items():
-        increasing = all(a < c for a, c in zip(cons.ones, cons.ones[1:]))
+        ones = cons.ones
+        increasing = all(a < c for a, c in zip(ones, ones[1:]))
         wellformed.require(
-            increasing and not (set(cons.ones) & set(cons.non_ones)),
+            increasing and not (set(ones) & set(cons.non_ones)),
             branch=b,
-            ones=cons.ones,
+            ones=ones,
             non_ones=cons.non_ones,
         )
 
         top_index = b.top_index()
-        top = cons.ones[-1]
-        plan = _SamplePlan(cons)
-        rng = random.Random(seed * 1_000_003 + top_index)
+        first, past = ones[0], ones[-1] + 1
+        draw = _SamplePlan(cons).draw
+        bits = random.Random(seed * 1_000_003 + top_index).getrandbits
         seen: dict = {}
         for _ in range(samples):
-            x = plan.draw(rng)
-            y = apply(b, x)
+            x = draw(bits)
+            y = image(b, cons, x)
             fd = first_disagreement(x, y)
-            lex.require(
+            if (
                 isinstance(fd, int)
-                and fd == cons.ones[0]
-                and member_cmp(fd, x.coord(fd), y.coord(fd)) < 0,
-                branch=b,
-                point=x,
-                image=y,
-                first_disagreement=fd,
-            )
-            # both overrides are canonical and both tails all 1s
-            stab.require(
-                x.overrides_from(top + 1) == y.overrides_from(top + 1),
-                branch=b,
-                point=x,
-                image=y,
-            )
-            if all(y.coord(q) != 1 and member_valid(q, y.coord(q)) for q in cons.ones):
-                closure.ok()
+                and fd == first
+                and member_cmp(fd, x.coord(fd), y.coord(fd)) < 0
+            ):
+                lex_ok += 1
             else:
-                # rendering is costly: only a kept counterexample is rendered
-                rewrites = None if closure.full else tuple(
-                    render_value(y.coord(q)) for q in cons.ones
-                )
-                closure.fail(branch=b, point=x, rewrites=rewrites)
+                lex.fail(branch=b, point=x, image=y, first_disagreement=fd)
+            # both overrides are canonical and both tails all 1s
+            if x.overrides_from(past) == y.overrides_from(past):
+                stab_ok += 1
+            else:
+                stab.fail(branch=b, point=x, image=y)
+            for q in ones:
+                v = y.coord(q)
+                # a factored code is never 1
+                if (v.__class__ is not SymbolicCode and v == 1) or not member_valid(q, v):
+                    # rendering is costly: only a kept counterexample is rendered
+                    rewrites = None if closure.full else tuple(
+                        render_value(y.coord(q)) for q in ones
+                    )
+                    closure.fail(branch=b, point=x, rewrites=rewrites)
+                    break
+            else:
+                closure_ok += 1
             xk = x.key()
             if seen.setdefault(y.key(), xk) != xk:
                 inject.fail(branch=b, image=y, point=x)
             else:
-                inject.ok()
+                inject_ok += 1
 
         # extensions of b inside the horizon: nested domains + disagreement bound
         if b.s:
             parent = BranchIndex(b.s[:-1], b.t[:-1])
             pcons = cons_of[parent]
             nested.require(
-                set(pcons.ones) <= set(cons.ones)
+                set(pcons.ones) <= set(ones)
                 and set(pcons.non_ones) <= set(cons.non_ones),
                 child=b,
                 parent=parent,
             )
-            rng2 = random.Random(seed * 2_000_003 + top_index)
+            bits = random.Random(seed * 2_000_003 + top_index).getrandbits
             for _ in range(samples):
-                x = plan.draw(rng2)
+                x = draw(bits)
                 if pcons.membership(x) is not Tri.YES:
                     nested.fail(child=b, parent=parent, point=x)
                     continue
-                fd = first_disagreement(apply(b, x), apply(parent, x))
-                bound.require(
-                    isinstance(fd, int) and fd >= top_index,
-                    child=b,
-                    parent=parent,
-                    point=x,
-                    first_disagreement=fd,
-                )
+                fd = first_disagreement(image(b, cons, x), image(parent, pcons, x))
+                if isinstance(fd, int) and fd >= top_index:
+                    bound_ok += 1
+                else:
+                    bound.fail(child=b, parent=parent, point=x, first_disagreement=fd)
 
+    lex.ok(lex_ok)
+    stab.ok(stab_ok)
+    closure.ok(closure_ok)
+    inject.ok(inject_ok)
+    bound.ok(bound_ok)
     for stem, group in sorted(by_stem.items()):
         for i, (b1, c1) in enumerate(group):
             for b2, c2 in group[i + 1 :]:
@@ -576,16 +606,18 @@ def verify_no_isolated(
     nodes = alph.enumerate_nodes(depth)
     picked = sorted(rng.sample(range(len(nodes)), min(samples, len(nodes))))
     points = [alph.ALL_ONES] + [alph.point_from_node(nodes[i]) for i in picked]
-    constraints, apply = _branch_maps(fault)
+    constraints, image = _branch_maps(fault)
     cons_of = {b: constraints(b) for b in dep.branches_within(horizon)}
     prec = depth + 2
     ceiling = 1 + len(dep.branches_within(prec))
 
     for x in points:
-        applicable = [b for b, cons in cons_of.items() if cons.membership(x) is Tri.YES]
+        applicable = [
+            (b, cons) for b, cons in cons_of.items() if cons.membership(x) is Tri.YES
+        ]
         prefixes = set()
-        for b in applicable:
-            y = apply(b, x)
+        for b, cons in applicable:
+            y = image(b, cons, x)
             prefixes.add(tuple(y.coord(i) for i in range(prec)))
             base_image = y
             for n in range(extensions):
@@ -598,7 +630,7 @@ def verify_no_isolated(
                 if ext.top_index() > 10**7:
                     approx.skip()
                     continue
-                fd = first_disagreement(apply(ext, x), base_image)
+                fd = first_disagreement(image(ext, constraints(ext), x), base_image)
                 approx.require(
                     isinstance(fd, int) and fd >= ext.top_index(),
                     base=b,
@@ -636,9 +668,9 @@ def verify_arrival_scan(
         alph.point_from_node(nd) for nd in alph.enumerate_nodes(depth)
     ]
     # one extra point per branch from inside its image, so inverses get traffic
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     for b in branches:
-        x = _SamplePlan(dep.constraints(b)).draw(rng)
+        x = _SamplePlan(dep.constraints(b)).draw(bits)
         points.append(dep.apply(b, x))
 
     findings = []
@@ -716,10 +748,18 @@ def verify_good_sequence(
     # a map counts at least once, and the agreement check builds the length-1
     # maps even at max_s_len 0
     maps = _family_size(max(max_s_len, 1), max_entry, INDEX_MAP_READ_CAP)
-    if maps * max(horizon, 1) > INDEX_MAP_READ_CAP:
+    reads = maps * max(horizon, 1)
+    if reads > INDEX_MAP_READ_CAP:
         raise CapacityError(
             f"max_s_len {max_s_len}, max_entry {max_entry} and horizon {horizon} "
             f"read more than {INDEX_MAP_READ_CAP} index-map values (maps x horizon)"
+        )
+    code_words = _code_words(max(max_s_len, 1), max_entry, INDEX_MAP_READ_CAP // reads)
+    if reads * code_words > INDEX_MAP_READ_CAP:
+        raise CapacityError(
+            f"max_s_len {max_s_len}, max_entry {max_entry} and horizon {horizon} "
+            f"read more than {INDEX_MAP_READ_CAP} 64-bit words of index-map values "
+            "(maps x horizon x words of the largest code)"
         )
     indices = _family_size(pair_max_len, pair_max_entry, WITNESS_CHECK_CAP)
     pairs = indices * (indices - 1)
@@ -827,6 +867,22 @@ def _family_size(max_len: int, max_entry: int, limit: int) -> int:
         if size > limit:
             return limit + 1
     return size
+
+
+def _code_words(max_len: int, max_entry: int, limit: int) -> int:
+    """A lower bound on the 64-bit words of the largest code an index family
+    builds, code((max_entry,) * max_len), and at least 1; limit + 1 when over
+    ``limit`` (>= 1).  Read from the prime logs, without building any code.
+
+    ``repeated_code_log2_floor`` bounds its log2 from below.
+    Each position adds at least max_entry + 1 bits, so the first
+    64 * limit + 1 positions already pass the limit, and the prime-log table
+    is extended no further."""
+    if max_entry == 0 or max_len == 0:
+        return 1  # the family is (): no code is built
+    n = min(max_len, 64 * limit + 1)
+    bits = repeated_code_log2_floor(n, max_entry)
+    return min(max(1, -(-bits // 64)), limit + 1)
 
 
 def _all_words(max_len: int):

@@ -84,9 +84,9 @@ def test_member_valid_matches_uncached_oracle():
         cons = dep.constraints(b)
         plan = vf._SamplePlan(cons)
         for _ in range(4):
-            x = plan.draw(rng)
-            for apply in (dep.apply, vf._branch_maps(vf.FAULT_REWRITE_OFF_BY_ONE)[1]):
-                y = apply(b, x)
+            x = plan.draw(rng.getrandbits)
+            for image in (dep.image, vf._branch_maps(vf.FAULT_REWRITE_OFF_BY_ONE)[1]):
+                y = image(b, cons, x)
                 for q in cons.ones:
                     verdicts.add(_assert_member_valid_matches_oracle(q, y.coord(q)))
                     _assert_member_valid_matches_oracle(q - 1, y.coord(q))

@@ -5,7 +5,7 @@ import pytest
 
 from hurewicz_kit import cascade as cs
 from hurewicz_kit import verifier as vf
-from hurewicz_kit.base import CapacityError
+from hurewicz_kit.base import CapacityError, _below
 
 import oracles
 
@@ -213,7 +213,20 @@ def test_below_draws_as_randrange():
     for seed in (0, 1, 7, 2718281):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in sizes:
-            assert cs._below(ours.getrandbits, n) == theirs.randrange(n), (seed, n)
+            assert _below(ours.getrandbits, n) == theirs.randrange(n), (seed, n)
+        assert ours.getstate() == theirs.getstate(), seed
+
+
+def test_below_draws_as_choice():
+    # seq[_below(bits, len(seq))], the departure sampler's choice, against
+    # CPython's choice in lockstep: the same members and the same state after
+    seqs = [tuple(range(100, 100 + n)) for n in range(1, 65)]
+    for seed in (0, 1, 7, 2718281):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            for seq in seqs:
+                got = seq[_below(ours.getrandbits, len(seq))]
+                assert got == theirs.choice(seq), (seed, len(seq))
         assert ours.getstate() == theirs.getstate(), seed
 
 

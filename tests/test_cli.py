@@ -326,6 +326,17 @@ def test_verify_good_suite_refuses_over_cap_sweeps(capsys, argv):
     assert err.startswith("capacity error: ") and "more than" in err
 
 
+def test_verify_good_suite_refuses_large_codes(capsys):
+    # inside the count caps (100,001 maps x 800 reads), over them in 64-bit
+    # words of the largest code
+    code, out, err = run(
+        capsys, "verify", "good-suite", "--max-s-len", "1", "--max-entry", "100000",
+        "--horizon", "800", "--max-u-len", "0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("capacity error: ") and "64-bit words" in err
+
+
 def test_verify_cascade_refuses_over_cap_shape_before_any_trial(capsys, monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran before the capacity test")

@@ -342,10 +342,11 @@ def test_apply_matches_rebuilding_oracle():
         plan = vf._SamplePlan(cons)
         rng = random.Random(b.top_index())
         for _ in range(20):
-            x = plan.draw(rng)
+            x = plan.draw(rng.getrandbits)
             _assert_canonical(x)
             for fault, (_, want) in BRANCH_MAPS.items():
-                y = vf._branch_maps(fault)[1](b, x)
+                constraints, image = vf._branch_maps(fault)
+                y = image(b, constraints(b), x)
                 _assert_canonical(y)
                 assert _fields(y) == _fields(want(b, x)), (b, fault)
             outcome, back = dep.apply_inverse(b, dep.apply(b, x))
@@ -354,9 +355,9 @@ def test_apply_matches_rebuilding_oracle():
             assert _fields(back) == _fields(x)
 
 
-def _apply_outcome(fn, b, x):
+def _apply_outcome(fn, *args):
     try:
-        y = fn(b, x)
+        y = fn(*args)
     except DomainError as exc:
         return ("domain", str(exc))
     except HorizonError as exc:
@@ -374,18 +375,18 @@ def test_apply_errors_match_rebuilding_oracle():
     rng = random.Random(5)
     seen = set()
     for b in branches:
-        x = vf._SamplePlan(dep.constraints(b)).draw(rng)
+        x = vf._SamplePlan(dep.constraints(b)).draw(rng.getrandbits)
         cuts = [rng.randrange(x.length + 1) for _ in range(3)] + [x.length]
         points = [x] + [
             al.PointPrefix(n, [(p, v) for p, v in x.overrides if p < n]) for n in cuts
         ]
         for other in rng.sample(branches, 5) + [b]:
             for fault, (_, want) in BRANCH_MAPS.items():
-                constraints, apply = vf._branch_maps(fault)
+                constraints, image = vf._branch_maps(fault)
                 cons = constraints(other)
                 for pt in points:
                     assert cons.membership(pt) is membership_by_coord(cons, pt)
-                    got = _apply_outcome(apply, other, pt)
+                    got = _apply_outcome(image, other, cons, pt)
                     assert got == _apply_outcome(want, other, pt), (other, fault)
                     seen.add(got[0])
     assert seen == {"domain", "horizon", "image"}

@@ -293,6 +293,16 @@ def test_all_ones_log2_floor_bounds_the_code():
         assert lb < ones.bit_length() <= lb + 2, length
 
 
+def test_repeated_code_log2_floor_bounds_the_code():
+    cases = [(n, e) for n in range(1, 40) for e in (0, 1, 2, 5, 40, 1000)]
+    cases += [(300, 2), (1000, 1), (1, 10**5)]
+    for length, entry in cases:
+        lb = pc.repeated_code_log2_floor(length, entry)
+        code = math.prod(pc.nth_prime(i) for i in range(length)) ** (entry + 1)
+        # 2**lb <= code < 2**(lb + 2): a lower bound, and a tight one
+        assert lb < code.bit_length() <= lb + 2, (length, entry)
+
+
 def test_code_values_refuse_negative_entries():
     with pytest.raises(ValueError, match="naturals"):
         pc.make_code_value((-1,))

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import random
+import time
 
 import pytest
 
@@ -94,7 +95,7 @@ def test_sample_plan_draws_match_oracle_sampler():
                 fast = random.Random(seed * 1_000_003 + b.top_index())
                 slow = random.Random(seed * 1_000_003 + b.top_index())
                 for _ in range(10):
-                    x, y = plan.draw(fast), sample_domain_point(cons, slow)
+                    x, y = plan.draw(fast.getrandbits), sample_domain_point(cons, slow)
                     assert (x.length, x.tail_ones, x.overrides) == (
                         y.length, y.tail_ones, y.overrides
                     ), (b, fault, seed)
@@ -104,19 +105,117 @@ def test_sample_plan_draws_match_oracle_sampler():
 def test_stabilization_check_catches_a_change_past_the_top(monkeypatch):
     """An image that differs from its point right after the top rewritten
     index fails the stabilization check."""
-    apply = dep.apply
+    image = dep.image
 
-    def leaky(b, x):
-        y = apply(b, x)
-        past = dep.constraints(b).ones[-1] + 1
+    def leaky(b, cons, x):
+        y = image(b, cons, x)
+        past = cons.ones[-1] + 1
         if y.coord(past) != 1:
             return y
         return y.with_overrides(max(y.length, past + 1), ((past, 4),))
 
-    monkeypatch.setattr(dep, "apply", leaky)
+    monkeypatch.setattr(dep, "image", leaky)
     r = vf.verify_departure(depth=1, horizon=300, samples=5, include=("branch-axioms",))
     stab = next(c for c in r.checks if c.name == "stabilization-beyond-top")
     assert stab.failed > 0
+    assert stab.passed + stab.failed == 16 * 5  # each sample counted once
+
+
+def _branch_axioms(**params) -> dict:
+    r = vf.verify_departure(depth=1, include=("branch-axioms",), **params)
+    return {c.name: c for c in r.checks}
+
+
+def _set_rewrite(y, q, v):
+    """y with the value v at its rewritten index q."""
+    return y.without({q}).with_overrides(y.length, ((q, v),))
+
+
+def test_lex_check_catches_an_unrewritten_first_index(monkeypatch):
+    """An image that leaves the first must-be-1 index at 1 first differs from
+    its point later or nowhere: every sample fails lex-increase, and none
+    counts as a pass."""
+    image = dep.image
+
+    def lazy(b, cons, x):
+        return image(b, cons, x).without({cons.ones[0]})
+
+    monkeypatch.setattr(dep, "image", lazy)
+    lex = _branch_axioms(horizon=300, samples=5)["lex-increase"]
+    assert (lex.passed, lex.failed) == (0, 16 * 5)
+
+
+def test_injectivity_check_catches_images_that_forget_noise(monkeypatch):
+    """An image that resets a point's noise coordinates to 1 sends points that
+    differ only there to one image; each sample still counts once."""
+    image = dep.image
+
+    def forgetful(b, cons, x):
+        kept = set(cons.non_ones)
+        return image(b, cons, x.without({p for p, _ in x.overrides if p not in kept}))
+
+    monkeypatch.setattr(dep, "image", forgetful)
+    inject = _branch_axioms(horizon=300, samples=20)["injectivity-on-samples"]
+    assert inject.failed > 0 and inject.passed + inject.failed == 16 * 20
+    assert {"branch", "image", "point"} == set(inject.counterexamples[0])
+
+
+def test_nested_check_catches_a_parent_domain_missing_its_extension(monkeypatch):
+    """Root-stem constraints with an extra must-not-be-1 index (1, which codes
+    no sequence) hold no extension's domain: each extension fails the
+    inclusion test once, and a sample fails the parent's membership unless
+    its noise happens to set coordinate 1; only those reach the stability
+    bound."""
+    constraints = dep.constraints
+
+    def widened(b):
+        c = constraints(b)
+        return c if b.s else dep.CylinderConstraint(c.ones, (1,) + c.non_ones)
+
+    monkeypatch.setattr(dep, "constraints", widened)
+    checks = _branch_axioms(horizon=300, samples=5)
+    nested, bound = checks["nested-domains"], checks["stability-bound"]
+    outside = nested.failed - 8
+    assert nested.passed == 0 and outside > 0
+    assert outside + bound.passed + bound.failed == 8 * 5
+    assert "point" in nested.counterexamples[1]
+
+
+def test_stability_bound_check_catches_an_extension_moving_a_shared_rewrite(
+    monkeypatch,
+):
+    """Extensions whose first rewrite differs from their parent's image there
+    (0, no alphabet member) disagree with it below their top index at every
+    sample."""
+    image = dep.image
+
+    def moved(b, cons, x):
+        y = image(b, cons, x)
+        return _set_rewrite(y, cons.ones[0], 0) if b.s else y
+
+    monkeypatch.setattr(dep, "image", moved)
+    checks = _branch_axioms(horizon=300, samples=5)
+    nested, bound = checks["nested-domains"], checks["stability-bound"]
+    assert (nested.passed, nested.failed) == (8, 0)
+    assert (bound.passed, bound.failed) == (0, 8 * 5)
+
+
+def test_closure_check_reads_every_rewritten_index(monkeypatch):
+    """One invalid member (0) at the middle of the three rewritten indices of
+    the one such branch below 2400 fails closure at exactly that branch's
+    samples, and is rendered among its rewrites."""
+    image = dep.image
+
+    def spoiled(b, cons, x):
+        y = image(b, cons, x)
+        return _set_rewrite(y, cons.ones[1], 0) if len(cons.ones) == 3 else y
+
+    monkeypatch.setattr(dep, "image", spoiled)
+    closure = _branch_axioms(horizon=2400, samples=3)["alphabet-closure"]
+    assert (closure.passed, closure.failed) == (40 * 3, 3)
+    for cex in closure.counterexamples:
+        assert cex["branch"] == "(s=[0, 0], t=[0, 0, 0])"
+        assert cex["rewrites"].split(",")[1] == "0 = 0"
 
 
 def test_arrival_scan_reports_findings():
@@ -524,6 +623,26 @@ def test_good_suite_refuses_over_cap_sweeps_before_work(monkeypatch, params):
     monkeypatch.setattr(vf, "_all_words", _stop)
     with pytest.raises(CapacityError, match="more than"):
         vf.verify_good_sequence(**params)
+
+
+def test_good_suite_refuses_large_codes_before_any_map(monkeypatch):
+    # 100,001 maps x 800 reads is inside the count cap, but the codes of
+    # index (100000) have 100,001 bits: 1,563 words a value.  Unrefused, the
+    # call ran about 96 s and peaked at 133 MB (2 CPUs, Python 3.11)
+    monkeypatch.setattr(vf, "_index_map_checks", _stop)
+    monkeypatch.setattr(vf, "_index_family", _stop)
+    monkeypatch.setattr(vf.good, "_index_map", _stop)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="64-bit words"):
+        vf.verify_good_sequence(
+            max_s_len=1, max_entry=100_000, horizon=800, pair_max_len=0, max_u_len=0
+        )
+    assert time.perf_counter() - t0 < 0.1
+    # the largest code of the family is bounded below, and only a word count
+    # over the limit is cut to limit + 1
+    assert vf._code_words(3, 4, 1) == 1  # code (4, 4, 4): 25 bits
+    assert vf._code_words(1, 100_000, 10**6) == 1563
+    assert vf._code_words(10**7, 1, 10) == 11
 
 
 def test_good_suite_caps_are_inclusive(monkeypatch):

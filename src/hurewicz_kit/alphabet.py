@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import cmp_to_key, lru_cache, partial
+from functools import cmp_to_key, lru_cache
 from operator import itemgetter
 
 from .base import CapacityError, Tri
 from . import prime_coding
 from .prime_coding import (
+    FIXED_LOG_ERROR,
     SymbolicCode,
     code_value_cmp,
     fixed_log,
@@ -64,11 +65,6 @@ def member_cmp(level: int, x, y) -> int:
     return code_value_cmp(x, y)
 
 
-# Bound, per unit of coefficient difference, on the error of a difference of
-# fixed-point log sums (prime_coding.fixed_log is within 2 of the scaled log).
-_LOG_ERROR = 2
-
-
 def _order_key(u: tuple, logs: list[int], ranks: dict) -> tuple:
     """Sort key (tier, rank, S, coefficients) of the code of u⌢1.
 
@@ -92,14 +88,14 @@ def _certified_cmp(kx: tuple, ky: tuple) -> int | None:
     Different (tier, rank) decide by themselves.  Otherwise the gap
     S_y - S_x equals sum(Δ_j * fixed_log(q_j)) over the coefficient
     differences Δ (equal entries cancel exactly), so it lies within
-    _LOG_ERROR * sum(|Δ_j|) of 2**FIXED_LOG_BITS * (ln y - ln x) (see
+    FIXED_LOG_ERROR * sum(|Δ_j|) of 2**FIXED_LOG_BITS * (ln y - ln x) (see
     prime_coding.fixed_log): a gap outside that interval decides the sign
     of ln y - ln x.
     """
     if kx[:2] != ky[:2]:
         return -1 if kx[:2] < ky[:2] else 1
     gap = ky[2] - kx[2]
-    err = _LOG_ERROR * sum(abs(a - b) for a, b in zip(kx[3], ky[3]))
+    err = FIXED_LOG_ERROR * sum(abs(a - b) for a, b in zip(kx[3], ky[3]))
     if gap > err:
         return -1
     if gap < -err:
@@ -107,11 +103,15 @@ def _certified_cmp(kx: tuple, ky: tuple) -> int | None:
     return None
 
 
-def _exact_cmp(level: int, a: tuple, b: tuple) -> int:
+def _exact_cmp(a: tuple, b: tuple) -> int:
     """Exact order of two (key, member) pairs: ``_certified_cmp`` decides
-    when it can, ``member_cmp`` otherwise."""
+    when it can; else tier and rank are equal and the log ladder decides on
+    the keys' coefficient differences."""
     c = _certified_cmp(a[0], b[0])
-    return member_cmp(level, a[1], b[1]) if c is None else c
+    if c is None:
+        diffs = [x - y for x, y in zip(a[0][3], b[0][3])]
+        c = scaled_log_sign(zip(diffs, map(nth_prime, itertools.count())))
+    return c
 
 
 def _keyed_members(level: int, lower: list[tuple]) -> list[tuple]:
@@ -167,7 +167,7 @@ def alphabets(depth: int) -> list[tuple]:
         # presorted by (tier, rank, S), the exact pass needs about one
         # comparison per member
         keyed.sort(key=lambda km: km[0][:3])
-        keyed.sort(key=cmp_to_key(partial(_exact_cmp, level)))
+        keyed.sort(key=cmp_to_key(_exact_cmp))
         _alpha_cache.append((1,) + tuple(m for _, m in keyed))
     return [_alpha_cache[i] for i in range(depth)]
 
@@ -308,8 +308,10 @@ class PointPrefix:
         given = tuple(overrides)
         if len(dict(given)) != len(given):
             raise ValueError("override position given twice")
-        # positions are distinct, so the pairs sort by position alone
-        items = tuple(sorted([(p, v) for p, v in given if v != 1]))
+        # positions are distinct, so the pairs sort by position alone (a
+        # factored code is never 1: the class test skips its Python __eq__)
+        kept = [(p, v) for p, v in given if v.__class__ is SymbolicCode or v != 1]
+        items = tuple(sorted(kept))
         if items and not (0 <= items[0][0] and items[-1][0] < length):
             raise ValueError("override position outside the explicit prefix")
         self._fill(length, items, tail_ones)

@@ -200,9 +200,9 @@ class SymbolicCode:
         raise AttributeError("SymbolicCode is immutable")
 
 
-# Sequences longer than this skip the exact prime-log sum; each position
-# contributes at least 2 bits, so the value is far past any cutoff and a
-# lower bound decides every comparison against a materialized integer.
+# Sequences longer than this keep a lower bound (2 bits a position, far past
+# the cutoff) in place of the exact prime-log sum; code_value_cmp pays for
+# the exact sum only against an int the bound does not clear.
 _EXACT_LENGTH_CAP = 100_000
 
 
@@ -218,12 +218,12 @@ def _canonical_items(length: int, items) -> tuple:
     return its
 
 
-def _seq_bits_scaled(length: int, items) -> int | None:
+def _seq_bits_scaled(length: int, items, exact: bool = False) -> int | None:
     """Scaled log2 of the code of a mostly-1 sequence (a lower bound once the
-    sequence outgrows the exact-sum cap); None when some entry is itself
-    non-materializable (the value is then astronomically large).  Every item
-    position must lie below ``length``."""
-    if length > _EXACT_LENGTH_CAP:
+    sequence outgrows the exact-sum cap, unless ``exact``); None when some
+    entry is itself non-materializable (the value is then astronomically
+    large).  Every item position must lie below ``length``."""
+    if length > _EXACT_LENGTH_CAP and not exact:
         total = 2 * length * _LOG2_SCALE
         for _, v in items:
             if isinstance(v, SymbolicCode):
@@ -315,45 +315,39 @@ def _all_ones_code(length: int) -> int:
 
 # --- exact ordering of code values -----------------------------------------
 
-_LN_CACHE: dict[tuple[int, int], Decimal] = {}
-_SLS_PRECISIONS = (50, 200, 1000, 5000, 30000, 120000)
-
-
-def _ln_at(p: int, prec: int) -> Decimal:
-    key = (p, prec)
-    val = _LN_CACHE.get(key)
-    if val is None:
-        with localcontext() as ctx:
-            ctx.prec = prec + 10
-            val = Decimal(p).ln()
-        _LN_CACHE[key] = val
-    return val
-
-
-# Fractional bits of the fixed-point logarithms served by fixed_log.
+# Fractional bits of fixed_log by default, its error bound (proved there)
+# and scaled_log_sign's last rung, FIXED_LOG_BITS * 4**6 = 2**19 bits.
 FIXED_LOG_BITS = 128
+FIXED_LOG_ERROR = 2
+_LOG_LADDER_TOP = FIXED_LOG_BITS << 12
 
 
 @lru_cache(maxsize=256)
-def fixed_log(p: int) -> int:
-    """floor(ln(p) * 2**FIXED_LOG_BITS), within 2 of the true scaled value.
+def fixed_log(p: int, bits: int = FIXED_LOG_BITS) -> int:
+    """floor(ln(p) * 2**bits) for 2 <= p < 2**144, under FIXED_LOG_ERROR from
+    the true scaled value; a sum of c_j * fixed_log(q_j, bits) is therefore
+    within FIXED_LOG_ERROR * sum(|c_j|) of 2**bits * sum(c_j * ln(q_j)).
 
-    The 60-digit ln(p) of ``_ln_at(p, 50)`` is correctly rounded, so for
-    any p below e**100, once scaled by 2**128 (under 4 * 10**38), it is off
-    by under 10**-19; the floor loses under 1 more.  A sum of
-    c_j * fixed_log(q_j) is therefore within 2 * sum(|c_j|) of
-    2**FIXED_LOG_BITS * sum(c_j * ln(q_j)).
+    Decimal's ln is correctly rounded; at D = floor(bits * 0.30103) + 22 >=
+    bits * log10(2) + 21 digits (60 at 128 bits) and with ln(p) < 100
+    (2**144 < e**100) it is off by under 10**(2 - D) <= 10**-19 * 2**-bits,
+    under 10**-19 once scaled.  The floor of the exact ratio loses under 1.
     """
-    num, den = _ln_at(p, 50).as_integer_ratio()
-    return (num << FIXED_LOG_BITS) // den
+    if p < 2 or p.bit_length() > 144:
+        raise ValueError("fixed_log covers 2 <= p < 2**144")
+    with localcontext() as ctx:
+        ctx.prec = bits * 30103 // 100000 + 22
+        num, den = Decimal(p).ln().as_integer_ratio()
+    return (num << bits) // den
 
 
 def scaled_log_sign(terms: Iterable[tuple[int, int]]) -> int:
     """Sign of sum(c * ln(p) for (c, p) in terms), with exact int coefficients.
 
     Zero exactly when every aggregated coefficient vanishes (logarithms of
-    distinct primes are linearly independent over the rationals); otherwise an
-    escalating-precision interval evaluation resolves the sign.
+    distinct primes are linearly independent over the rationals); otherwise
+    the integer sum of c * fixed_log(p, bits), at 128 bits and then 4x the
+    bits a rung, decides once it lies outside FIXED_LOG_ERROR * sum(|c|).
     """
     agg: dict[int, int] = {}
     for c, p in terms:
@@ -361,20 +355,15 @@ def scaled_log_sign(terms: Iterable[tuple[int, int]]) -> int:
     agg = {p: c for p, c in agg.items() if c}
     if not agg:
         return 0
-    for prec in _SLS_PRECISIONS:
-        with localcontext() as ctx:
-            ctx.prec = prec
-            total = Decimal(0)
-            mag = Decimal(0)
-            for p in sorted(agg):
-                term = Decimal(agg[p]) * _ln_at(p, prec)
-                total += term
-                mag += abs(term)
-            err = mag * Decimal(10) ** (8 - prec)
-            if total > err:
-                return 1
-            if total < -err:
-                return -1
+    err = FIXED_LOG_ERROR * sum(map(abs, agg.values()))
+    bits = FIXED_LOG_BITS
+    while bits <= _LOG_LADDER_TOP:
+        total = sum(c * fixed_log(p, bits) for p, c in agg.items())
+        if total > err:
+            return 1
+        if total < -err:
+            return -1
+        bits *= 4
     raise ArithmeticError("log comparison did not resolve at maximum precision")
 
 
@@ -408,13 +397,19 @@ def code_value_cmp(x, y) -> int:
         i, v, sign = (x, y, -1) if isinstance(x, int) else (y, x, 1)
         est = v._bits_scaled
         ibits = i.bit_length()
-        if est is None or est > (ibits + 8) * _LOG2_SCALE:
+        # an exact est is off by at most half a unit per unit of exponent, and
+        # the exponents sum to at most B = log2(v): past these bounds B > ibits
+        # (v > i) or B < ibits - 1 (v < i)
+        above = (ibits + 8) * _LOG2_SCALE + ibits
+        if est is not None and est <= above and v.length > _EXACT_LENGTH_CAP:
+            # est was a lower bound (2 bits a position), so i has about
+            # 2 * length bits and the exact sum costs less than i
+            est = _seq_bits_scaled(v.length, v.items, exact=True)
+        if est is None or est > above:
             return sign
-        if est < (ibits - 8) * _LOG2_SCALE:
+        if est < (ibits - 8) * _LOG2_SCALE - ibits:
             return -sign
-        # near the integer's size the factored value is barely past the
-        # canonical cutoff, so materializing it for an exact comparison is
-        # cheap (the size estimate is accurate to well under a bit)
+        # near i's size, materializing v costs about as much as i
         value = 1
         for c, p in _int_factor_terms(v, 1):
             value *= p**c
@@ -453,7 +448,8 @@ def factored_str(v) -> str:
 
 def render_value(v) -> str:
     """Stable human rendering: decimal and factored form when printable,
-    factored form plus a size estimate otherwise."""
+    factored form plus a size estimate otherwise (a lower bound, marked
+    "at least", past the exact-sum cap)."""
     if isinstance(v, int):
         s = str(v)
         if len(s) <= _DECIMAL_PRINT_CAP and is_code(v):
@@ -464,8 +460,8 @@ def render_value(v) -> str:
         size = "size beyond any usable estimate"
     else:
         digits = bits * 30103 // (_LOG2_SCALE * 100000) + 1
-        if digits < 10**9:
-            size = f"~{digits} digits"
-        else:
-            size = f"~10^{len(str(digits)) - 1} digits"
+        if digits >= 10**9:
+            digits = f"10^{len(str(digits)) - 1}"
+        bound = "at least " if v.length > _EXACT_LENGTH_CAP else "~"
+        size = f"{bound}{digits} digits"
     return f"{factored_str(v)} ({size}, decimal suppressed)"

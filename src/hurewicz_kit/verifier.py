@@ -627,9 +627,6 @@ def verify_no_isolated(
                     approx.skip()
                     continue
                 ext = BranchIndex(ext_s, t_ext)
-                if ext.top_index() > 10**7:
-                    approx.skip()
-                    continue
                 fd = first_disagreement(image(ext, constraints(ext), x), base_image)
                 approx.require(
                     isinstance(fd, int) and fd >= ext.top_index(),

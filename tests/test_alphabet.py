@@ -259,23 +259,29 @@ def test_certified_cmp_needs_the_gap_outside_the_error_interval():
 
 
 def test_order_unchanged_when_every_interval_overlaps(monkeypatch):
-    want = al.alphabets(5)
+    # with no interval deciding, every pair of equal (tier, rank) falls to
+    # the log ladder on the keys' coefficient differences; the pairwise
+    # comparator the sort is checked against is never called
+    want = alphabets_by_comparator(5)
     calls = []
-    real_member_cmp = al.member_cmp
+    real_sign = al.scaled_log_sign
 
-    def counted(level, x, y):
-        calls.append(level)
-        return real_member_cmp(level, x, y)
+    def counted(terms):
+        calls.append(1)
+        return real_sign(terms)
 
-    monkeypatch.setattr(al, "_LOG_ERROR", 2**20000)
-    monkeypatch.setattr(al, "member_cmp", counted)
+    def refuse(level, x, y):
+        raise AssertionError("the fast sort called member_cmp")
+
+    monkeypatch.setattr(al, "FIXED_LOG_ERROR", 2**20000)
+    monkeypatch.setattr(al, "scaled_log_sign", counted)
+    monkeypatch.setattr(al, "member_cmp", refuse)
     monkeypatch.setattr(al, "_alpha_cache", [])
     assert al.alphabets(5) == want
-    # every adjacent pair of equal (tier, rank) went through member_cmp
     keys = _keys_by_member(4)
     a4 = want[4][1:]
     same_group = sum(keys[x][:2] == keys[y][:2] for x, y in zip(a4, a4[1:]))
-    assert calls.count(4) >= same_group > 0
+    assert len(calls) >= same_group > 0
 
 
 def test_alphabets_refuse_level_five_before_building_it():

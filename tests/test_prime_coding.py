@@ -152,6 +152,73 @@ def test_scaled_log_sign():
     assert pc.scaled_log_sign([]) == 0
 
 
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-60, 60), st.sampled_from(_FIRST_PRIMES)), max_size=12)
+)
+def test_scaled_log_sign_matches_exact_integer_comparison(terms):
+    # sign of sum(c ln p) is the order of prod(p**c) over c > 0 against
+    # prod(p**-c) over c < 0, after repeated primes aggregate
+    agg = {}
+    for c, p in terms:
+        agg[p] = agg.get(p, 0) + c
+    pos = math.prod(p**c for p, c in agg.items() if c > 0)
+    neg = math.prod(p**-c for p, c in agg.items() if c < 0)
+    assert pc.scaled_log_sign(terms) == (pos > neg) - (pos < neg)
+
+
+def _log2_3_convergents(lo_bits, hi_bits):
+    """Convergents p/q of log2(3) with lo_bits <= bit length of q < hi_bits,
+    from a 600-digit mpmath value."""
+    from mpmath import floor, log, mp
+
+    with mp.workdps(600):
+        x = log(3) / log(2)
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        out = []
+        while k1.bit_length() < hi_bits:
+            a = int(floor(x))
+            h0, h1 = h1, a * h1 + h0
+            k0, k1 = k1, a * k1 + k0
+            if lo_bits <= k1.bit_length() < hi_bits:
+                out.append((h1, k1))
+            x = 1 / (x - a)
+    return out
+
+
+def test_scaled_log_sign_decides_convergent_near_ties_on_a_higher_rung():
+    from mpmath import log, mp, sign
+
+    cases = _log2_3_convergents(65, 300)
+    assert len(cases) > 20
+    for p, q in cases:
+        # |q ln 3 - p ln 2| < 1/q, so at 128 bits the sum is inside the error
+        # interval and only a higher rung can decide
+        total = q * pc.fixed_log(3) - p * pc.fixed_log(2)
+        assert abs(total) <= pc.FIXED_LOG_ERROR * (p + q), (p, q)
+        with mp.workdps(600):
+            want = int(sign(q * log(3) - p * log(2)))
+        assert want != 0
+        assert pc.scaled_log_sign([(q, 3), (-p, 2)]) == want, (p, q)
+        assert pc.scaled_log_sign([(-q, 3), (p, 2)]) == -want, (p, q)
+
+
+def test_fixed_log_is_within_its_error_at_every_rung_tried():
+    from mpmath import floor, ln, mp
+
+    for bits in (128, 512, 2048):
+        with mp.workprec(bits + 200):
+            for p in _FIRST_PRIMES + (pc.nth_prime(999),):
+                exact = int(floor(ln(p) * 2**bits))
+                assert abs(pc.fixed_log(p, bits) - exact) < pc.FIXED_LOG_ERROR, (p, bits)
+    with pytest.raises(ValueError):
+        pc.fixed_log(1)
+    with pytest.raises(ValueError):
+        pc.fixed_log(2**144 + 1)
+
+
 def test_code_value_cmp_matches_int_order():
     vals = sorted(j_code(s) for s in all_seqs(3, 5) if s)
     for a, b in zip(vals, vals[1:]):
@@ -183,7 +250,7 @@ def test_factored_str():
 def test_render_value_suppresses_huge_decimals():
     big = pc.make_code_value((4000, 4000))
     text = pc.render_value(big)
-    assert "decimal suppressed" in text and "digits" in text
+    assert "decimal suppressed" in text and "(~" in text and "digits" in text
 
 
 def test_encode_rejects_negatives_and_symbolic():
@@ -205,6 +272,19 @@ def test_code_value_cmp_near_threshold_is_exact():
     assert pc.code_value_cmp(2**4101 + 1, sym) == 1
     assert pc.code_value_cmp(sym, 2**4101 - 1) == 1
     assert pc.code_value_cmp(sym, sym) == 0
+
+
+def test_code_value_cmp_past_the_exact_sum_cap_is_exact():
+    # the code of (1,) * 200,000 has about 7,929,150 bits, but past the
+    # exact-sum cap it stores only the lower bound of 2 bits per position
+    v = pc.make_code_value_sparse(200_000, ())
+    assert v.length > pc._EXACT_LENGTH_CAP
+    assert v._bits_scaled == 400_000 * pc._LOG2_SCALE
+    for i, order in ((2**500_000, -1), (2**7_928_000, -1), (2**7_931_000, 1)):
+        assert pc.code_value_cmp(i, v) == order
+        assert pc.code_value_cmp(v, i) == -order
+    # the rendered size is marked as the lower bound it is
+    assert "(at least 120413 digits, decimal suppressed)" in pc.render_value(v)
 
 
 def test_horizon_error_reports_needed_index():

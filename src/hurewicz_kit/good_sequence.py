@@ -47,7 +47,8 @@ class IndexMap:
     def __init__(self, s):
         self.s = _check_index(s)
         self._divs = _divisors(self.s)
-        self._codes = tuple(encode(self.s[:j]) for j in range(1, len(self.s) + 1))
+        # J(s|j) = D_j * q_{j-1}
+        self._codes = tuple(d * nth_prime(j) for j, d in enumerate(self._divs))
 
     def __call__(self, k: int) -> int:
         if k < 0:
@@ -136,7 +137,7 @@ def convergence_bound(s, k: int) -> int:
     s = _check_index(s)
     if k < 1:
         raise ValueError("child label must be positive")
-    return encode(s + (k,)) // nth_prime(len(s)) - 1
+    return _divisors(s + (k,))[-1] - 1
 
 
 def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
@@ -148,7 +149,7 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
     strict prefix of the other (same shape one level up).  The two source
     coordinates are distinct, land past |u| for a large enough power, and get
     opposite bits.  Everything past u depends only on (s, t, |u|), so the
-    prefix is u followed by the cached tail of _witness_core.
+    prefix is u followed by the tail of _witness_core.
     """
     return next(disagreement_witnesses(s, t, (u,)))
 
@@ -194,12 +195,10 @@ def _sweep(s: tuple[int, ...], t: tuple[int, ...], words):
 
 # Longest witness tail _witness_core builds.  A tail grows exponentially with
 # the indices' entries (the pair (1), (30) needs 2^31 - 2 bytes); acceptance
-# gate 6's longest is 1,248 bytes.  The cache below holds at most 4096 tails,
-# so at most 4096 x 64 KiB = 256 MiB at the cap.
+# gate 6's longest is 1,248 bytes.
 WITNESS_TAIL_CAP = 1 << 16
 
 
-@lru_cache(maxsize=4096)
 def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[bytes, int]:
     """(tail, k) for distinct checked indices s and t and a word of length n:
     the output index k, whose two source coordinates a and b are distinct and
@@ -211,12 +210,12 @@ def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[bytes
     if m is not None:
         if s[m] > t[m]:
             s, t = t, s
-        base = encode(t[: m + 1]) // nth_prime(m)
+        base = _divisors(t)[m]
         step = nth_prime(m + 2)
     else:
         if len(s) > len(t):
             s, t = t, s
-        base = encode(t) // nth_prime(len(t) - 1)
+        base = _divisors(t)[-1]
         step = nth_prime(len(t) + 1)
     sig_s, sig_t = _index_map(s), _index_map(t)
     power = 1

@@ -179,9 +179,10 @@ def t_graph(p: int) -> RelationGraph:
     alphabets with 1 first, so t's index is s's index plus, for q in D, the
     rewritten value's position in A_q times the product of the later alphabet
     sizes; it exceeds s's index, matching the relation's lexicographic
-    direction.  One witness search decides every candidate and each node's
-    loop, and the least rank of its stems is the ``psi`` rank (no witness
-    object is built); edges come out in increasing (i, j) order, as a scan
+    direction.  One pass over the nodes searches each node against itself
+    (its loop) and then its candidates, one witness search each, and the
+    least rank of its stems is the ``psi`` rank (no witness object is
+    built); edges come out in increasing (i, j) order, as a scan
     over all pairs would give them.  Cost: nodes × (candidates + 1)
     searches, with at most 2^k - 1 candidates per node for k coded positions
     below p.
@@ -201,27 +202,26 @@ def t_graph(p: int) -> RelationGraph:
     """
     levels = alphabets(p)
     nodes = enumerate_nodes(p)
-    loops, loop_ranks = [], []
-    for i, nd in enumerate(nodes):
-        rank = _least_rank(_witness_search(nd, nd))
-        if rank is not None:
-            loops.append(i)
-            loop_ranks.append(rank)
     coded = [q for q in range(1, p) if is_code(q)]  # 0 codes the empty sequence
     weight = [1] * p
     for q in range(p - 2, -1, -1):
         weight[q] = weight[q + 1] * len(levels[q + 1])
     position = {q: {m: k for k, m in enumerate(levels[q])} for q in coded}
-    edges = []
+    edges, loops, loop_ranks = [], [], []
     for i, s in enumerate(nodes):
         partners = [i]
         for q in coded:
             if s[q] == 1:
                 step = position[q][_expected_rewrite(s[:q])] * weight[q]
                 partners += [j + step for j in partners]
-        for j in sorted(partners[1:]):
+        for j in sorted(partners):
             rank = _least_rank(_witness_search(s, nodes[j]))
-            if rank is not None:
+            if rank is None:
+                continue
+            if j == i:
+                loops.append(i)
+                loop_ranks.append(rank)
+            else:
                 edges.append((i, j, rank))
     return RelationGraph(p, tuple(nodes), tuple(edges), tuple(loops), tuple(loop_ranks))
 

@@ -12,8 +12,9 @@ suite only the flags given, each to the parameter of its name, so every
 default is the signature's.  The CLI has flags for the integer parameters
 named in ``cli._VERIFY_FLAGS`` and for ``fault``; the rest (``include``,
 ``extensions``, the good suite's pair bounds, the cascade's shape bounds)
-only the library can set.  A suite refuses a fault it cannot plant, and a
-negative count, before it does any work.
+only the library can set.  The signature also gives the report's params:
+each suite reads its arguments through ``_suite_params``, which refuses a
+fault the suite cannot plant, and a negative count, before any work.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ ALL_FAULTS = tuple(FAULTS)
 
 _COUNTEREXAMPLE_CAP = 5
 
-# Largest good-suite horizon: the injectivity check holds every index map's
-# prefix of that length at once, about 134 bytes per index: 135 MB at the cap.
+# Largest good-suite horizon: the injectivity check holds one index map's
+# prefix of that length and its set at a time, about 120-135 bytes per index:
+# 120-135 MB at the cap, with a family of 2 maps or of 5.
 HORIZON_CAP = 10**6
 # Largest good-suite sweeps, counted before any index or word is listed.  The
 # index-map checks read every index map on [0, horizon); the witness check
@@ -166,18 +168,25 @@ def dump_json(doc: dict) -> str:
 # --- parameter checks, made before a suite does any work ----------------------
 
 
-def _require_fault(suite: str, fault: str | None) -> None:
+def _suite_params(suite: str, args: dict) -> dict:
+    """The report's params: a copy of ``args``, the suite's ``locals()`` read
+    as its first statement, so its arguments in signature order.  Refuses a
+    fault the suite cannot plant, then every negative int argument but the
+    seed."""
+    params = dict(args)
+    fault = params.get("fault")
     honoured = [f for f, (suites, _) in FAULTS.items() if suite in suites]
     if fault is not None and fault not in honoured:
         raise ValueError(
             f"suite {suite} cannot inject fault {fault} (it honours: {', '.join(honoured)})"
         )
-
-
-def _require_naturals(suite: str, **counts: int) -> None:
-    negative = [name for name, v in counts.items() if v < 0]
+    negative = [
+        name for name, v in params.items()
+        if name != "seed" and isinstance(v, int) and v < 0
+    ]
     if negative:
         raise ValueError(f"{suite} parameters must be naturals: {', '.join(negative)}")
+    return params
 
 
 # --- sampling helpers --------------------------------------------------------
@@ -313,28 +322,16 @@ def verify_departure(
     exactly one enumerated branch domain per stem); and the relation axioms
     delegated to the relation machinery.
     """
-    _require_fault("departure", fault)
+    params = _suite_params("departure", locals())
     unknown = [g for g in include if g not in _DEPARTURE_GROUPS]
     if unknown:
         raise ValueError(
             f"departure has no check group {', '.join(unknown)} "
             f"(it has: {', '.join(_DEPARTURE_GROUPS)})"
         )
-    _require_naturals(
-        "departure", depth=depth, horizon=horizon, samples=samples,
-        relations_depth=relations_depth or 0,
-    )
-    if relations_depth is None:
-        relations_depth = min(depth, 3)
-    params = {
-        "depth": depth,
-        "horizon": horizon,
-        "samples": samples,
-        "seed": seed,
-        "fault": fault,
-        "relations_depth": relations_depth,
-        "include": ",".join(include),
-    }
+    if relations_depth is None:  # no int, so not checked as a count
+        params["relations_depth"] = relations_depth = min(depth, 3)
+    params["include"] = ",".join(include)
     if "relations" in include:
         # a relation census over the node cap is refused before branch work
         alph.require_node_count(relations_depth)
@@ -480,9 +477,6 @@ def _density_check(depth, horizon, by_stem, constraints) -> Check:
                     # the scan left the index horizon: no verdict either way
                     check.skip()
                     continue
-                if outcome is not Tri.YES:
-                    check.fail(stem=s, node=node, outcome=outcome.value)
-                    continue
                 known = found_at.get((s, t))
                 if known is None:
                     found = BranchIndex(s, t)
@@ -588,18 +582,7 @@ def verify_no_isolated(
     original image up to the extension's top rewritten index while differing
     beyond it.  Also bounds the number of distinct image prefixes across all
     applicable branches (equicontinuity shadow)."""
-    _require_fault("no-isolated", fault)
-    _require_naturals(
-        "no-isolated", depth=depth, horizon=horizon, samples=samples, extensions=extensions
-    )
-    params = {
-        "depth": depth,
-        "horizon": horizon,
-        "samples": samples,
-        "seed": seed,
-        "extensions": extensions,
-        "fault": fault,
-    }
+    params = _suite_params("no-isolated", locals())
     approx = Check("extension-approximates")
     equi = Check("equicontinuity-shadow")
     rng = random.Random(seed)
@@ -657,8 +640,7 @@ def verify_arrival_scan(
     f^{-1}∘f∘...∘f of distinct branches.  Reports which compositions have a
     nonempty domain on the sampled points and whether any acts as the
     identity there; findings are informational, not failures."""
-    _require_naturals("arrival-scan", depth=depth, horizon=horizon, max_chain=max_chain)
-    params = {"depth": depth, "horizon": horizon, "max_chain": max_chain, "seed": seed}
+    params = _suite_params("arrival-scan", locals())
     scan = Check("alternating-compositions")
     branches = dep.branches_within(horizon)
     points = [alph.ALL_ONES] + [
@@ -731,15 +713,7 @@ def verify_good_sequence(
 ) -> VerificationReport:
     """Index-map injectivity on an initial segment, the agreement horizon
     between a map and its extensions, and dense disagreement witnesses."""
-    params = {
-        "max_s_len": max_s_len,
-        "max_entry": max_entry,
-        "horizon": horizon,
-        "pair_max_len": pair_max_len,
-        "pair_max_entry": pair_max_entry,
-        "max_u_len": max_u_len,
-    }
-    _require_naturals("good-suite", **params)
+    params = _suite_params("good-suite", locals())
     if horizon > HORIZON_CAP:
         raise CapacityError(f"horizon {horizon} exceeds the cap {HORIZON_CAP}")
     # a map counts at least once, and the agreement check builds the length-1
@@ -911,18 +885,11 @@ def verify_cascade(
     separation inequality on every eligible triple, in exact arithmetic.
     Includes negative controls that the strict radius check must reject;
     ``epsilon-nonstrict`` checks with _nonstrict_admissibility instead."""
-    _require_fault("cascade", fault)
     if trials < 0 or max_depth < 1 or max_branching < 1:
         raise ValueError(
             "cascade needs trials >= 0 and max_depth, max_branching >= 1"
         )
-    params = {
-        "trials": trials,
-        "seed": seed,
-        "max_depth": max_depth,
-        "max_branching": max_branching,
-        "fault": fault,
-    }
+    params = _suite_params("cascade", locals())
     # trial t draws shape (1 + t % D, 1 + (t // D) % B); every shape reached is
     # at most as deep and as wide as the last full row's or the last trial's,
     # so testing those two refuses an over-cap request before any trial runs
@@ -982,7 +949,7 @@ def mutation_report(seed: int = 0) -> VerificationReport:
     """Run each fault of ``FAULTS``, in order, through a small run of the
     first suite that plants it, and demand detection with a concrete
     counterexample."""
-    params = {"seed": seed}
+    params = _suite_params("mutation", locals())
     checks = []
     for fault, (suites, probe) in FAULTS.items():
         report = SUITES[suites[0]](seed=seed, fault=fault, **probe)

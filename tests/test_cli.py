@@ -99,6 +99,11 @@ def test_nodes(capsys):
     code, out, _ = run(capsys, "nodes", "--length", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["count"] == 42
+    code, out, _ = run(capsys, "nodes", "--length", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "6 nodes of depth 2", "(1,1)", "(1,36)", "(1,288)", "(4,1)", "(4,36)", "(4,288)"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -141,6 +146,23 @@ def test_branch_commands(capsys):
         capsys, "branch", "find", "--s", "", "--point", "1,1,900", "--tail"
     )
     assert code == 0 and "t=[1]" in out
+
+
+@pytest.mark.parametrize(
+    "tail, verdict, exit_code",
+    [
+        # coordinate 2 reads 1 under the all-ones tail: the must-not-be-1 index fails
+        (("--tail",), "no", 1),
+        # without a tail, coordinate 2 lies past the prefix: no verdict
+        ((), "unknown", 0),
+    ],
+)
+def test_branch_apply_reports_a_point_outside_the_domain(capsys, tail, verdict, exit_code):
+    code, out, err = run(
+        capsys, "branch", "apply", "--s", "0", "--t", "1,0", "--point", "1,1", *tail
+    )
+    assert (code, err) == (exit_code, "")
+    assert out == f"point is {verdict} for the domain of (s=[0], t=[1, 0])\n"
 
 
 @pytest.mark.parametrize(
@@ -417,6 +439,14 @@ def test_verify_passes_exactly_the_given_flags(capsys, monkeypatch, suite):
     argv = [a for f, v in flags.items() for a in (cli._flag(f), str(v))]
     assert run(capsys, "verify", suite, *argv)[0] == 0
     assert calls == [{}, flags]
+
+
+def test_verify_out_writes_the_report_and_prints_only_the_summary(capsys, tmp_path):
+    path = tmp_path / "mutation.json"
+    code, out, err = run(capsys, "verify", "mutation", "--out", str(path))
+    assert (code, err) == (0, "")
+    assert out == "suite mutation: failed=0 inconclusive=0\n"
+    assert path.read_bytes() == verifier.mutation_report(0).to_json_bytes()
 
 
 def test_verify_departure_refuses_relation_census_over_cap(capsys, monkeypatch):

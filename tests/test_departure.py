@@ -411,6 +411,22 @@ def test_apply_inverse_rejects_points_off_the_image():
     assert outcome is Tri.NO  # coordinate 2 should carry the rewrite code
 
 
+def test_apply_inverse_without_a_verdict_or_off_the_domain():
+    b = branch((0,), (1, 0))
+    cons = dep.constraints(b)
+    assert cons.ones == (4, 90) and cons.non_ones == (2,)
+    rewrites = tuple((q, pc.make_code_value_sparse(q + 1, (), canonical=True)) for q in cons.ones)
+    # coordinate 4 carries its rewrite, but 90 lies past a prefix with no tail
+    assert dep.apply_inverse(b, al.PointPrefix(50, rewrites[:1])) == (Tri.UNKNOWN, None)
+    # every rewrite of the all-ones point is carried, but the rebuilt point
+    # reads 1 at the must-not-be-1 index 2: its membership, NO, is returned
+    y = al.PointPrefix(91, rewrites, tail_ones=True)
+    x = y.without(set(cons.ones))
+    assert all(y.coord(q) == dep._rewrite_value(x, q) for q in cons.ones)
+    assert cons.membership(x) is Tri.NO
+    assert dep.apply_inverse(b, y) == (Tri.NO, None)
+
+
 def test_branches_within_ordering_and_split():
     bs = dep.branches_within(10_000)
     tops = [b.top_index() for b in bs]

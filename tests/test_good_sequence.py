@@ -296,14 +296,12 @@ def test_witness_tail_cap_is_inclusive_and_checked_before_building(monkeypatch):
     witness = gs.disagreement_witness((2, 2), (2, 1), u)
     tail = len(witness[0]) - len(u)
     for cap, refused in ((tail, False), (tail - 1, True)):
-        gs._witness_core.cache_clear()
         monkeypatch.setattr(gs, "WITNESS_TAIL_CAP", cap)
         if refused:
             with pytest.raises(CapacityError, match=f"tail of {tail} bytes"):
                 gs.disagreement_witness((2, 2), (2, 1), u)
         else:
             assert gs.disagreement_witness((2, 2), (2, 1), u) == witness
-    gs._witness_core.cache_clear()
     monkeypatch.undo()
     # the pair's tail would be 2^31 - 2 bytes
     with pytest.raises(CapacityError, match="tail of 2147483646 bytes"):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -368,6 +369,33 @@ def test_mutation_report_runs_every_fault_in_order(monkeypatch):
     assert all(fault in _FAULTABLE[name][0] for fault, name in ran)
 
 
+# every suite at a size that runs in well under a second
+_TINY = {
+    "departure": dict(depth=0, horizon=10, samples=1, relations_depth=0),
+    "no-isolated": dict(depth=0, horizon=10, samples=1, extensions=1),
+    "arrival-scan": dict(depth=0, horizon=10, max_chain=1),
+    "good-suite": dict(
+        max_s_len=0, max_entry=1, horizon=1, pair_max_len=0, pair_max_entry=1, max_u_len=0
+    ),
+    "cascade": dict(trials=1),
+    "mutation": dict(),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(vf.SUITES))
+def test_report_params_are_the_suite_signature(suite):
+    fn = vf.SUITES[suite]
+    signature = inspect.signature(fn)
+    args = signature.bind(**_TINY[suite])
+    args.apply_defaults()
+    expected = dict(args.arguments)
+    if suite == "departure":
+        expected["include"] = ",".join(expected["include"])
+    report = fn(**_TINY[suite])
+    assert list(report.params) == list(signature.parameters)
+    assert report.params == expected
+
+
 @pytest.mark.parametrize(
     "run, negative",
     [
@@ -423,6 +451,29 @@ def test_relation_checks_search_once_per_loop_and_candidate(monkeypatch):
     # one search per node of depths 0-4 (1,857) and per generated candidate
     # (6 at depth 3, 258 at depth 4)
     assert len(calls) == 2_121
+
+
+def test_append_check_fails_on_a_planted_rank_change(monkeypatch):
+    # every depth-4 edge one rank higher: each is an appended pair (its two
+    # nodes differ only at index 2, before the last label), so each now
+    # disagrees with its depth-3 pair's rank, and no other check moves
+    real = vf.rel.t_graph
+
+    def bumped(p):
+        g = real(p)
+        if p < 4:
+            return g
+        return dataclasses.replace(g, edges=tuple((i, j, r + 1) for i, j, r in g.edges))
+
+    monkeypatch.setattr(vf.rel, "t_graph", bumped)
+    self_rank, profile, append, forest = vf._relation_checks(4)
+    assert append.name == "append-preserves-rank"
+    assert append.failed == len(real(4).edges) > 0
+    assert self_rank.failed == profile.failed == forest.failed == 0
+    assert append.counterexamples
+    for cx in append.counterexamples:
+        assert set(cx) == {"s", "t", "label", "child_rank", "parent_rank"}
+        assert cx["child_rank"] == cx["parent_rank"] + 1
 
 
 @pytest.mark.parametrize("depth", range(5))

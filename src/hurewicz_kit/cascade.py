@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import CapacityError, _below
@@ -51,7 +50,6 @@ def _tree(nodes) -> tuple:
     return tuple(sorted(present, key=_level_order))
 
 
-@dataclass(frozen=True)
 class CascadeSample:
     """Finite family of tree nodes at abstract rational positions, so the
     metric axioms hold by construction.
@@ -59,12 +57,30 @@ class CascadeSample:
     Positions are held as integers over one common denominator: node n sits
     at ``nums[n] / scale``, and the checkers compute with those integers.
     ``values``, the positions as Fractions, and ``d``, the distance as a
-    Fraction, are derived from them on request.
+    Fraction, are derived from them on request.  The fields cannot be
+    rebound; samples are equal when their three fields are, and unhashable,
+    as ``nums`` is.
     """
 
-    nodes: tuple
-    nums: dict
-    scale: int = 1
+    __slots__ = ("nodes", "nums", "scale")
+
+    def __init__(self, nodes: tuple, nums: dict, scale: int = 1):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "scale", scale)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.nums, self.scale) == (other.nodes, other.nums, other.scale)
+
+    __hash__ = None  # nums is a dict
+
+    def __repr__(self) -> str:
+        return f"CascadeSample(nodes={self.nodes!r}, nums={self.nums!r}, scale={self.scale!r})"
+
+    def __setattr__(self, *a):
+        raise AttributeError("CascadeSample is immutable")
 
     @classmethod
     def from_values(cls, values: dict) -> "CascadeSample":
@@ -104,10 +120,29 @@ def epsilon(sample: CascadeSample, child: tuple) -> Fraction:
     return _radius(k, min(terms, default=math.inf), sample.scale)
 
 
-@dataclass(frozen=True)
 class ConditionReport:
-    ok: bool
-    violations: tuple
+    """``check_admissibility``'s answer: ok, and the violations found.
+    Immutable; equal and hashed as the pair (ok, violations)."""
+
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.violations) == (other.ok, other.violations)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.violations))
+
+    def __repr__(self) -> str:
+        return f"ConditionReport(ok={self.ok!r}, violations={self.violations!r})"
+
+    def __setattr__(self, *a):
+        raise AttributeError("ConditionReport is immutable")
 
 
 def check_admissibility(sample: CascadeSample) -> ConditionReport:

@@ -8,9 +8,9 @@ explicit --seed), so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from contextlib import nullcontext
+from functools import partial
 from itertools import islice
 
 from .base import CapacityError, HorizonError, Tri
@@ -299,11 +299,27 @@ _VERIFY_FLAGS = (
 )
 
 
+def _parameter_names(fn) -> tuple:
+    """The names of fn's parameters, as ``inspect.signature`` gives them for
+    a suite, read off its code object: past any ``functools.wraps`` wrapper
+    or keyword ``partial``, the positional and keyword-only names that lead
+    co_varnames (no suite takes *args or **kwargs)."""
+    while True:
+        if isinstance(fn, partial):
+            fn = fn.func
+        elif hasattr(fn, "__wrapped__"):
+            fn = fn.__wrapped__
+        else:
+            break
+    code = fn.__code__
+    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
 def cmd_verify(args) -> int:
     suite = verifier.SUITES[args.suite]
     given = vars(args)
     kwargs = {f: given[f] for f in (*_VERIFY_FLAGS, "fault") if f in given}
-    takes = inspect.signature(suite).parameters
+    takes = _parameter_names(suite)
     _refuse(f"suite {args.suite}", [f for f in kwargs if f not in takes])
     report = suite(**kwargs)
     _emit(report.to_json_bytes().decode(), args.out)

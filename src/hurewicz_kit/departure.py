@@ -20,26 +20,39 @@ one, so over a prefix-closed list of stems it makes one level scan per stem.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .base import CapacityError, DomainError, HorizonError, Tri
 from .alphabet import PointPrefix
-from .prime_coding import decode, encode, make_code_value_sparse, nth_prime
+from .prime_coding import _prefix_codes, decode, encode, make_code_value_sparse, nth_prime
 
 DEFAULT_HORIZON = 10**6
 
 
-@dataclass(frozen=True)
 class BranchIndex:
-    s: tuple[int, ...]
-    t: tuple[int, ...]
+    """A branch (s, t) with |t| = |s| + 1.  Immutable; equal and hashed as
+    the pair (s, t), so it keys the ``constraints`` cache and suite tables."""
 
-    def __post_init__(self):
-        if len(self.t) != len(self.s) + 1:
+    __slots__ = ("s", "t")
+
+    def __init__(self, s: tuple[int, ...], t: tuple[int, ...]):
+        if len(t) != len(s) + 1:
             raise ValueError("branch index needs |t| = |s| + 1")
-        if any(e < 0 for e in self.s) or any(e < 0 for e in self.t):
+        if any(e < 0 for e in s) or any(e < 0 for e in t):
             raise ValueError("branch entries must be naturals")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.t) == (other.s, other.t)
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.t))
+
+    def __setattr__(self, *a):
+        raise AttributeError("BranchIndex is immutable")
 
     def top_index(self) -> int:
         """Largest rewritten coordinate: the code of s ⌢ t."""
@@ -49,12 +62,29 @@ class BranchIndex:
         return f"(s={list(self.s)}, t={list(self.t)})"
 
 
-@dataclass(frozen=True)
 class CylinderConstraint:
-    """Clopen domain data: must-be-1 and must-not-be-1 coordinate index sets."""
+    """Clopen domain data: must-be-1 and must-not-be-1 coordinate index sets.
+    Immutable; equal and hashed as the pair (ones, non_ones)."""
 
-    ones: tuple[int, ...]
-    non_ones: tuple[int, ...]
+    __slots__ = ("ones", "non_ones")
+
+    def __init__(self, ones: tuple[int, ...], non_ones: tuple[int, ...]):
+        object.__setattr__(self, "ones", ones)
+        object.__setattr__(self, "non_ones", non_ones)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ones, self.non_ones) == (other.ones, other.non_ones)
+
+    def __hash__(self) -> int:
+        return hash((self.ones, self.non_ones))
+
+    def __repr__(self) -> str:
+        return f"CylinderConstraint(ones={self.ones!r}, non_ones={self.non_ones!r})"
+
+    def __setattr__(self, *a):
+        raise AttributeError("CylinderConstraint is immutable")
 
     def membership(self, x: PointPrefix) -> Tri:
         """Domain membership on the decidable range: a readable violation is
@@ -125,9 +155,10 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
     (carrying the needed index) when the prefix is too short to decide.  A
     decided membership has read every rewritten index, so every rewrite is
     readable too, and x reads 1 there: the rewrites are added to x's
-    overrides.  The overrides are walked once, in step with the sorted
-    must-be-1 indices: the rewrite at q codes x's length-(q+1) prefix, whose
-    non-1 entries are the overrides before the first one past q.
+    overrides.  The rewrite at q codes x's length-(q+1) prefix, whose non-1
+    entries are the overrides before the first one past q: the overrides
+    are walked once, in step with the sorted must-be-1 indices, with one
+    running size estimate (``prime_coding._prefix_codes``).
     """
     membership = cons.membership(x)
     if membership is Tri.NO:
@@ -135,15 +166,8 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
     if membership is Tri.UNKNOWN:
         needed = max(cons.ones + cons.non_ones)
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
-    items = x.overrides
-    end = len(items)
-    lo = 0
-    rewrites = []
-    for q in cons.ones:
-        while lo < end and items[lo][0] < q:
-            lo += 1
-        rewrites.append((q, make_code_value_sparse(q + 1, items[:lo], canonical=True)))
-    return x.with_overrides(max(x.length, cons.ones[-1] + 1), tuple(rewrites))
+    ones = cons.ones
+    return x.with_overrides(max(x.length, ones[-1] + 1), _prefix_codes(x.overrides, ones))
 
 
 def _rewrite_value(x: PointPrefix, q: int):

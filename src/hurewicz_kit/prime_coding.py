@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from decimal import Decimal, localcontext
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .base import CapacityError
 
@@ -275,7 +274,13 @@ def make_code_value_sparse(
         its = items
     else:
         its = _canonical_items(length, items) if items else ()
-    bits = _seq_bits_scaled(length, its)
+    return _code_value(length, its, _seq_bits_scaled(length, its))
+
+
+def _code_value(length: int, its: tuple, bits: int | None) -> "int | SymbolicCode":
+    """The canonical code value of the length-``length`` sequence with the
+    canonical non-1 items ``its``, given ``_seq_bits_scaled(length, its)``:
+    materialized within the cutoff, factored past it."""
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
         value = _all_ones_code(length)
         for pos, v in its:
@@ -287,6 +292,39 @@ def make_code_value_sparse(
     code = object.__new__(SymbolicCode)
     code._fill(length, its, bits)
     return code
+
+
+def _prefix_codes(items: tuple, positions: tuple) -> tuple:
+    """(q, ``make_code_value_sparse(q + 1, below, canonical=True)``) for
+    each q of the increasing ``positions``, where ``below`` are the
+    canonical ``items`` at positions below q: the codes a branch writes at
+    q, where the point reads 1.  The items' share of the size estimate is
+    summed once, across the positions, not again for each prefix; it is the
+    same integer ``_seq_bits_scaled`` sums.  Past the exact-sum cap each
+    prefix is sized by ``_seq_bits_scaled`` itself."""
+    top = positions[-1] + 1
+    exact = top <= _EXACT_LENGTH_CAP
+    if exact and top >= len(_cum_log2q):
+        _extend_log2q(top)
+    # the estimate's terms of items[:lo], summed only when exact; None once
+    # an entry is factored (the estimate is then None too)
+    share = 0 if exact else None
+    out = []
+    end = len(items)
+    lo = 0
+    for q in positions:
+        while lo < end and items[lo][0] < q:
+            if share is not None:
+                pos, v = items[lo]
+                share = None if v.__class__ is SymbolicCode else share + (v - 1) * _log2q[pos]
+            lo += 1
+        its = items[:lo]
+        if exact:
+            bits = None if share is None else 2 * _cum_log2q[q + 1] + share
+        else:
+            bits = _seq_bits_scaled(q + 1, its)
+        out.append((q, _code_value(q + 1, its, bits)))
+    return tuple(out)
 
 
 def _all_ones_code(length: int) -> int:
@@ -328,17 +366,66 @@ def fixed_log(p: int, bits: int = FIXED_LOG_BITS) -> int:
     the true scaled value; a sum of c_j * fixed_log(q_j, bits) is therefore
     within FIXED_LOG_ERROR * sum(|c_j|) of 2**bits * sum(c_j * ln(q_j)).
 
-    Decimal's ln is correctly rounded; at D = floor(bits * 0.30103) + 22 >=
-    bits * log10(2) + 21 digits (60 at 128 bits) and with ln(p) < 100
-    (2**144 < e**100) it is off by under 10**(2 - D) <= 10**-19 * 2**-bits,
-    under 10**-19 once scaled.  The floor of the exact ratio loses under 1.
+    In integers: ln p = k ln 2 + 2 atanh(z), z = (p - 2**k) / (p + 2**k),
+    with 2**k the power of two nearer p in ratio, so |z| <= 3 - 2 sqrt(2)
+    < 1/5, and ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749).
+    Each atanh is within 2 units of 2**w times its value at w = bits + 16
+    (``_atanh_fixed``), so the sum before the last shift is off by under
+    56 k + 4 <= 8068 < 2**13 units (k <= 144), an eighth of a unit of
+    2**-bits; the floor after the shift adds under one unit: in all under
+    1 + 1/8 < FIXED_LOG_ERROR.  For p = 3 it takes 0.5 s at 2**17 bits and
+    about 7 s at 2**19 (2 CPUs, Python 3.11).
     """
     if p < 2 or p.bit_length() > 144:
         raise ValueError("fixed_log covers 2 <= p < 2**144")
-    with localcontext() as ctx:
-        ctx.prec = bits * 30103 // 100000 + 22
-        num, den = Decimal(p).ln().as_integer_ratio()
-    return (num << bits) // den
+    k = p.bit_length() - 1
+    if p * p > 1 << (2 * k + 1):  # p > sqrt(2) * 2**k: 2**(k+1) is nearer
+        k += 1
+    w = bits + 16
+    total = k * _ln2_fixed(w)
+    if p != 1 << k:
+        total += 2 * _atanh_fixed(p - (1 << k), p + (1 << k), w)
+    return total >> 16
+
+
+@lru_cache(maxsize=8)
+def _ln2_fixed(w: int) -> int:
+    """2**w ln 2 by its Machin-like atanh sum, within 18*2 + 2*2 + 8*2 = 56
+    units."""
+    return (
+        18 * _atanh_fixed(1, 26, w) - 2 * _atanh_fixed(1, 4801, w)
+        + 8 * _atanh_fixed(1, 8749, w)
+    )
+
+
+def _atanh_fixed(a: int, b: int, w: int) -> int:
+    """2**w atanh(a/b) within 2 units, for 0 < |a|/b = |z| < 1/5.
+
+    The floor of 2**w times the partial sum S of the first n terms of
+    atanh(z) = sum over i of z**(2i+1) / (2i+1).  The tail past n is under
+    |z|**(2n+1) / (1 - z**2) < 2 |z|**(2n+1), which is at most 2**-w once
+    (2n + 1) log2(1/|z|) >= w + 1; n is taken a term past that count from
+    float logs, whose relative error (under 1e-15 on a count under 2**21)
+    cannot use up the spare term.  So 2**w S is within one unit of the
+    true value, and the floor loses under one more.  S is summed exactly by
+    binary splitting (``_atanh_split``).
+    """
+    n = math.ceil((w + 1) / (2 * (math.log2(b) - math.log2(abs(a))))) + 1
+    _, q, c, t = _atanh_split(a, b, a * a, b * b, 0, n)
+    return (t << w) // (q * c)
+
+
+def _atanh_split(a: int, b: int, a2: int, b2: int, lo: int, hi: int) -> tuple:
+    """Binary splitting of the atanh(a/b) terms lo <= i < hi.  Term i is
+    r_0 r_1 ... r_i / (2i+1), with r_0 = a/b and r_i = a2/b2 = (a/b)**2
+    after; returns (P, Q, C, T) with P/Q = r_lo ... r_(hi-1), C the product
+    of the 2i+1, and T / (Q C) the sum of r_lo ... r_i / (2i+1)."""
+    if hi - lo == 1:
+        return (a, b, 1, a) if lo == 0 else (a2, b2, 2 * lo + 1, a2)
+    mid = (lo + hi) // 2
+    pl, ql, cl, tl = _atanh_split(a, b, a2, b2, lo, mid)
+    pr, qr, cr, tr = _atanh_split(a, b, a2, b2, mid, hi)
+    return pl * pr, ql * qr, cl * cr, tl * qr * cr + pl * cl * tr
 
 
 def scaled_log_sign(terms: Iterable[tuple[int, int]]) -> int:

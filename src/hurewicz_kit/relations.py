@@ -12,7 +12,6 @@ branch to the constraints below L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -21,14 +20,31 @@ from .departure import BranchIndex, e_inv, level_start
 from .prime_coding import is_code, make_code_value
 
 
-@dataclass(frozen=True)
 class EffectiveWitness:
     """Branch truncated to its constraints below the node length; ``cut`` is
     the first level whose rewritten index reaches past that length (one past
-    the last level when every constraint is in range)."""
+    the last level when every constraint is in range).  Immutable; equal and
+    hashed as the pair (branch, cut)."""
 
-    branch: BranchIndex
-    cut: int
+    __slots__ = ("branch", "cut")
+
+    def __init__(self, branch: BranchIndex, cut: int):
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "cut", cut)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.branch, self.cut) == (other.branch, other.cut)
+
+    def __hash__(self) -> int:
+        return hash((self.branch, self.cut))
+
+    def __repr__(self) -> str:
+        return f"EffectiveWitness(branch={self.branch!r}, cut={self.cut!r})"
+
+    def __setattr__(self, *a):
+        raise AttributeError("EffectiveWitness is immutable")
 
 
 @lru_cache(maxsize=65536)
@@ -107,10 +123,30 @@ def _search(s: tuple, t: tuple) -> list[tuple]:
     return _witness_search(s, t)
 
 
-@dataclass(frozen=True)
 class PsiResult:
-    rank: int | None
-    witness: EffectiveWitness | None
+    """``psi``'s answer: the least relating rank and its witness, both None
+    when no branch relates the nodes.  Immutable; equal and hashed as the
+    pair (rank, witness)."""
+
+    __slots__ = ("rank", "witness")
+
+    def __init__(self, rank: int | None, witness: EffectiveWitness | None):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.witness) == (other.rank, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.witness))
+
+    def __repr__(self) -> str:
+        return f"PsiResult(rank={self.rank!r}, witness={self.witness!r})"
+
+    def __setattr__(self, *a):
+        raise AttributeError("PsiResult is immutable")
 
 
 def psi(s: tuple, t: tuple) -> PsiResult:
@@ -141,20 +177,43 @@ def self_related_profile(s: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class RelationGraph:
     """Symmetric closure of the relation on depth-``length`` nodes.
 
-    Edges are index pairs into ``nodes`` (i < j) with the relating slot rank;
-    loops are kept apart, with their ranks in ``loop_ranks`` (same order);
-    unique-chain verification ignores them.
+    Edges are (i, j, psi rank) triples of indices into ``nodes``, i < j;
+    loops, the indices of the nodes with s R s, are kept apart, with their
+    ranks in ``loop_ranks`` (same order); unique-chain verification ignores
+    them.  Immutable; equal and hashed as the tuple of its five fields.
     """
 
-    length: int
-    nodes: tuple
-    edges: tuple  # (i, j, psi_rank)
-    loops: tuple  # node indices with s R s
-    loop_ranks: tuple  # psi_rank of each loop
+    __slots__ = ("length", "nodes", "edges", "loops", "loop_ranks")
+
+    def __init__(self, length: int, nodes: tuple, edges: tuple, loops: tuple, loop_ranks: tuple):
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "loop_ranks", loop_ranks)
+
+    def _fields(self) -> tuple:
+        return (self.length, self.nodes, self.edges, self.loops, self.loop_ranks)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"RelationGraph(length={self.length!r}, nodes={self.nodes!r}, "
+            f"edges={self.edges!r}, loops={self.loops!r}, loop_ranks={self.loop_ranks!r})"
+        )
+
+    def __setattr__(self, *a):
+        raise AttributeError("RelationGraph is immutable")
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
@@ -258,13 +317,43 @@ def t_chain(s: tuple, t: tuple, g: RelationGraph) -> list[tuple] | None:
     return None if path is None else [g.nodes[i] for i in path]
 
 
-@dataclass(frozen=True)
 class ForestReport:
-    acyclic: bool
-    node_count: int
-    edge_count: int
-    loop_count: int
-    cycle: tuple | None  # nodes of a cycle when one exists
+    """``verify_forest``'s answer, with the nodes of one cycle when the edges
+    hold one (else None).  Immutable; equal and hashed as the tuple of its
+    five fields."""
+
+    __slots__ = ("acyclic", "node_count", "edge_count", "loop_count", "cycle")
+
+    def __init__(
+        self, acyclic: bool, node_count: int, edge_count: int, loop_count: int,
+        cycle: tuple | None,
+    ):
+        object.__setattr__(self, "acyclic", acyclic)
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "loop_count", loop_count)
+        object.__setattr__(self, "cycle", cycle)
+
+    def _fields(self) -> tuple:
+        return (self.acyclic, self.node_count, self.edge_count, self.loop_count, self.cycle)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"ForestReport(acyclic={self.acyclic!r}, node_count={self.node_count!r}, "
+            f"edge_count={self.edge_count!r}, loop_count={self.loop_count!r}, "
+            f"cycle={self.cycle!r})"
+        )
+
+    def __setattr__(self, *a):
+        raise AttributeError("ForestReport is immutable")
 
 
 class _UnionFind:

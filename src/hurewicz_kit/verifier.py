@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from itertools import compress, count
 
 from .base import CapacityError, Tri, _below
@@ -79,14 +78,17 @@ INDEX_MAP_READ_CAP = 10**8
 WITNESS_CHECK_CAP = 1 << 22
 
 
-@dataclass
 class Check:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    inconclusive: int = 0
-    counterexamples: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """One named check of a report: its counts, the first
+    ``_COUNTEREXAMPLE_CAP`` counterexamples and its notes."""
+
+    __slots__ = ("name", "passed", "failed", "inconclusive", "counterexamples", "notes")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = self.failed = self.inconclusive = 0
+        self.counterexamples = []
+        self.notes = []
 
     def ok(self, n: int = 1) -> None:
         self.passed += n
@@ -129,11 +131,15 @@ def _show(v) -> object:
     return repr(v)
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    params: dict
-    checks: list
+    """A suite's result: its name, its params and its checks in order."""
+
+    __slots__ = ("suite", "params", "checks")
+
+    def __init__(self, suite: str, params: dict, checks: list):
+        self.suite = suite
+        self.params = params
+        self.checks = checks
 
     @property
     def failed(self) -> int:

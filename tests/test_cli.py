@@ -1,6 +1,10 @@
 import functools
 import hashlib
+import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -439,6 +443,41 @@ def test_verify_passes_exactly_the_given_flags(capsys, monkeypatch, suite):
     argv = [a for f, v in flags.items() for a in (cli._flag(f), str(v))]
     assert run(capsys, "verify", suite, *argv)[0] == 0
     assert calls == [{}, flags]
+
+
+@pytest.mark.parametrize("suite", sorted(verifier.SUITES))
+def test_parameter_names_are_the_signature(suite):
+    fn = verifier.SUITES[suite]
+    names = tuple(inspect.signature(fn).parameters)
+    assert cli._parameter_names(fn) == names
+    # through a functools.wraps wrapper, and a partial binding by keyword
+    wrapped = functools.wraps(fn)(lambda **kwargs: fn(**kwargs))
+    assert cli._parameter_names(wrapped) == names
+    bound = functools.partial(fn, **{names[-1]: None})
+    assert cli._parameter_names(bound) == tuple(inspect.signature(bound).parameters)
+
+
+# What the kit itself adds to sys.modules on import, over what a bare import
+# of the standard modules it builds on loads on the same Python
+_IMPORT_PROBE = """
+import sys
+import argparse, json, random, fractions, enum
+before = set(sys.modules)
+import hurewicz_kit.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: no site-packages, as a cold `hurewicz-kit` start has none it needs
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    added = set(out.split())
+    assert "hurewicz_kit.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing"}, sorted(added)
 
 
 def test_verify_out_writes_the_report_and_prints_only_the_summary(capsys, tmp_path):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,15 +209,34 @@ def test_scaled_log_sign_decides_convergent_near_ties_on_a_higher_rung():
 def test_fixed_log_is_within_its_error_at_every_rung_tried():
     from mpmath import floor, ln, mp
 
-    for bits in (128, 512, 2048):
+    # small primes, a power of two, and the ends of the domain, with the
+    # atanh argument at both signs and near its bound 3 - 2 sqrt(2); the
+    # 144-bit ones, whose series sums hold the largest integers, up to 8192
+    # bits
+    small = _FIRST_PRIMES + (4, pc.nth_prime(999))
+    edges = (2**143 + 1, int(2**143 * 1.4142), int(2**143 * 1.4143), 2**144 - 1)
+    for bits in (128, 512, 2048, 8192, 32768):
         with mp.workprec(bits + 200):
-            for p in _FIRST_PRIMES + (pc.nth_prime(999),):
+            for p in small + (edges if bits <= 8192 else ()):
                 exact = int(floor(ln(p) * 2**bits))
                 assert abs(pc.fixed_log(p, bits) - exact) < pc.FIXED_LOG_ERROR, (p, bits)
     with pytest.raises(ValueError):
         pc.fixed_log(1)
     with pytest.raises(ValueError):
         pc.fixed_log(2**144 + 1)
+
+
+def test_fixed_log_climbs_the_ladder_in_budget():
+    # every rung scaled_log_sign may climb to below the top, each from cold
+    # (0.5 s in all on a 2-CPU machine)
+    pc.fixed_log.cache_clear()
+    pc._ln2_fixed.cache_clear()
+    start = time.perf_counter()
+    bits = pc.FIXED_LOG_BITS
+    while bits <= 1 << 17:
+        pc.fixed_log(3, bits)
+        bits *= 4
+    assert time.perf_counter() - start < 10
 
 
 def test_code_value_cmp_matches_int_order():
@@ -363,6 +383,28 @@ def test_make_code_value_sparse_takes_canonical_items_as_they_stand():
         got = pc.make_code_value_sparse(length, its, canonical=True)
         want = pc.make_code_value_sparse(length, items)
         assert type(got) is type(want) and got == want, (length, items)
+
+
+def test_prefix_codes_match_one_call_per_prefix():
+    # the running size estimate gives the values, and the estimates kept in
+    # factored ones, of one make_code_value_sparse call per prefix; the last
+    # cases cross the exact-sum cap and follow a factored entry
+    cases = [(its, length) for length, its in _sparse_cases()]
+    big = pc.make_code_value_sparse(4, ((2, 2**5000),))
+    cases += [(((3, 2), (150_000, 5)), 200_000), (((1, 4), (2, big), (9, 7)), 12)]
+    rng = random.Random(6)
+    for items, length in cases:
+        its = tuple(sorted((p, v) for p, v in items if v != 1))
+        positions = sorted(rng.sample(range(length), min(length, 5)))
+        if length > 1000:
+            positions = [1, 3, 99_999, 150_000, length - 1]
+        got = pc._prefix_codes(its, tuple(positions))
+        assert [q for q, _ in got] == positions
+        for q, v in got:
+            want = pc.make_code_value_sparse(q + 1, [(p, e) for p, e in its if p < q])
+            assert type(v) is type(want) and v == want, (its, q)
+            if isinstance(v, pc.SymbolicCode):
+                assert v._bits_scaled == want._bits_scaled, (its, q)
 
 
 def test_all_ones_log2_floor_bounds_the_code():

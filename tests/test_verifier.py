@@ -1,16 +1,18 @@
-import dataclasses
 import hashlib
 import importlib
 import inspect
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from hurewicz_kit import alphabet as al
+from hurewicz_kit import cascade as casc
 from hurewicz_kit import cli
 from hurewicz_kit import departure as dep
+from hurewicz_kit import relations as rel
 from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Tri
 from hurewicz_kit.prime_coding import encode
@@ -463,7 +465,8 @@ def test_append_check_fails_on_a_planted_rank_change(monkeypatch):
         g = real(p)
         if p < 4:
             return g
-        return dataclasses.replace(g, edges=tuple((i, j, r + 1) for i, j, r in g.edges))
+        edges = tuple((i, j, r + 1) for i, j, r in g.edges)
+        return vf.rel.RelationGraph(g.length, g.nodes, edges, g.loops, g.loop_ranks)
 
     monkeypatch.setattr(vf.rel, "t_graph", bumped)
     self_rank, profile, append, forest = vf._relation_checks(4)
@@ -474,6 +477,50 @@ def test_append_check_fails_on_a_planted_rank_change(monkeypatch):
     for cx in append.counterexamples:
         assert set(cx) == {"s", "t", "label", "child_rank", "parent_rank"}
         assert cx["child_rank"] == cx["parent_rank"] + 1
+
+
+# Each frozen record with the fields of one instance.  Every two-field record
+# takes the same two values, so records of different classes with equal
+# fields are compared too.
+_PAIR = ((1,), (1, 2))
+_FROZEN_RECORDS = [
+    (dep.BranchIndex, _PAIR),
+    (dep.CylinderConstraint, _PAIR),
+    (rel.EffectiveWitness, _PAIR),
+    (rel.PsiResult, _PAIR),
+    (casc.ConditionReport, _PAIR),
+    (rel.PsiResult, (0, rel.EffectiveWitness(dep.BranchIndex((), (0,)), 1))),
+    (rel.RelationGraph, (2, ((1, 1), (1, 4)), ((0, 1, 0),), (1,), (0,))),
+    (rel.ForestReport, (False, 3, 3, 0, ((1, 1), (1, 4), (4, 1), (1, 1)))),
+    (casc.ConditionReport, (False, (("radius", (0,), Fraction(1, 4), Fraction(1, 8)),))),
+    (casc.CascadeSample, (((), (0,)), {(): 0, (0,): 1}, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields", _FROZEN_RECORDS, ids=lambda v: v.__name__ if isinstance(v, type) else ""
+)
+def test_frozen_records_behave_as_their_fields(cls, fields):
+    a, b = cls(*fields), cls(*fields)
+    assert a is not b and a == b and not a != b
+    assert tuple(getattr(a, name) for name in cls.__slots__) == fields
+    if cls is casc.CascadeSample:  # its nums is a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(fields)
+    assert a != fields
+    for other, same in _FROZEN_RECORDS:
+        if other is not cls and same == fields:
+            assert a != other(*fields) and other(*fields) != a
+    with pytest.raises(AttributeError):
+        setattr(a, cls.__slots__[0], None)
+    assert getattr(a, cls.__slots__[0]) == fields[0]
+
+
+def test_branch_index_repr():
+    assert repr(dep.BranchIndex((1,), (1, 2))) == "(s=[1], t=[1, 2])"
+    assert str(dep.BranchIndex((), (0,))) == "(s=[], t=[0])"
 
 
 @pytest.mark.parametrize("depth", range(5))

@@ -234,17 +234,17 @@ def _int_member_valid(level: int, v: int) -> bool:
 
     O is built only for a v that may reach it.  First v < 4**(L+1) <= O is
     rejected, which bounds L by v's size; then so is any v whose bit length
-    is at most ``all_ones_log2_floor(L+1)`` <= log2(O).  A v that passes has
-    more than log2(O) - 1 bits, so O, which ``_all_ones_code`` keeps when
-    its length is materializable, is at most a bit longer than v, whatever
-    the level.
+    is at most ``repeated_code_log2_floor(L+1, 1)`` <= log2(O).  A v that
+    passes has more than log2(O) - 1 bits, so O, which ``_all_ones_code``
+    keeps when its length is materializable, is at most a bit longer than
+    v, whatever the level.
 
     Each distinct value is checked once: rewritten coordinates repeat a few
     hundred alphabet members, so the bound holds them all; ones and factored
     values never enter the cache.
     """
     bits = v.bit_length()
-    if bits <= 2 * (level + 1) or bits <= prime_coding.all_ones_log2_floor(level + 1):
+    if bits <= 2 * (level + 1) or bits <= prime_coding.repeated_code_log2_floor(level + 1, 1):
         return False
     ones = prime_coding._all_ones_code(level + 1)
     if v < ones:

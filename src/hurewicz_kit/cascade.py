@@ -26,7 +26,7 @@ import random
 from bisect import bisect_left, insort
 from fractions import Fraction
 
-from .base import CapacityError, _below
+from .base import CapacityError, Record, _below
 
 # Numerator bits a generated sample may hold (node count times the bits of
 # its scale, see gen_cascade), refused before any work.  The default suite
@@ -50,37 +50,23 @@ def _tree(nodes) -> tuple:
     return tuple(sorted(present, key=_level_order))
 
 
-class CascadeSample:
+class CascadeSample(Record):
     """Finite family of tree nodes at abstract rational positions, so the
     metric axioms hold by construction.
 
     Positions are held as integers over one common denominator: node n sits
     at ``nums[n] / scale``, and the checkers compute with those integers.
     ``values``, the positions as Fractions, and ``d``, the distance as a
-    Fraction, are derived from them on request.  The fields cannot be
-    rebound; samples are equal when their three fields are, and unhashable,
-    as ``nums`` is.
+    Fraction, are derived from them on request.  A ``Record`` of its three
+    fields, but unhashable, as ``nums`` is.
     """
 
     __slots__ = ("nodes", "nums", "scale")
 
     def __init__(self, nodes: tuple, nums: dict, scale: int = 1):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "scale", scale)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nodes, self.nums, self.scale) == (other.nodes, other.nums, other.scale)
+        super().__init__(nodes, nums, scale)
 
     __hash__ = None  # nums is a dict
-
-    def __repr__(self) -> str:
-        return f"CascadeSample(nodes={self.nodes!r}, nums={self.nums!r}, scale={self.scale!r})"
-
-    def __setattr__(self, *a):
-        raise AttributeError("CascadeSample is immutable")
 
     @classmethod
     def from_values(cls, values: dict) -> "CascadeSample":
@@ -120,29 +106,11 @@ def epsilon(sample: CascadeSample, child: tuple) -> Fraction:
     return _radius(k, min(terms, default=math.inf), sample.scale)
 
 
-class ConditionReport:
-    """``check_admissibility``'s answer: ok, and the violations found.
-    Immutable; equal and hashed as the pair (ok, violations)."""
+class ConditionReport(Record):
+    """``check_admissibility``'s answer: ok, and the violations found.  A
+    ``Record`` of (ok: bool, violations: tuple)."""
 
     __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.violations) == (other.ok, other.violations)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.violations))
-
-    def __repr__(self) -> str:
-        return f"ConditionReport(ok={self.ok!r}, violations={self.violations!r})"
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConditionReport is immutable")
 
 
 def check_admissibility(sample: CascadeSample) -> ConditionReport:

@@ -22,16 +22,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 
-from .base import CapacityError, DomainError, HorizonError, Tri
+from .base import CapacityError, DomainError, HorizonError, Record, Tri
 from .alphabet import PointPrefix
 from .prime_coding import _prefix_codes, decode, encode, make_code_value_sparse, nth_prime
 
 DEFAULT_HORIZON = 10**6
 
 
-class BranchIndex:
-    """A branch (s, t) with |t| = |s| + 1.  Immutable; equal and hashed as
-    the pair (s, t), so it keys the ``constraints`` cache and suite tables."""
+class BranchIndex(Record):
+    """A branch (s, t) with |t| = |s| + 1.  A ``Record`` of (s, t), so it
+    keys the ``constraints`` cache and suite tables."""
 
     __slots__ = ("s", "t")
 
@@ -40,19 +40,7 @@ class BranchIndex:
             raise ValueError("branch index needs |t| = |s| + 1")
         if any(e < 0 for e in s) or any(e < 0 for e in t):
             raise ValueError("branch entries must be naturals")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.t) == (other.s, other.t)
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.t))
-
-    def __setattr__(self, *a):
-        raise AttributeError("BranchIndex is immutable")
+        super().__init__(s, t)
 
     def top_index(self) -> int:
         """Largest rewritten coordinate: the code of s ⌢ t."""
@@ -62,29 +50,11 @@ class BranchIndex:
         return f"(s={list(self.s)}, t={list(self.t)})"
 
 
-class CylinderConstraint:
+class CylinderConstraint(Record):
     """Clopen domain data: must-be-1 and must-not-be-1 coordinate index sets.
-    Immutable; equal and hashed as the pair (ones, non_ones)."""
+    A ``Record`` of (ones: tuple[int, ...], non_ones: tuple[int, ...])."""
 
     __slots__ = ("ones", "non_ones")
-
-    def __init__(self, ones: tuple[int, ...], non_ones: tuple[int, ...]):
-        object.__setattr__(self, "ones", ones)
-        object.__setattr__(self, "non_ones", non_ones)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ones, self.non_ones) == (other.ones, other.non_ones)
-
-    def __hash__(self) -> int:
-        return hash((self.ones, self.non_ones))
-
-    def __repr__(self) -> str:
-        return f"CylinderConstraint(ones={self.ones!r}, non_ones={self.non_ones!r})"
-
-    def __setattr__(self, *a):
-        raise AttributeError("CylinderConstraint is immutable")
 
     def membership(self, x: PointPrefix) -> Tri:
         """Domain membership on the decidable range: a readable violation is

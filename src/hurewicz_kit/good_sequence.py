@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .base import CapacityError, Tri
+from .base import CapacityError, Record, Tri
 from .prime_coding import encode, nth_prime
 
 
@@ -86,16 +86,16 @@ def sigma(s, k: int) -> int:
     return _index_map(_check_index(s))(k)
 
 
-class BitPrefix:
+class BitPrefix(Record):
     """Finite binary word, optionally extended by repeating ``tail`` forever.
 
-    ``bits`` and ``tail`` are read-only."""
+    A ``Record`` of (bits: bytes, tail: bytes | None), so both are
+    read-only."""
 
     __slots__ = ("bits", "tail")
 
     def __init__(self, bits: bytes, tail: bytes | None = None):
-        self.bits = bits
-        self.tail = tail
+        super().__init__(bits, tail)
 
     def bit(self, k: int):
         if k < 0:
@@ -108,14 +108,6 @@ class BitPrefix:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BitPrefix:
-            return NotImplemented
-        return self.bits == other.bits and self.tail == other.tail
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.tail))
 
     def __repr__(self) -> str:
         body = "".join(str(b) for b in self.bits[:64])

@@ -239,12 +239,6 @@ def _seq_bits_scaled(length: int, items, exact: bool = False) -> int | None:
     return total
 
 
-def all_ones_log2_floor(length: int) -> int:
-    """A lower bound on log2 of the code of (1,) * length (length >= 1):
-    ``repeated_code_log2_floor(length, 1)``."""
-    return repeated_code_log2_floor(length, 1)
-
-
 def repeated_code_log2_floor(length: int, entry: int) -> int:
     """A lower bound on log2 of the code of (entry,) * length (length >= 1),
     without building it: entry + 1 times the sum of the scaled prime logs,

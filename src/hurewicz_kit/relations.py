@@ -16,35 +16,18 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .alphabet import alphabets, enumerate_nodes
+from .base import Record
 from .departure import BranchIndex, e_inv, level_start
 from .prime_coding import is_code, make_code_value
 
 
-class EffectiveWitness:
+class EffectiveWitness(Record):
     """Branch truncated to its constraints below the node length; ``cut`` is
     the first level whose rewritten index reaches past that length (one past
-    the last level when every constraint is in range).  Immutable; equal and
-    hashed as the pair (branch, cut)."""
+    the last level when every constraint is in range).  A ``Record`` of
+    (branch: BranchIndex, cut: int)."""
 
     __slots__ = ("branch", "cut")
-
-    def __init__(self, branch: BranchIndex, cut: int):
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "cut", cut)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.branch, self.cut) == (other.branch, other.cut)
-
-    def __hash__(self) -> int:
-        return hash((self.branch, self.cut))
-
-    def __repr__(self) -> str:
-        return f"EffectiveWitness(branch={self.branch!r}, cut={self.cut!r})"
-
-    def __setattr__(self, *a):
-        raise AttributeError("EffectiveWitness is immutable")
 
 
 @lru_cache(maxsize=65536)
@@ -123,30 +106,12 @@ def _search(s: tuple, t: tuple) -> list[tuple]:
     return _witness_search(s, t)
 
 
-class PsiResult:
+class PsiResult(Record):
     """``psi``'s answer: the least relating rank and its witness, both None
-    when no branch relates the nodes.  Immutable; equal and hashed as the
-    pair (rank, witness)."""
+    when no branch relates the nodes.  A ``Record`` of (rank: int | None,
+    witness: EffectiveWitness | None)."""
 
     __slots__ = ("rank", "witness")
-
-    def __init__(self, rank: int | None, witness: EffectiveWitness | None):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "witness", witness)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.witness) == (other.rank, other.witness)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.witness))
-
-    def __repr__(self) -> str:
-        return f"PsiResult(rank={self.rank!r}, witness={self.witness!r})"
-
-    def __setattr__(self, *a):
-        raise AttributeError("PsiResult is immutable")
 
 
 def psi(s: tuple, t: tuple) -> PsiResult:
@@ -177,50 +142,26 @@ def self_related_profile(s: tuple) -> bool:
     return True
 
 
-class RelationGraph:
+class RelationGraph(Record):
     """Symmetric closure of the relation on depth-``length`` nodes.
 
     Edges are (i, j, psi rank) triples of indices into ``nodes``, i < j;
     loops, the indices of the nodes with s R s, are kept apart, with their
     ranks in ``loop_ranks`` (same order); unique-chain verification ignores
-    them.  Immutable; equal and hashed as the tuple of its five fields.
+    them.  A ``Record`` of its five fields, all tuples but ``length``.
     """
 
     __slots__ = ("length", "nodes", "edges", "loops", "loop_ranks")
 
-    def __init__(self, length: int, nodes: tuple, edges: tuple, loops: tuple, loop_ranks: tuple):
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "loop_ranks", loop_ranks)
 
-    def _fields(self) -> tuple:
-        return (self.length, self.nodes, self.edges, self.loops, self.loop_ranks)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"RelationGraph(length={self.length!r}, nodes={self.nodes!r}, "
-            f"edges={self.edges!r}, loops={self.loops!r}, loop_ranks={self.loop_ranks!r})"
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("RelationGraph is immutable")
-
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+def _adjacency(node_count: int, edges) -> dict[int, list[int]]:
+    """Neighbour lists of the nodes below ``node_count`` under ``edges``, each
+    in edge order."""
+    adj: dict[int, list[int]] = {i: [] for i in range(node_count)}
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
 
 
 def t_graph(p: int) -> RelationGraph:
@@ -313,47 +254,16 @@ def t_chain(s: tuple, t: tuple, g: RelationGraph) -> list[tuple] | None:
     index = {nd: i for i, nd in enumerate(g.nodes)}
     if s not in index or t not in index:
         raise ValueError("nodes not in the graph")
-    path = _shortest_path(g.adjacency(), index[s], index[t])
+    path = _shortest_path(_adjacency(len(g.nodes), g.edges), index[s], index[t])
     return None if path is None else [g.nodes[i] for i in path]
 
 
-class ForestReport:
+class ForestReport(Record):
     """``verify_forest``'s answer, with the nodes of one cycle when the edges
-    hold one (else None).  Immutable; equal and hashed as the tuple of its
-    five fields."""
+    hold one (else None).  A ``Record`` of (acyclic: bool, node_count: int,
+    edge_count: int, loop_count: int, cycle: tuple | None)."""
 
     __slots__ = ("acyclic", "node_count", "edge_count", "loop_count", "cycle")
-
-    def __init__(
-        self, acyclic: bool, node_count: int, edge_count: int, loop_count: int,
-        cycle: tuple | None,
-    ):
-        object.__setattr__(self, "acyclic", acyclic)
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "edge_count", edge_count)
-        object.__setattr__(self, "loop_count", loop_count)
-        object.__setattr__(self, "cycle", cycle)
-
-    def _fields(self) -> tuple:
-        return (self.acyclic, self.node_count, self.edge_count, self.loop_count, self.cycle)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"ForestReport(acyclic={self.acyclic!r}, node_count={self.node_count!r}, "
-            f"edge_count={self.edge_count!r}, loop_count={self.loop_count!r}, "
-            f"cycle={self.cycle!r})"
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("ForestReport is immutable")
 
 
 class _UnionFind:
@@ -386,12 +296,9 @@ def verify_forest(g: RelationGraph) -> ForestReport:
     report carries one explicit cycle (path between the offending endpoints
     plus the closing edge)."""
     uf = _UnionFind(len(g.nodes))
-    adj: dict[int, list[int]] = {i: [] for i in range(len(g.nodes))}
-    for i, j, _ in g.edges:
+    for e, (i, j, _) in enumerate(g.edges):
         if not uf.union(i, j):
-            path = _shortest_path(adj, i, j)
+            path = _shortest_path(_adjacency(len(g.nodes), g.edges[:e]), i, j)
             cycle = tuple(g.nodes[k] for k in path + [i])
             return ForestReport(False, len(g.nodes), len(g.edges), len(g.loops), cycle)
-        adj[i].append(j)
-        adj[j].append(i)
     return ForestReport(True, len(g.nodes), len(g.edges), len(g.loops), None)

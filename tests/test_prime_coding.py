@@ -409,7 +409,7 @@ def test_prefix_codes_match_one_call_per_prefix():
 
 def test_all_ones_log2_floor_bounds_the_code():
     for length in list(range(1, 120)) + [300, 1000, 2500]:
-        lb = pc.all_ones_log2_floor(length)
+        lb = pc.repeated_code_log2_floor(length, 1)
         ones = math.prod(pc.nth_prime(i) ** 2 for i in range(length))
         # 2**lb <= O < 2**(lb + 2): a lower bound, and a tight one
         assert lb < ones.bit_length() <= lb + 2, length

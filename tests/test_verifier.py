@@ -2,20 +2,23 @@ import hashlib
 import importlib
 import inspect
 import json
+import pkgutil
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+import hurewicz_kit
 from hurewicz_kit import alphabet as al
 from hurewicz_kit import cascade as casc
 from hurewicz_kit import cli
 from hurewicz_kit import departure as dep
+from hurewicz_kit import good_sequence as gs
 from hurewicz_kit import relations as rel
 from hurewicz_kit import verifier as vf
-from hurewicz_kit.base import CapacityError, Tri
-from hurewicz_kit.prime_coding import encode
+from hurewicz_kit.base import CapacityError, Record, Tri
+from hurewicz_kit.prime_coding import SymbolicCode, encode
 
 from oracles import pair_scan_relation_checks, sample_domain_point
 
@@ -494,6 +497,7 @@ _FROZEN_RECORDS = [
     (rel.ForestReport, (False, 3, 3, 0, ((1, 1), (1, 4), (4, 1), (1, 1)))),
     (casc.ConditionReport, (False, (("radius", (0,), Fraction(1, 4), Fraction(1, 8)),))),
     (casc.CascadeSample, (((), (0,)), {(): 0, (0,): 1}, 4)),
+    (gs.BitPrefix, (b"\x01\x00", b"\x01")),
 ]
 
 
@@ -513,9 +517,37 @@ def test_frozen_records_behave_as_their_fields(cls, fields):
     for other, same in _FROZEN_RECORDS:
         if other is not cls and same == fields:
             assert a != other(*fields) and other(*fields) != a
-    with pytest.raises(AttributeError):
-        setattr(a, cls.__slots__[0], None)
-    assert getattr(a, cls.__slots__[0]) == fields[0]
+    name = cls.__slots__[0]
+    for change in (lambda: setattr(a, name, None), lambda: delattr(a, name)):
+        with pytest.raises(AttributeError, match="immutable"):
+            change()
+        assert getattr(a, name) == fields[0] and a == b
+
+
+def _kit_classes():
+    """Every class defined at the top of a module of the package."""
+    modules = [hurewicz_kit] + [
+        importlib.import_module(f"hurewicz_kit.{m.name}")
+        for m in pkgutil.iter_modules(hurewicz_kit.__path__)
+    ]
+    for mod in modules:
+        for obj in vars(mod).values():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                yield obj
+
+
+def test_records_are_exactly_the_frozen_records():
+    # a new record must join _FROZEN_RECORDS, and immutability is written
+    # once, in Record (SymbolicCode keeps cached fields outside its equality)
+    classes = set(_kit_classes())
+    records = {c for c in classes if issubclass(c, Record) and c is not Record}
+    assert records == {cls for cls, _ in _FROZEN_RECORDS}
+    refusing = {c for c in classes if "__setattr__" in vars(c) or "__delattr__" in vars(c)}
+    assert refusing == {Record, SymbolicCode}
+    with pytest.raises(TypeError, match="two fields"):
+        type("OneField", (Record,), {"__slots__": ("a",)})
+    with pytest.raises(TypeError, match="takes 2 fields"):
+        dep.CylinderConstraint((1,))
 
 
 def test_branch_index_repr():

@@ -32,10 +32,11 @@ class Record:
     Built positionally, fields in slot order; equal to a record of the same
     class with equal fields and hashed as the tuple of its fields, so it
     keys dicts, sets and caches exactly as that tuple would; shown as
-    ``Name(field=value, ...)``.  Assigning or deleting a field raises
-    ``AttributeError``.  A subclass needs two fields or more: the fields
-    are read by one ``operator.attrgetter``, which returns a bare value,
-    not a tuple, for a single name.
+    ``Name(field=value, ...)``; copied and pickled by rebuilding it from
+    its fields.  Assigning or deleting a field raises ``AttributeError``.
+    A subclass needs two fields or more: the fields are read by one
+    ``operator.attrgetter``, which returns a bare value, not a tuple, for
+    a single name.
     """
 
     __slots__ = ()
@@ -65,6 +66,10 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refused setattr
+        return type(self), self._fields(self)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .base import CapacityError, DomainError, HorizonError, Record, Tri
 from .alphabet import PointPrefix
-from .prime_coding import _prefix_codes, decode, encode, make_code_value_sparse, nth_prime
+from .prime_coding import decode, encode, make_code_value_sparse, nth_prime
 
 DEFAULT_HORIZON = 10**6
 
@@ -125,10 +125,8 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
     (carrying the needed index) when the prefix is too short to decide.  A
     decided membership has read every rewritten index, so every rewrite is
     readable too, and x reads 1 there: the rewrites are added to x's
-    overrides.  The rewrite at q codes x's length-(q+1) prefix, whose non-1
-    entries are the overrides before the first one past q: the overrides
-    are walked once, in step with the sorted must-be-1 indices, with one
-    running size estimate (``prime_coding._prefix_codes``).
+    overrides.  The rewrite at each must-be-1 index q is
+    ``_rewrite_value(x, q)``, the rule ``apply_inverse`` checks.
     """
     membership = cons.membership(x)
     if membership is Tri.NO:
@@ -137,11 +135,13 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
         needed = max(cons.ones + cons.non_ones)
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
     ones = cons.ones
-    return x.with_overrides(max(x.length, ones[-1] + 1), _prefix_codes(x.overrides, ones))
+    rewrites = tuple((q, _rewrite_value(x, q)) for q in ones)
+    return x.with_overrides(max(x.length, ones[-1] + 1), rewrites)
 
 
 def _rewrite_value(x: PointPrefix, q: int):
-    """The value a branch writes at q: the code of x's length-(q+1) prefix."""
+    """The value a branch writes at q: the code of x's length-(q+1) prefix,
+    whose non-1 entries are x's overrides below q, already canonical."""
     return make_code_value_sparse(q + 1, x.overrides_below(q), canonical=True)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .base import CapacityError, Record, Tri
-from .prime_coding import encode, nth_prime
+from .prime_coding import nth_prime
 
 
 def _check_index(s) -> tuple[int, ...]:
@@ -35,8 +35,17 @@ def _check_index(s) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _divisors(s: tuple[int, ...]) -> tuple[int, ...]:
-    """Level divisors D_1..D_|s|, D_j = J(s|j) / q_{j-1}."""
-    return tuple(encode(s[:j]) // nth_prime(j - 1) for j in range(1, len(s) + 1))
+    """Level divisors D_1..D_|s|, D_j = J(s|j) / q_{j-1}, from one running
+    product: with J = J(s|j) (1 for j = 0), D_{j+1} = J * q_j^{s_j} and
+    J(s|j+1) = D_{j+1} * q_j."""
+    out = []
+    code = 1
+    for j, entry in enumerate(s):
+        q = nth_prime(j)
+        divisor = code * q**entry
+        out.append(divisor)
+        code = divisor * q
+    return tuple(out)
 
 
 class IndexMap:

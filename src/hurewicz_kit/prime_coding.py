@@ -195,6 +195,10 @@ class SymbolicCode:
     def __repr__(self) -> str:
         return f"SymbolicCode({factored_str(self)})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refused setattr
+        return SymbolicCode, (self.length, self.items)
+
     def __setattr__(self, *a):
         raise AttributeError("SymbolicCode is immutable")
 
@@ -261,20 +265,15 @@ def make_code_value_sparse(
     at the (position, entry) ``items``.  With ``canonical`` the items are
     taken as they stand, unchecked: a tuple of non-1 pairs sorted by
     position, every position below ``length`` (a slice of a
-    ``PointPrefix``'s overrides is one)."""
+    ``PointPrefix``'s overrides is one).  An int within the
+    MATERIALIZE_BITS cutoff, factored past it."""
     if length == 0:
         return 0
     if canonical:
         its = items
     else:
         its = _canonical_items(length, items) if items else ()
-    return _code_value(length, its, _seq_bits_scaled(length, its))
-
-
-def _code_value(length: int, its: tuple, bits: int | None) -> "int | SymbolicCode":
-    """The canonical code value of the length-``length`` sequence with the
-    canonical non-1 items ``its``, given ``_seq_bits_scaled(length, its)``:
-    materialized within the cutoff, factored past it."""
+    bits = _seq_bits_scaled(length, its)
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
         value = _all_ones_code(length)
         for pos, v in its:
@@ -286,39 +285,6 @@ def _code_value(length: int, its: tuple, bits: int | None) -> "int | SymbolicCod
     code = object.__new__(SymbolicCode)
     code._fill(length, its, bits)
     return code
-
-
-def _prefix_codes(items: tuple, positions: tuple) -> tuple:
-    """(q, ``make_code_value_sparse(q + 1, below, canonical=True)``) for
-    each q of the increasing ``positions``, where ``below`` are the
-    canonical ``items`` at positions below q: the codes a branch writes at
-    q, where the point reads 1.  The items' share of the size estimate is
-    summed once, across the positions, not again for each prefix; it is the
-    same integer ``_seq_bits_scaled`` sums.  Past the exact-sum cap each
-    prefix is sized by ``_seq_bits_scaled`` itself."""
-    top = positions[-1] + 1
-    exact = top <= _EXACT_LENGTH_CAP
-    if exact and top >= len(_cum_log2q):
-        _extend_log2q(top)
-    # the estimate's terms of items[:lo], summed only when exact; None once
-    # an entry is factored (the estimate is then None too)
-    share = 0 if exact else None
-    out = []
-    end = len(items)
-    lo = 0
-    for q in positions:
-        while lo < end and items[lo][0] < q:
-            if share is not None:
-                pos, v = items[lo]
-                share = None if v.__class__ is SymbolicCode else share + (v - 1) * _log2q[pos]
-            lo += 1
-        its = items[:lo]
-        if exact:
-            bits = None if share is None else 2 * _cum_log2q[q + 1] + share
-        else:
-            bits = _seq_bits_scaled(q + 1, its)
-        out.append((q, _code_value(q + 1, its, bits)))
-    return tuple(out)
 
 
 def _all_ones_code(length: int) -> int:

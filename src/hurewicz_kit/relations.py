@@ -266,39 +266,22 @@ class ForestReport(Record):
     __slots__ = ("acyclic", "node_count", "edge_count", "loop_count", "cycle")
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def verify_forest(g: RelationGraph) -> ForestReport:
-    """Acyclicity of the non-loop edge set via union-find; on failure the
-    report carries one explicit cycle (path between the offending endpoints
-    plus the closing edge)."""
-    uf = _UnionFind(len(g.nodes))
+    """Acyclicity of the non-loop edge set via union-find (a parent list
+    with path halving); on failure the report carries one explicit cycle
+    (path between the offending endpoints plus the closing edge)."""
+    parent = list(range(len(g.nodes)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
     for e, (i, j, _) in enumerate(g.edges):
-        if not uf.union(i, j):
+        ri, rj = root(i), root(j)
+        if ri == rj:
             path = _shortest_path(_adjacency(len(g.nodes), g.edges[:e]), i, j)
             cycle = tuple(g.nodes[k] for k in path + [i])
             return ForestReport(False, len(g.nodes), len(g.edges), len(g.loops), cycle)
+        parent[ri] = rj
     return ForestReport(True, len(g.nodes), len(g.edges), len(g.loops), None)

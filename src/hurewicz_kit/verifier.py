@@ -299,7 +299,7 @@ def _off_by_one_image(
         if isinstance(v, int):
             v += 1
         else:
-            v = SymbolicCode(v.length, v.items + ((v.length - 1, 2),))
+            v = make_code_value_sparse(v.length, v.items + ((v.length - 1, 2),))
         rewrites.append((q, v))
     return y.without(set(cons.ones)).with_overrides(y.length, tuple(rewrites))
 

@@ -122,9 +122,13 @@ def code_value_per_call(length: int, items):
         entries[pos] = v
     if any(isinstance(v, SymbolicCode) for v in entries):
         return SymbolicCode(length, items)
-    # q^(e+1) has at least (e+1) * (bits of q - 1) bits
-    if sum((e + 1) * (prime(i).bit_length() - 1) for i, e in enumerate(entries)) > MATERIALIZE_BITS:
-        return SymbolicCode(length, items)
+    # q^(e+1) has at least (e+1) * (bits of q - 1) bits; summed only until
+    # past the cutoff, so a long sequence reads no prime past the table
+    low = 0
+    for i, e in enumerate(entries):
+        low += (e + 1) * (prime(i).bit_length() - 1)
+        if low > MATERIALIZE_BITS:
+            return SymbolicCode(length, items)
     value = 1
     for i in range(length):
         value *= prime(i) ** 2
@@ -613,12 +617,12 @@ def disagreement_witness_uncached(s, t, u) -> tuple[good.BitPrefix, int]:
     if m is not None:
         if s[m] > t[m]:
             s, t = t, s
-        base = good.encode(t[: m + 1]) // good.nth_prime(m)
+        base = encode(t[: m + 1]) // good.nth_prime(m)
         step = good.nth_prime(m + 2)
     else:
         if len(s) > len(t):
             s, t = t, s
-        base = good.encode(t) // good.nth_prime(len(t) - 1)
+        base = encode(t) // good.nth_prime(len(t) - 1)
         step = good.nth_prime(len(t) + 1)
     sig_s, sig_t = good.IndexMap(s), good.IndexMap(t)
     power = 1

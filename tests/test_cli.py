@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +271,15 @@ def test_sigma_streams_the_bytes_of_the_joined_lines(capsys, tmp_path, k, upto):
         capsys, "sigma", "--s", "2,1", "--k", str(k), "--upto", str(upto), "--out", str(path)
     )
     assert code == 0 and printed == "" and path.read_text(encoding="utf-8") == out
+
+
+def test_sigma_on_a_long_index_is_quick(capsys):
+    # the level divisors of 150 entries of 1000 (codes of about 1.3M bits)
+    # are one running product, not 150 codes built anew
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sigma", "--s", ",".join(["1000"] * 150), "--k", "5")
+    assert code == 0 and out.endswith("(5) = 5\n")
+    assert time.perf_counter() - start < 10
 
 
 def test_sigma_range_at_the_cap_prints(capsys):

@@ -10,6 +10,7 @@ from hurewicz_kit.base import CapacityError, DomainError, HorizonError, Tri
 
 from oracles import (
     apply_rebuilding,
+    code_value_per_call,
     codes_by_trial_division,
     codes_in_order,
     constraints_by_encoding,
@@ -98,6 +99,35 @@ def test_apply_rewrite_reads_the_input_not_the_partial_image():
     assert y.coord(2) == 900
     assert y.coord(30) == pc.make_code_value_sparse(31, ())
     assert pc.decode(y.coord(30)) == (1,) * 31
+
+
+@pytest.mark.parametrize(
+    "b, extra, label",
+    [
+        # the rewrite at must-be-1 index 262,144 codes a prefix past the
+        # exact-sum cap, so its size label is a lower bound
+        (branch((), (17,)), (), "at least"),
+        # must-be-1 indices 4 and 90 rewritten around a factored entry at 50
+        (
+            branch((0,), (1, 0)),
+            ((50, pc.make_code_value_sparse(4, ((2, 2**5000),))),),
+            "size beyond any usable estimate",
+        ),
+    ],
+    ids=["past-the-cap", "after-a-factored-entry"],
+)
+def test_image_rewrites_hard_prefixes_as_one_call_each(b, extra, label):
+    cons = dep.constraints(b)
+    items = [(q, 0) for q in cons.non_ones] + list(extra)
+    x = al.PointPrefix(max(p for p, _ in items) + 1, items, tail_ones=True)
+    y = dep.image(b, cons, x)
+    for q in cons.ones:
+        got = y.coord(q)
+        want = code_value_per_call(q + 1, [(p, v) for p, v in x.overrides if p < q])
+        assert type(got) is type(want) and got == want, q
+        assert pc.render_value(got) == pc.render_value(want), q
+    assert isinstance(got, pc.SymbolicCode) and f"({label}" in pc.render_value(got)
+    assert dep.apply_inverse(b, y) == (Tri.YES, x)
 
 
 def test_find_branch_examples():

@@ -5,6 +5,7 @@ import pytest
 from hurewicz_kit import good_sequence as gs
 from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Tri
+from hurewicz_kit.prime_coding import encode, nth_prime
 
 from oracles import (
     agreement_below_bound_per_k,
@@ -247,6 +248,15 @@ def test_sigma_injective_small():
         sig = gs.IndexMap(s)
         values = [sig(k) for k in range(10_000)]
         assert len(set(values)) == len(values)
+
+
+def test_divisors_match_encoding_each_prefix():
+    rng = random.Random(7)
+    indices = [(), (1,), (5,), (1000,)]
+    indices += [tuple(rng.randint(1, 60) for _ in range(rng.randint(2, 12))) for _ in range(40)]
+    for s in indices:
+        want = tuple(encode(s[:j]) // nth_prime(j - 1) for j in range(1, len(s) + 1))
+        assert gs._divisors(s) == want, s
 
 
 def test_sigma_fixes_coprime_indices():

@@ -385,28 +385,6 @@ def test_make_code_value_sparse_takes_canonical_items_as_they_stand():
         assert type(got) is type(want) and got == want, (length, items)
 
 
-def test_prefix_codes_match_one_call_per_prefix():
-    # the running size estimate gives the values, and the estimates kept in
-    # factored ones, of one make_code_value_sparse call per prefix; the last
-    # cases cross the exact-sum cap and follow a factored entry
-    cases = [(its, length) for length, its in _sparse_cases()]
-    big = pc.make_code_value_sparse(4, ((2, 2**5000),))
-    cases += [(((3, 2), (150_000, 5)), 200_000), (((1, 4), (2, big), (9, 7)), 12)]
-    rng = random.Random(6)
-    for items, length in cases:
-        its = tuple(sorted((p, v) for p, v in items if v != 1))
-        positions = sorted(rng.sample(range(length), min(length, 5)))
-        if length > 1000:
-            positions = [1, 3, 99_999, 150_000, length - 1]
-        got = pc._prefix_codes(its, tuple(positions))
-        assert [q for q, _ in got] == positions
-        for q, v in got:
-            want = pc.make_code_value_sparse(q + 1, [(p, e) for p, e in its if p < q])
-            assert type(v) is type(want) and v == want, (its, q)
-            if isinstance(v, pc.SymbolicCode):
-                assert v._bits_scaled == want._bits_scaled, (its, q)
-
-
 def test_all_ones_log2_floor_bounds_the_code():
     for length in list(range(1, 120)) + [300, 1000, 2500]:
         lb = pc.repeated_code_log2_floor(length, 1)

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import importlib
 import inspect
 import json
+import pickle
 import pkgutil
 import random
 import time
@@ -18,7 +20,7 @@ from hurewicz_kit import good_sequence as gs
 from hurewicz_kit import relations as rel
 from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Record, Tri
-from hurewicz_kit.prime_coding import SymbolicCode, encode
+from hurewicz_kit.prime_coding import SymbolicCode, encode, make_code_value_sparse
 
 from oracles import pair_scan_relation_checks, sample_domain_point
 
@@ -522,6 +524,26 @@ def test_frozen_records_behave_as_their_fields(cls, fields):
         with pytest.raises(AttributeError, match="immutable"):
             change()
         assert getattr(a, name) == fields[0] and a == b
+
+
+# A factored code whose entry at 4 is itself factored.
+_NESTED_CODE = make_code_value_sparse(6, ((1, 0), (4, make_code_value_sparse(3, ((0, 5000),)))))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [cls(*fields) for cls, fields in _FROZEN_RECORDS] + [_NESTED_CODE],
+    ids=[cls.__name__ for cls, _ in _FROZEN_RECORDS] + ["SymbolicCode"],
+)
+def test_frozen_values_copy_and_pickle(value):
+    assert isinstance(_NESTED_CODE.entry(4), SymbolicCode)
+    cls = type(value)
+    for dup in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(dup) is cls and dup == value
+        name = cls.__slots__[0]
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(dup, name, None)
+        assert getattr(dup, name) == getattr(value, name)
 
 
 def _kit_classes():

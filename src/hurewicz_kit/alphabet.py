@@ -298,29 +298,34 @@ class PointPrefix:
 
     ``overrides`` holds the non-1 (position, value) pairs sorted by position,
     every position below ``length`` and none twice, and ``override_map``
-    maps the same positions to their values; both are read-only.  The
-    constructor refuses a position given twice.
+    maps the same positions to their values; both are read-only, and no
+    two prefixes share a map.  The constructor refuses a position given
+    twice.
     """
 
     __slots__ = ("length", "tail_ones", "overrides", "override_map")
 
     def __init__(self, length: int, overrides=(), tail_ones: bool = False):
         given = tuple(overrides)
-        if len(dict(given)) != len(given):
+        values = dict(given)
+        if len(values) != len(given):
             raise ValueError("override position given twice")
-        # positions are distinct, so the pairs sort by position alone (a
-        # factored code is never 1: the class test skips its Python __eq__)
-        kept = [(p, v) for p, v in given if v.__class__ is SymbolicCode or v != 1]
-        items = tuple(sorted(kept))
+        # a factored code is never 1: the class test skips its Python __eq__
+        for v in values.values():
+            if v.__class__ is not SymbolicCode and v == 1:
+                values = {
+                    p: v for p, v in values.items()
+                    if v.__class__ is SymbolicCode or v != 1
+                }
+                break
+        # positions are distinct, so the pairs sort by position alone
+        items = tuple(sorted(values.items()))
         if items and not (0 <= items[0][0] and items[-1][0] < length):
             raise ValueError("override position outside the explicit prefix")
-        self._fill(length, items, tail_ones)
-
-    def _fill(self, length: int, items: tuple, tail_ones: bool) -> None:
         self.length = length
         self.tail_ones = tail_ones
         self.overrides = items
-        self.override_map = dict(items)
+        self.override_map = values
 
     def overrides_below(self, q: int) -> tuple:
         """The overrides at positions below q (sorted, non-1)."""
@@ -336,31 +341,37 @@ class PointPrefix:
         """``PointPrefix(length, self.overrides + added, self.tail_ones)`` for
         a length at least this prefix's and non-1 pairs ``added`` at distinct
         positions below it where this prefix reads 1, merged without
-        re-filtering or re-checking the overrides already held."""
+        re-filtering or re-checking the overrides already held.  This prefix
+        is left as it was, also when the pairs are refused."""
         if length < self.length:
             raise ValueError("with_overrides cannot shorten the prefix")
-        values = self.override_map
+        own = self.override_map
+        values = own.copy()
         for p, v in added:
             # a factored code never equals 1: skip its Python-level __eq__
-            if not 0 <= p < length or p in values or (
+            if not 0 <= p < length or p in own or (
                 v.__class__ is not SymbolicCode and v == 1
             ):
                 raise ValueError("added override must set a 1 inside the prefix")
-        if len({p for p, _ in added}) != len(added):
+            values[p] = v
+        if len(values) != len(own) + len(added):
             raise ValueError("added overrides repeat a position")
-        # positions are distinct, so the pairs sort by position alone
         image = object.__new__(PointPrefix)
-        image._fill(length, tuple(sorted(self.overrides + added)), self.tail_ones)
+        image.length = length
+        image.tail_ones = self.tail_ones
+        # positions are distinct, so the pairs sort by position alone
+        image.overrides = tuple(sorted(self.overrides + added))
+        image.override_map = values
         return image
 
     def without(self, positions) -> "PointPrefix":
         """This prefix with 1 at every coordinate in the set ``positions``."""
+        items = tuple(item for item in self.overrides if item[0] not in positions)
         x = object.__new__(PointPrefix)
-        x._fill(
-            self.length,
-            tuple(item for item in self.overrides if item[0] not in positions),
-            self.tail_ones,
-        )
+        x.length = self.length
+        x.tail_ones = self.tail_ones
+        x.overrides = items
+        x.override_map = dict(items)
         return x
 
     @classmethod
@@ -434,16 +445,21 @@ def first_disagreement(x: PointPrefix, y: PointPrefix):
     Both override tuples are sorted by position and agree pair by pair before
     the first index where they differ.  There the smaller of the two positions
     reads differently on the two sides; when one tuple runs out first, the
-    next pair of the other does.
+    next pair of the other does.  That position is decidable on a side with
+    the all-ones tail, and below its length on a side without.
     """
     xs, ys = x.overrides, y.overrides
-    if xs != ys:
-        at = next((min(a[0], b[0]) for a, b in zip(xs, ys) if a != b), None)
-        if at is None:
-            at = (xs if len(xs) > len(ys) else ys)[min(len(xs), len(ys))][0]
-        if at < min(x.decidable_limit(), y.decidable_limit()):
-            return at
+    for a, b in zip(xs, ys):
+        if a != b:
+            at = a[0] if a[0] < b[0] else b[0]
+            break
+    else:
+        n, m = len(xs), len(ys)
+        at = xs[m][0] if n > m else ys[n][0] if m > n else None
+    if at is not None and (x.tail_ones or at < x.length) and (
+        y.tail_ones or at < y.length
+    ):
+        return at
     if x.tail_ones and y.tail_ones:
         return None
     return Tri.UNKNOWN
-

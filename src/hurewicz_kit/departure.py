@@ -15,6 +15,9 @@ glued map for the n-th sequence in code order).
 greedily, level by level; ``find_branches(stems, x)`` does so for many stems
 at once, scanning each level once: a stem's levels are its parent's plus
 one, so over a prefix-closed list of stems it makes one level scan per stem.
+Which levels those are depends on the stems alone (``stem_walk``), so a
+caller that places many points under one stem list builds that walk once
+and runs it at each point (``walk_branches``).
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
         needed = max(cons.ones + cons.non_ones)
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
     ones = cons.ones
-    rewrites = tuple((q, _rewrite_value(x, q)) for q in ones)
+    rewrites = tuple([(q, _rewrite_value(x, q)) for q in ones])
     return x.with_overrides(max(x.length, ones[-1] + 1), rewrites)
 
 
@@ -179,30 +182,58 @@ def find_branches(
     stems, x: PointPrefix, horizon: int = DEFAULT_HORIZON
 ) -> list[tuple[Tri, tuple[int, ...] | None]]:
     """``find_branch(s, x, horizon)`` for every stem s, in order, with each
-    level scanned once.
+    level scanned once: ``walk_branches`` over the ``stem_walk`` of the
+    stems."""
+    return walk_branches(stem_walk(stems), x, horizon)
+
+
+def stem_walk(stems) -> tuple[tuple, tuple]:
+    """The level scans ``find_branches`` makes for these stems, whatever
+    the point: (levels, ends).
 
     The first |s| levels of a stem's scan are its parent's (s less its last
     entry): their bases s⌈j ⌢ t⌈j do not read s's last entry.  So a stem's
-    t is its parent's t and one more level, scanned at base s ⌢ t(parent),
-    and a parent the scan gave no verdict gives its children none.  The t of
-    every prefix met is kept for the call: stems listed parents first (as
-    ``sequences_below`` lists a prefix-closed set, in code order) cost one
-    level scan each, and any other stem scans on from its deepest prefix
-    met so far."""
-    found: dict[tuple, tuple | None] = {}  # prefix met -> its t, None without verdict
-    out = []
+    t is its parent's t and one more level, scanned at base s ⌢ t(parent).
+    Each prefix met is scanned once, when first met: stems listed parents
+    first (as ``sequences_below`` lists a prefix-closed set, in code order)
+    cost one level scan each, and any other stem scans on from its deepest
+    prefix met so far.  ``levels`` holds (prefix, slot of its parent's t)
+    for each prefix met, in that order; level i's t goes to slot i + 1, and
+    slot 0 holds the empty t the empty prefix's scan extends.  ``ends``
+    holds each stem's slot.  A point pays only for the scans, so a caller
+    that walks one stem list at many points builds the walk once."""
+    slot_of: dict[tuple, int] = {}  # prefix met -> slot of its t
+    levels: list[tuple] = []
+    ends = []
     for s in stems:
         k = len(s)
-        while k >= 0 and s[:k] not in found:
+        while k >= 0 and s[:k] not in slot_of:
             k -= 1
-        t = found[s[:k]] if k >= 0 else ()
+        slot = slot_of[s[:k]] if k >= 0 else 0
         for j in range(k + 1, len(s) + 1):
-            if t is not None:
-                p = _scan_level(s[:j] + t, x, horizon)
-                t = None if p is None else t + (p,)
-            found[s[:j]] = t
-        out.append((Tri.UNKNOWN, None) if t is None else (Tri.YES, t))
-    return out
+            levels.append((s[:j], slot))
+            slot = slot_of[s[:j]] = len(levels)
+        ends.append(slot)
+    return tuple(levels), tuple(ends)
+
+
+def walk_branches(
+    walk: tuple[tuple, tuple], x: PointPrefix, horizon: int = DEFAULT_HORIZON
+) -> list[tuple[Tri, tuple[int, ...] | None]]:
+    """``find_branch(s, x, horizon)`` for every stem s of the ``stem_walk``
+    ``walk``, in order: each level scanned once, at base prefix ⌢ t(parent),
+    and a parent the scan gave no verdict (t None) gives its children
+    none."""
+    levels, ends = walk
+    found: list[tuple | None] = [()]  # t by slot
+    for prefix, parent in levels:
+        t = found[parent]
+        if t is not None:
+            p = _scan_level(prefix + t, x, horizon)
+            t = None if p is None else t + (p,)
+        found.append(t)
+    unknown = (Tri.UNKNOWN, None)
+    return [unknown if t is None else (Tri.YES, t) for t in map(found.__getitem__, ends)]
 
 
 def _scan_level(base: tuple[int, ...], x: PointPrefix, horizon: int) -> int | None:

@@ -163,10 +163,11 @@ class SymbolicCode:
         self._fill(length, its, _seq_bits_scaled(length, its))
 
     def _fill(self, length: int, its: tuple, bits_scaled: int | None) -> None:
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "items", its)
-        object.__setattr__(self, "_bits_scaled", bits_scaled)
-        object.__setattr__(self, "_hash", hash((length, its)))
+        # the slots' own setters, which the refused __setattr__ does not reach
+        _set_length(self, length)
+        _set_items(self, its)
+        _set_bits_scaled(self, bits_scaled)
+        _set_hash(self, hash((length, its)))
 
     def entry(self, i: int):
         if not 0 <= i < self.length:
@@ -201,6 +202,13 @@ class SymbolicCode:
 
     def __setattr__(self, *a):
         raise AttributeError("SymbolicCode is immutable")
+
+    __delattr__ = __setattr__
+
+
+_set_length, _set_items, _set_bits_scaled, _set_hash = (
+    SymbolicCode.__dict__[name].__set__ for name in SymbolicCode.__slots__
+)
 
 
 # Sequences longer than this keep a lower bound (2 bits a position, far past

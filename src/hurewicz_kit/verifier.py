@@ -468,16 +468,18 @@ def _density_check(depth, horizon, by_stem, constraints) -> Check:
     """Every node of each depth up to ``depth``, completed by the all-ones
     tail, lands via greedy discovery in exactly one enumerated branch domain
     per stem with coded value below the horizon (domains as the suite's
-    ``constraints`` gives them)."""
+    ``constraints`` gives them).  The stems' level walk is built once and
+    run at every node."""
     check = Check("density-unique-branch")
     stems = dep.sequences_below(horizon)
+    walk = dep.stem_walk(stems)
     # (s, t) -> (branch, its top index, its constraint)
     found_at: dict[tuple, tuple] = {}
     for p in range(depth + 1):
         for node in alph.enumerate_nodes(p):
             x = alph.point_from_node(node)
             # reads are decidable at any index under the tail convention
-            results = dep.find_branches(stems, x, horizon=10**15)
+            results = dep.walk_branches(walk, x, horizon=10**15)
             for s, (outcome, t) in zip(stems, results):
                 if outcome is Tri.UNKNOWN:
                     # the scan left the index horizon: no verdict either way

@@ -450,6 +450,32 @@ def test_point_prefix_override_methods_match_constructor():
         al.PointPrefix(3, ((-1, 4), (1, 4)))
 
 
+def test_refused_with_overrides_leaves_the_prefix_unchanged():
+    x = al.PointPrefix(12, ((9, 36), (2, 900)), tail_ones=True)
+    overrides, values = x.overrides, dict(x.override_map)
+    # each refused pair comes after one that is accepted, so a merge that
+    # wrote into the receiver's own map would have changed it
+    for added, message in (
+        (((4, 4), (4, 36)), "repeat a position"),
+        (((4, 4), (2, 36)), "inside the prefix"),  # already overridden
+        (((4, 4), (5, 1)), "inside the prefix"),  # a 1 is no override
+        (((4, 4), (12, 4)), "inside the prefix"),  # outside the prefix
+        (((4, 4), (-1, 4)), "inside the prefix"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            x.with_overrides(12, added)
+        assert x.overrides == overrides and x.override_map == values
+    # an image never shares its source's map, even with nothing added
+    y = x.with_overrides(12, ())
+    assert y.override_map == x.override_map and y.override_map is not x.override_map
+    b = dep.BranchIndex((), (1,))
+    z = al.PointPrefix(6, ((2, 900), (5, 36)), tail_ones=True)
+    image = dep.apply(b, z)
+    assert image.override_map is not z.override_map
+    assert z.override_map == {2: 900, 5: 36}
+    assert image.override_map == dict(image.overrides) and set(image.override_map) == {2, 4, 5}
+
+
 def test_first_disagreement_examples():
     mk = al.PointPrefix.from_entries
     assert al.first_disagreement(mk((1, 1, 1), True), mk((1, 1, 1), True)) is None
@@ -458,6 +484,39 @@ def test_first_disagreement_examples():
         al.first_disagreement(mk((1, 1, 1)), mk((1, 1, 1))) is Tri.UNKNOWN
     )
     assert al.first_disagreement(mk((4, 1), True), mk((1, 1))) == 0
+
+
+def test_first_disagreement_edge_cases_match_position_set_oracle():
+    mk = al.PointPrefix
+    code = pc.make_code_value_sparse(3, ((0, 2),))
+    longer = mk(9, ((1, 4), (7, 900)), True)
+    cases = [
+        # a first difference exactly at a tail-less side's length is unread
+        (mk(3, ((1, 4),)), mk(5, ((1, 4), (3, 36)), True), Tri.UNKNOWN),
+        (mk(5, ((1, 4), (3, 36)), True), mk(3, ((1, 4),)), Tri.UNKNOWN),
+        (mk(0, ()), mk(3, ((0, 4),), True), Tri.UNKNOWN),
+        # one below that length is read
+        (mk(4, ((1, 4),)), mk(5, ((1, 4), (3, 36)), True), 3),
+        (mk(0, (), True), mk(3, ((2, 900),)), 2),
+        # the tuples differ only past the shorter tuple's end
+        (mk(9, ((1, 4),), True), longer, 7),
+        (longer, mk(9, ((1, 4),), True), 7),
+        (mk(3, ((1, 4),), True), longer, 7),
+        (mk(7, ((1, 4),)), longer, Tri.UNKNOWN),  # at the shorter side's length
+        (mk(8, ((1, 4),)), longer, 7),
+        # the first unequal pairs: one position with two values (one of
+        # them factored), or two positions, the smaller deciding
+        (mk(4, ((2, code),), True), mk(4, ((2, 900),), True), 2),
+        (mk(9, ((1, 4), (6, 36)), True), mk(9, ((1, 4), (3, 36)), True), 3),
+        (mk(9, ((1, 4), (3, 36)), True), mk(5, ((1, 4), (4, 36))), 3),
+        # equal overrides: equal with both tails, else undecided
+        (mk(4, ((1, 4),), True), mk(8, ((1, 4),), True), None),
+        (mk(4, ((1, 4),)), mk(4, ((1, 4),), True), Tri.UNKNOWN),
+        (mk(0, ()), mk(0, ()), Tri.UNKNOWN),
+    ]
+    for x, y, want in cases:
+        got = al.first_disagreement(x, y)
+        assert got == want and first_disagreement_by_position_set(x, y) == want, (x, y)
 
 
 def test_first_disagreement_matches_position_set_oracle():

@@ -212,6 +212,42 @@ def test_find_branches_scans_each_level_once(monkeypatch):
     assert len(scans) == len(set(scans)) == len(stems) == 148
 
 
+def test_find_branches_matches_reencoding_oracle_on_every_small_node():
+    stems = dep.sequences_below(10**5)
+    shuffled = list(stems)
+    random.Random(11).shuffle(shuffled)
+    shuffled.insert(200, shuffled[40])  # one stem met twice, far apart
+    points = [al.point_from_node(nd) for p in range(4) for nd in al.enumerate_nodes(p)]
+    assert len(stems) == 351 and len(points) == 51
+    outcomes = set()
+    for stem_list in (stems, shuffled):
+        walk = dep.stem_walk(stem_list)
+        # a level per prefix met: the stems themselves, since the list is
+        # prefix-closed, each once
+        assert len(walk[0]) == len(stems) and len(walk[1]) == len(stem_list)
+        for x in points:
+            for horizon in (10**15, 10**4):
+                want = [find_branch_reencoding(s, x, horizon) for s in stem_list]
+                assert dep.find_branches(stem_list, x, horizon) == want, x
+                assert dep.walk_branches(walk, x, horizon) == want, x
+                outcomes.update(outcome for outcome, _ in want)
+    assert outcomes == {Tri.YES, Tri.UNKNOWN}
+
+
+def test_density_check_builds_one_stem_walk(monkeypatch):
+    walks = []
+    build = dep.stem_walk
+
+    def counted(stems):
+        walks.append(len(stems))
+        return build(stems)
+
+    monkeypatch.setattr(dep, "stem_walk", counted)
+    report = vf.verify_departure(include=("density",))
+    assert walks == [len(dep.sequences_below(10_000))] == [148]
+    assert report.failed == 0 and report.inconclusive == 0
+
+
 def test_enumeration_examples():
     assert dep.e(0) == ()
     assert dep.e(1) == (0,)

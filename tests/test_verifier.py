@@ -538,12 +538,14 @@ _NESTED_CODE = make_code_value_sparse(6, ((1, 0), (4, make_code_value_sparse(3, 
 def test_frozen_values_copy_and_pickle(value):
     assert isinstance(_NESTED_CODE.entry(4), SymbolicCode)
     cls = type(value)
-    for dup in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    name = cls.__slots__[0]
+    copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    for dup in (value,) + copies:
         assert type(dup) is cls and dup == value
-        name = cls.__slots__[0]
-        with pytest.raises(AttributeError, match="immutable"):
-            setattr(dup, name, None)
-        assert getattr(dup, name) == getattr(value, name)
+        for change in (lambda: setattr(dup, name, None), lambda: delattr(dup, name)):
+            with pytest.raises(AttributeError, match="immutable"):
+                change()
+        assert getattr(dup, name) == getattr(value, name) and dup == value
 
 
 def _kit_classes():

@@ -203,11 +203,19 @@ def enumerate_nodes(p: int) -> list[tuple]:
 def member_valid(level: int, v) -> bool:
     """Whether ``v`` belongs to the level's alphabet: 1, or the code of u⌢1
     with u a valid depth-``level`` node."""
-    # a factored code is never 1, so it skips the test for 1
-    if isinstance(v, SymbolicCode):
-        if v.length != level + 1 or v.entry(level) != 1:
+    # a factored code is never 1, so it skips the test for 1; its items are
+    # non-1 and sorted, so the last position reads 1 unless it is an item
+    if v.__class__ is SymbolicCode:
+        length, items = v
+        if length != level + 1 or (items and items[-1][0] == level):
             return False
-        return all(member_valid(p, w) for p, w in v.items)
+        for p, w in items:
+            if w.__class__ is SymbolicCode:
+                if not member_valid(p, w):
+                    return False
+            elif w.__class__ is not int or not _int_member_valid(p, w):
+                return False
+        return True
     if v == 1:
         return True
     if not isinstance(v, int):
@@ -310,14 +318,8 @@ class PointPrefix:
         values = dict(given)
         if len(values) != len(given):
             raise ValueError("override position given twice")
-        # a factored code is never 1: the class test skips its Python __eq__
-        for v in values.values():
-            if v.__class__ is not SymbolicCode and v == 1:
-                values = {
-                    p: v for p, v in values.items()
-                    if v.__class__ is SymbolicCode or v != 1
-                }
-                break
+        if 1 in values.values():
+            values = {p: v for p, v in values.items() if v != 1}
         # positions are distinct, so the pairs sort by position alone
         items = tuple(sorted(values.items()))
         if items and not (0 <= items[0][0] and items[-1][0] < length):
@@ -348,10 +350,7 @@ class PointPrefix:
         own = self.override_map
         values = own.copy()
         for p, v in added:
-            # a factored code never equals 1: skip its Python-level __eq__
-            if not 0 <= p < length or p in own or (
-                v.__class__ is not SymbolicCode and v == 1
-            ):
+            if not 0 <= p < length or p in own or v == 1:
                 raise ValueError("added override must set a 1 inside the prefix")
             values[p] = v
         if len(values) != len(own) + len(added):

@@ -35,6 +35,9 @@ from .base import CapacityError, Record, _below
 # in well under a second.
 SAMPLE_BITS_CAP = 1 << 20
 
+# The derived inequality's factor: d(s, t) >= d(s|i+1, s|i) / SEPARATION_FACTOR.
+SEPARATION_FACTOR = 3
+
 
 def _level_order(node: tuple) -> tuple:
     return (len(node), node)
@@ -154,10 +157,10 @@ def check_admissibility(sample: CascadeSample) -> ConditionReport:
 
 
 def check_separation(sample: CascadeSample, s: tuple, t: tuple, i: int) -> bool:
-    """d(s, t) >= d(s|i+1, s|i)/3 for a first-divergence triple."""
+    """d(s, t) >= d(s|i+1, s|i) / SEPARATION_FACTOR for a first-divergence triple."""
     if not (i < min(len(s), len(t)) and s[:i] == t[:i] and s[i] < t[i]):
         raise ValueError("need s and t first differing at level i with s(i) < t(i)")
-    return 3 * sample.d(s, t) >= sample.d(s[: i + 1], s[:i])
+    return SEPARATION_FACTOR * sample.d(s, t) >= sample.d(s[: i + 1], s[:i])
 
 
 def _first_diff(a: tuple, b: tuple) -> int | None:
@@ -212,11 +215,11 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
     The triples (s, t, i) with w = s|i and x = s|i+1
     share the right-hand side |x - w|, and t ranges over the subtrees of the
     siblings of x after it.  So for each parent w and child x one inequality,
-    3·mingap(sub x, later) >= |x - w|, covers |sub x|·|later| triples, where
-    ``later`` holds the sorted numerators of those subtrees; the least gap is
-    found by binary search in ``later`` (_least_gap: of sub x's hull ends
-    when no member of ``later`` falls inside that hull, the usual case, else
-    of each member of sub x).  One walk over the nodes from the last up (in
+    SEPARATION_FACTOR·mingap(sub x, later) >= |x - w|, covers |sub x|·|later|
+    triples, where ``later`` holds the sorted numerators of those subtrees;
+    the least gap is found by binary search in ``later`` (_least_gap: of
+    sub x's hull ends when no member of ``later`` falls inside that hull,
+    the usual case, else of each member of sub x).  One walk over the nodes from the last up (in
     level order, and in label order under each parent, so every node comes
     after its subtree and its later siblings' subtrees) merges each
     subtree's sorted numerators into its parent's; a leaf's are its own.
@@ -242,7 +245,7 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
             merged[w] = sub
         else:
             checked += len(sub) * len(later)
-            hit = hit or 3 * _least_gap(sub, later) < abs(nums[x] - nums[w])
+            hit = hit or SEPARATION_FACTOR * _least_gap(sub, later) < abs(nums[x] - nums[w])
             merged[w] = sorted(later + sub)  # a merge of two sorted runs
     if not hit:
         return checked, []

@@ -19,6 +19,7 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from operator import itemgetter
 
 from .base import CapacityError
 
@@ -89,20 +90,30 @@ def _extend_log2q(length: int) -> None:
 
 
 def encode(seq: Sequence[int]) -> int:
-    """Code of a finite sequence of naturals; 0 for the empty sequence."""
+    """Code of a finite sequence of naturals; 0 for the empty sequence.  The
+    prime powers multiply as a balanced tree, not into one growing product
+    (quadratic in the code's length): the n-th joins the stack's top once
+    per trailing zero bit of n, like a binary count's carries."""
     if not seq:
         return 0
     if len(seq) > len(_primes):
         _ensure_primes(len(seq))
-    value = 1
-    for q, entry in zip(_primes, seq):
+    stack = []
+    for n, (q, entry) in enumerate(zip(_primes, seq), 1):
         if not isinstance(entry, int):
             raise CapacityError(
                 "entry too large to materialize; use make_code_value for the factored form"
             )
         if entry < 0:
             raise ValueError("entries must be naturals")
-        value *= q ** (entry + 1)
+        value = q ** (entry + 1)
+        while not n & 1:
+            value *= stack.pop()
+            n >>= 1
+        stack.append(value)
+    value = stack.pop()
+    while stack:
+        value *= stack.pop()
     return value
 
 
@@ -148,34 +159,29 @@ def is_code(n: int) -> bool:
     return decode(n) is not None
 
 
-class SymbolicCode:
-    """A code value kept in factored form: the code of ``seq``, with ``seq``
-    stored sparsely (positions whose entry differs from 1).
+class SymbolicCode(tuple):
+    """A code value kept in factored form: the code of ``seq``, stored
+    sparsely (positions whose entry differs from 1) as the tuple
+    ``(length, items)``, which it equals; never equal to an int, and not
+    ordered (comparing raises TypeError).  Only constructed (via
+    make_code_value) for values past MATERIALIZE_BITS bits."""
 
-    Only constructed (via make_code_value) for values whose materialized form
-    would exceed MATERIALIZE_BITS bits, so an int never equals a SymbolicCode.
-    """
+    __slots__ = ()
 
-    __slots__ = ("length", "items", "_bits_scaled", "_hash")
+    def __new__(cls, length: int, items: Iterable[tuple[int, object]]):
+        return tuple.__new__(cls, (length, _canonical_items(length, items)))
 
-    def __init__(self, length: int, items: Iterable[tuple[int, object]]):
-        its = _canonical_items(length, items)
-        self._fill(length, its, _seq_bits_scaled(length, its))
+    length = property(itemgetter(0))
+    items = property(itemgetter(1))
 
-    def _fill(self, length: int, its: tuple, bits_scaled: int | None) -> None:
-        # the slots' own setters, which the refused __setattr__ does not reach
-        _set_length(self, length)
-        _set_items(self, its)
-        _set_bits_scaled(self, bits_scaled)
-        _set_hash(self, hash((length, its)))
+    @property
+    def _bits_scaled(self) -> int | None:
+        return _seq_bits_scaled(self[0], self[1])
 
     def entry(self, i: int):
         if not 0 <= i < self.length:
             raise IndexError(i)
-        for p, v in self.items:
-            if p == i:
-                return v
-        return 1
+        return dict(self.items).get(i, 1)
 
     def seq(self) -> tuple:
         out = [1] * self.length
@@ -183,32 +189,22 @@ class SymbolicCode:
             out[p] = v
         return tuple(out)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymbolicCode)
-            and self.length == other.length
-            and self.items == other.items
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"SymbolicCode({factored_str(self)})"
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not the refused setattr
-        return SymbolicCode, (self.length, self.items)
+        # copy and pickle rebuild through __new__ from (length, items)
+        return SymbolicCode, tuple(self)
 
     def __setattr__(self, *a):
         raise AttributeError("SymbolicCode is immutable")
 
     __delattr__ = __setattr__
 
+    def __lt__(self, other):
+        raise TypeError("code values have no tuple order; use code_value_cmp")
 
-_set_length, _set_items, _set_bits_scaled, _set_hash = (
-    SymbolicCode.__dict__[name].__set__ for name in SymbolicCode.__slots__
-)
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 # Sequences longer than this keep a lower bound (2 bits a position, far past
@@ -219,8 +215,13 @@ _EXACT_LENGTH_CAP = 100_000
 
 def _canonical_items(length: int, items) -> tuple:
     """The non-1 (position, entry) pairs, sorted, each inside the sequence
-    and each entry a natural or a factored code."""
-    its = tuple(sorted((p, v) for p, v in items if v != 1))
+    and each entry a natural or a factored code; a position given twice is
+    refused."""
+    given = tuple(items)
+    values = dict(given)
+    if len(values) != len(given):
+        raise ValueError("item position given twice")
+    its = tuple(sorted((p, v) for p, v in values.items() if v != 1))
     for p, v in its:
         if not 0 <= p < length:
             raise ValueError("item position outside the coded sequence")
@@ -272,7 +273,7 @@ def make_code_value_sparse(
     """Canonical code value of the length-``length`` sequence that is 1 except
     at the (position, entry) ``items``.  With ``canonical`` the items are
     taken as they stand, unchecked: a tuple of non-1 pairs sorted by
-    position, every position below ``length`` (a slice of a
+    position, each position below ``length`` and none twice (a slice of a
     ``PointPrefix``'s overrides is one).  An int within the
     MATERIALIZE_BITS cutoff, factored past it."""
     if length == 0:
@@ -290,9 +291,7 @@ def make_code_value_sparse(
             else:
                 value //= _primes[pos]
         return value
-    code = object.__new__(SymbolicCode)
-    code._fill(length, its, bits)
-    return code
+    return tuple.__new__(SymbolicCode, (length, its))
 
 
 def _all_ones_code(length: int) -> int:
@@ -425,17 +424,9 @@ def scaled_log_sign(terms: Iterable[tuple[int, int]]) -> int:
 def _int_factor_terms(v: SymbolicCode, sign: int) -> list | None:
     """(sign*(entry+1), prime) terms of a factored value; None when an entry is
     itself symbolic."""
-    terms = []
-    covered = set()
-    for pos, e in v.items:
-        if isinstance(e, SymbolicCode):
-            return None
-        terms.append((sign * (e + 1), nth_prime(pos)))
-        covered.add(pos)
-    for i in range(v.length):
-        if i not in covered:
-            terms.append((sign * 2, nth_prime(i)))
-    return terms
+    if any(isinstance(e, SymbolicCode) for _, e in v.items):
+        return None
+    return [(sign * (e + 1), nth_prime(i)) for i, e in enumerate(v.seq())]
 
 
 def code_value_cmp(x, y) -> int:

@@ -126,7 +126,7 @@ class Check:
 def _show(v) -> object:
     if isinstance(v, (int, str, bool)) or v is None:
         return v
-    if isinstance(v, tuple):
+    if isinstance(v, tuple) and not isinstance(v, SymbolicCode):
         return "(" + ",".join(str(_show(e)) for e in v) + ")"
     return repr(v)
 
@@ -411,8 +411,7 @@ def _branch_axiom_checks(cons_of, by_stem, samples, seed, image):
                 stab.fail(branch=b, point=x, image=y)
             for q in ones:
                 v = y.coord(q)
-                # a factored code is never 1
-                if (v.__class__ is not SymbolicCode and v == 1) or not member_valid(q, v):
+                if v == 1 or not member_valid(q, v):
                     # rendering is costly: only a kept counterexample is rendered
                     rewrites = None if closure.full else tuple(
                         render_value(y.coord(q)) for q in ones
@@ -492,13 +491,18 @@ def _density_check(depth, horizon, by_stem, constraints) -> Check:
                         found, found.top_index(), constraints(found)
                     )
                 found, top, cons = known
-                if cons.membership(x) is not Tri.YES:
+                # inside the horizon the found branch is one of the stem's
+                # domains; past it, its membership is tested on its own
+                member = top >= horizon and cons.membership(x) is Tri.YES
+                hits = 0
+                for b, c in by_stem.get(s, ()):
+                    if c.membership(x) is Tri.YES:
+                        hits += 1
+                        member = member or b.t == t
+                if not member:
                     check.fail(stem=s, node=node, found=found)
                     continue
                 expected = 1 if top < horizon else 0
-                hits = sum(
-                    1 for _, c in by_stem.get(s, ()) if c.membership(x) is Tri.YES
-                )
                 check.require(
                     hits == expected,
                     stem=s,

@@ -6,7 +6,8 @@ re-encoding every level's base, branch constraints encoding every index
 anew, domain membership read one coordinate at a time, a branch map that
 decides membership so and rebuilds and re-sorts its image (and the
 verifier's two branch faults by their definitions over it), alphabet
-membership decoded anew on every call, alphabets sorted by pairwise exact
+membership decoded anew on every call (and, for factored codes, recursing
+into every item), alphabets sorted by pairwise exact
 comparisons, brute-force enumeration of coded sequences and the same
 enumeration by trial division of every even number, the image
 prefixes of a node found by building explicit points and pushing them
@@ -16,7 +17,8 @@ graph and relation checks built by testing every pair of nodes, the
 cascade generator, radius and admissibility check in ``Fraction`` arithmetic,
 the index-map checks, witnesses and agreement scan one index at a time, the
 first disagreement of two prefixes over the sorted union of their override
-positions, and the domain sampler building its members anew on every draw.
+positions, the density check testing every domain per node and stem, and the
+domain sampler building its members anew on every draw.
 """
 
 from __future__ import annotations
@@ -155,6 +157,54 @@ def member_valid_uncached(level: int, v) -> bool:
     if seq is None or len(seq) != level + 1 or seq[-1] != 1:
         return False
     return all(member_valid_uncached(i, w) for i, w in enumerate(seq[:-1]))
+
+
+def member_valid_recursive(level: int, v) -> bool:
+    """Alphabet membership recursing into every item of a factored code,
+    its last position read by ``entry``; ints by the library's cached
+    test."""
+    if isinstance(v, SymbolicCode):
+        if v.length != level + 1 or v.entry(level) != 1:
+            return False
+        return all(member_valid_recursive(p, w) for p, w in v.items)
+    if v == 1:
+        return True
+    if not isinstance(v, int):
+        return False
+    return alph._int_member_valid(level, v)
+
+
+def density_check_membership_per_stem(depth, horizon, by_stem, constraints) -> Check:
+    """The density check testing the found branch's membership on its own
+    and then every domain of the stem again, a fresh found branch and
+    constraint per (node, stem)."""
+    check = Check("density-unique-branch")
+    stems = dep.sequences_below(horizon)
+    for p in range(depth + 1):
+        for node in enumerate_nodes(p):
+            x = alph.point_from_node(node)
+            for s in stems:
+                outcome, t = dep.find_branch(s, x, horizon=10**15)
+                if outcome is Tri.UNKNOWN:
+                    check.skip()
+                    continue
+                found = BranchIndex(s, t)
+                if constraints(found).membership(x) is not Tri.YES:
+                    check.fail(stem=s, node=node, found=found)
+                    continue
+                expected = 1 if found.top_index() < horizon else 0
+                hits = sum(
+                    1 for _, c in by_stem.get(s, ()) if c.membership(x) is Tri.YES
+                )
+                check.require(
+                    hits == expected,
+                    stem=s,
+                    node=node,
+                    found=found,
+                    domains_hit=hits,
+                    expected=expected,
+                )
+    return check
 
 
 def alphabets_by_comparator(depth: int) -> list[tuple]:

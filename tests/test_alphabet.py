@@ -13,6 +13,7 @@ from oracles import (
     alphabets_by_comparator,
     first_disagreement_by_position_set,
     j_code,
+    member_valid_recursive,
     member_valid_uncached,
 )
 
@@ -90,6 +91,50 @@ def test_member_valid_matches_uncached_oracle():
                 for q in cons.ones:
                     verdicts.add(_assert_member_valid_matches_oracle(q, y.coord(q)))
                     _assert_member_valid_matches_oracle(q - 1, y.coord(q))
+    assert verdicts == {True, False}
+
+
+def _off_by_one(level, v):
+    """v with one entry moved off its alphabet: an int entry plus one, a
+    factored entry with its last entry 2."""
+    if isinstance(v, int):
+        return v + 1
+    return pc.make_code_value_sparse(v.length, v.items + ((v.length - 1, 2),))
+
+
+def test_member_valid_matches_recursive_form_on_nested_codes():
+    # factored members of A_3, level-4 members whose level-3 entry is one of
+    # them, and codes of levels 5 and 6 nesting those one and two deeper
+    a = al.alphabets(4)
+    rng = random.Random(7)
+    level3 = rng.sample([m for m in a[3] if isinstance(m, pc.SymbolicCode)], 5)
+    level4 = [
+        pc.make_code_value((rng.choice(a[0]), rng.choice(a[1]), rng.choice(a[2]), d, 1))
+        for d in level3
+    ]
+    level5 = [pc.make_code_value_sparse(6, ((1, 36), (4, m))) for m in level4]
+    level6 = [pc.make_code_value_sparse(7, ((5, m),)) for m in level5]
+    cases = []
+    for level, codes in ((3, level3), (4, level4), (5, level5), (6, level6)):
+        for v in codes:
+            assert isinstance(v, pc.SymbolicCode)
+            cases += [(level, v), (level - 1, v), (level + 1, v)]
+            cases.append((level, _off_by_one(level, v)))  # last entry 2
+            # last entry a member of its own level's alphabet, v itself
+            own = pc.make_code_value_sparse(level + 1, v.items + ((level, v),))
+            cases.append((level, own))
+            for k, (p, w) in enumerate(v.items):
+                items = v.items[:k] + ((p, _off_by_one(p, w)),) + v.items[k + 1 :]
+                cases.append((level, pc.make_code_value_sparse(level + 1, items)))
+            # an item that is neither an int nor a code
+            odd = v.items[:-1] + ((v.items[-1][0], 2.5),)
+            cases.append((level, pc.SymbolicCode(level + 1, odd)))
+    verdicts = set()
+    for level, v in cases:
+        want = member_valid_recursive(level, v)
+        assert al.member_valid(level, v) == want, (level, v)
+        assert member_valid_uncached(level, v) == want, (level, v)
+        verdicts.add(want)
     assert verdicts == {True, False}
 
 

@@ -57,22 +57,38 @@ def test_lemma_inequality_minimal_case():
     assert cs.check_separation(sample, (1,), (2,), 0)
 
 
+# every admissible radius one tick under its bound, children drifting
+# toward each other
+_NEAR_TIGHT = {
+    (): Fraction(0),
+    (1,): Fraction(511, 1024),
+    (2,): Fraction(510, 4096),
+    (1, 1): Fraction(1534, 4096),
+    (2, 1): Fraction(2549, 16384),
+}
+
+
 def test_lemma_inequality_near_tight_two_level_sample():
-    # every admissible radius one tick under its bound, children drifting
-    # toward each other: the conclusion still holds, with computable margin
-    v = {
-        (): Fraction(0),
-        (1,): Fraction(511, 1024),
-        (2,): Fraction(510, 4096),
-        (1, 1): Fraction(1534, 4096),
-        (2, 1): Fraction(2549, 16384),
-    }
-    sample = cs.CascadeSample.from_values(v)
+    # the conclusion still holds, with computable margin
+    sample = cs.CascadeSample.from_values(_NEAR_TIGHT)
     assert cs.check_admissibility(sample).ok
     checked, bad = cs.check_separation_all(sample)
     assert checked == 4 and not bad
     margin = sample.d((1, 1), (2, 1)) - sample.d((1,), ()) / 3
     assert margin == Fraction(3587, 16384) - Fraction(511, 3072)
+
+
+@pytest.mark.parametrize("factor, violators", [(2, [((1, 1), (2, 1), 0)]), (3, []), (4, [])])
+def test_separation_factor_moves_both_checks(monkeypatch, factor, violators):
+    # on the near-tight sample the tightest triple needs a factor above
+    # 2.28: the one named factor moves the walk and the per-triple check
+    monkeypatch.setattr(cs, "SEPARATION_FACTOR", factor)
+    sample = cs.CascadeSample.from_values(_NEAR_TIGHT)
+    per_triple = [
+        (s, t, i) for s, t, i in cs.eligible_triples(sample)
+        if not cs.check_separation(sample, s, t, i)
+    ]
+    assert cs.check_separation_all(sample) == (4, violators) and per_triple == violators
 
 
 def test_violating_sample_breaks_the_inequality():

@@ -15,6 +15,7 @@ from oracles import (
     codes_in_order,
     constraints_by_encoding,
     decode_trial_division,
+    density_check_membership_per_stem,
     dropped_constraints_by_encoding,
     dropped_rebuilding,
     find_branch_reencoding,
@@ -246,6 +247,30 @@ def test_density_check_builds_one_stem_walk(monkeypatch):
     report = vf.verify_departure(include=("density",))
     assert walks == [len(dep.sequences_below(10_000))] == [148]
     assert report.failed == 0 and report.inconclusive == 0
+
+
+def _swapped_constraints(b):
+    """b's constraint with its two index sets swapped: its own branch's
+    domain misses every point it was found at."""
+    cons = dep.constraints(b)
+    return dep.CylinderConstraint(cons.non_ones, cons.ones)
+
+
+@pytest.mark.parametrize(
+    "constraints", [dep.constraints, vf._dropped_constraints, _swapped_constraints],
+    ids=["exact", "dropped-non-ones", "swapped"],
+)
+@pytest.mark.parametrize("depth, horizon", [(2, 300), (3, 10_000)])
+def test_density_check_matches_per_stem_membership_oracle(constraints, depth, horizon):
+    # the found branch's membership is read off the stem's domains inside
+    # the horizon; the faults give both of the check's failures
+    by_stem = {}
+    for b in dep.branches_within(horizon):
+        by_stem.setdefault(b.s, []).append((b, constraints(b)))
+    got = vf._density_check(depth, horizon, by_stem, constraints).as_dict()
+    want = density_check_membership_per_stem(depth, horizon, by_stem, constraints)
+    assert got == want.as_dict()
+    assert (got["failed"] > 0) == (constraints is not dep.constraints)
 
 
 def test_enumeration_examples():

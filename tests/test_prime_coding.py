@@ -1,7 +1,10 @@
+import copy
 import itertools
 import json
 import math
+import operator
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hurewicz_kit import prime_coding as pc
+from hurewicz_kit.base import CapacityError
 
 from oracles import (
     all_seqs,
@@ -276,8 +280,6 @@ def test_render_value_suppresses_huge_decimals():
 def test_encode_rejects_negatives_and_symbolic():
     with pytest.raises(ValueError):
         pc.encode((-1,))
-    from hurewicz_kit.base import CapacityError
-
     sym = pc.make_code_value((5000,))
     with pytest.raises(CapacityError):
         pc.encode((sym,))
@@ -439,3 +441,84 @@ def test_tables_match_their_per_entry_formulas(monkeypatch):
     assert len(pc._ones_codes) == last + 1
     for n, code in enumerate(pc._ones_codes):
         assert code == math.prod(prime(i) ** 2 for i in range(n))
+
+
+def test_code_values_refuse_a_repeated_position():
+    # as PointPrefix does: a position given twice is refused, a 1 included,
+    # on both the materialized and the factored side of the cutoff
+    repeats = (((0, 5), (0, 6)), ((0, 5), (0, 5)), ((0, 1), (0, 5)), ((2, 7), (0, 3), (2, 7)))
+    for length in (3, 5000):
+        for items in repeats:
+            with pytest.raises(ValueError, match="twice"):
+                pc.make_code_value_sparse(length, items)
+    with pytest.raises(ValueError, match="twice"):
+        pc.SymbolicCode(5000, ((7, 2), (7, 3)))
+    # two codes at one position are refused before they could be ordered
+    code = pc.make_code_value((5000,))
+    with pytest.raises(ValueError, match="twice"):
+        pc.make_code_value_sparse(5000, ((1, code), (1, code)))
+
+
+def test_encode_matches_product_oracle_at_every_tree_shape():
+    # lengths on both sides of powers of two give every shape of the
+    # balanced product tree
+    rng = random.Random(5)
+    for n in list(range(1, 70)) + [127, 128, 129, 255, 256, 257, 1000, 3001]:
+        seq = tuple(rng.randrange(8) for _ in range(n))
+        want = math.prod(prime(i) ** (e + 1) for i, e in enumerate(seq))
+        assert pc.encode(seq) == want, n
+    assert pc.encode((1000,) * 60) == math.prod(prime(i) for i in range(60)) ** 1001
+    # the first bad entry decides the error
+    sym = pc.make_code_value((5000,))
+    with pytest.raises(ValueError, match="naturals"):
+        pc.encode((1,) * 200 + (-1, sym))
+    with pytest.raises(CapacityError):
+        pc.encode((1,) * 200 + (sym, -1))
+
+
+def test_long_encode_is_quick():
+    # 1.9M bits: one growing product took 17 s on a 2-CPU machine, the
+    # balanced tree about 1 s there, and 1.75 s with both CPUs kept busy
+    n = 100_000
+    primes = sieve_primes(1_299_709)  # the 100,000th prime
+    assert len(primes) == n
+    pc.nth_prime(n - 1)
+    start = time.perf_counter()
+    code = pc.encode((1,) * n)
+    assert time.perf_counter() - start < 9
+    # checked modulo a prime, since the oracle's own product is quadratic
+    m = (1 << 61) - 1
+    residue = 1
+    for p in primes:
+        residue = residue * p * p % m
+    assert code % m == residue
+
+
+def test_factored_code_is_its_length_and_items_tuple():
+    inner = pc.make_code_value_sparse(3, ((0, 5000),))
+    code = pc.make_code_value_sparse(6, ((1, 0), (4, inner)))
+    assert isinstance(inner, pc.SymbolicCode) and isinstance(code, pc.SymbolicCode)
+    bare = (6, ((1, 0), (4, inner)))
+    assert code == bare and hash(code) == hash(bare)
+    assert code.length == 6 and code.items == bare[1] and code.entry(4) is inner
+    # built directly, items unsorted and with a 1, it is the same value
+    assert pc.SymbolicCode(6, [(4, inner), (2, 1), (1, 0)]) == code
+    # never an int, so never 1
+    for v in (code, inner):
+        for i in (0, 1, 2, 6, 2**5001):
+            assert v != i and i != v and not v == i
+        assert 1 not in {v} and v not in {1, 2} and 1 not in (v,)
+    # no tuple order leaks into code values
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((code, code), (code, inner), (code, bare), (code, 5), (5, code)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        sorted([code, inner])
+    for dup in (copy.copy(code), copy.deepcopy(code), pickle.loads(pickle.dumps(code))):
+        assert type(dup) is pc.SymbolicCode and dup == code and hash(dup) == hash(code)
+        assert type(dup.entry(4)) is pc.SymbolicCode
+        for change in (lambda: setattr(dup, "items", ()), lambda: delattr(dup, "length")):
+            with pytest.raises(AttributeError, match="immutable"):
+                change()
+    assert repr(code) == f"SymbolicCode({pc.factored_str(code)})"

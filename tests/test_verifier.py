@@ -538,7 +538,8 @@ _NESTED_CODE = make_code_value_sparse(6, ((1, 0), (4, make_code_value_sparse(3, 
 def test_frozen_values_copy_and_pickle(value):
     assert isinstance(_NESTED_CODE.entry(4), SymbolicCode)
     cls = type(value)
-    name = cls.__slots__[0]
+    # a factored code is a tuple with no slots: its first field is a property
+    name = cls.__slots__[0] if cls.__slots__ else "length"
     copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
     for dup in (value,) + copies:
         assert type(dup) is cls and dup == value
@@ -546,6 +547,13 @@ def test_frozen_values_copy_and_pickle(value):
             with pytest.raises(AttributeError, match="immutable"):
                 change()
         assert getattr(dup, name) == getattr(value, name) and dup == value
+
+
+def test_show_renders_a_factored_code_by_its_repr():
+    # a factored code is a tuple, but a payload shows it as a code value
+    assert vf._show(_NESTED_CODE) == repr(_NESTED_CODE)
+    assert vf._show((4, _NESTED_CODE)) == f"(4,{_NESTED_CODE!r})"
+    assert vf._show((_NESTED_CODE.length, _NESTED_CODE.items)) != repr(_NESTED_CODE)
 
 
 def _kit_classes():
@@ -562,7 +570,7 @@ def _kit_classes():
 
 def test_records_are_exactly_the_frozen_records():
     # a new record must join _FROZEN_RECORDS, and immutability is written
-    # once, in Record (SymbolicCode keeps cached fields outside its equality)
+    # once, in Record (SymbolicCode, a tuple, refuses attributes on its own)
     classes = set(_kit_classes())
     records = {c for c in classes if issubclass(c, Record) and c is not Record}
     assert records == {cls for cls, _ in _FROZEN_RECORDS}

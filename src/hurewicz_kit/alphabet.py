@@ -117,8 +117,6 @@ def _exact_cmp(a: tuple, b: tuple) -> int:
 def _keyed_members(level: int, lower: list[tuple]) -> list[tuple]:
     """(key, member) for every member of A_level other than 1, unsorted,
     given the sorted alphabets A_0 .. A_{level-1}."""
-    if level > 4:
-        raise CapacityError("ordering beyond level 4 exceeds the configured caps")
     logs = [fixed_log(nth_prime(j)) for j in range(level)]
     ranks = {m: r for r, m in enumerate(lower[3])} if level == 4 else {}
     return [

@@ -338,9 +338,11 @@ def verify_departure(
     if relations_depth is None:  # no int, so not checked as a count
         params["relations_depth"] = relations_depth = min(depth, 3)
     params["include"] = ",".join(include)
+    # a node census over the cap is refused before branch work
     if "relations" in include:
-        # a relation census over the node cap is refused before branch work
         alph.require_node_count(relations_depth)
+    if "density" in include:
+        alph.require_node_count(depth)
     checks: list[Check] = []
     constraints, image = _branch_maps(fault)
     # every branch within the horizon with its constraint, by top index, and

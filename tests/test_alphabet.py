@@ -329,9 +329,13 @@ def test_order_unchanged_when_every_interval_overlaps(monkeypatch):
     assert len(calls) >= same_group > 0
 
 
-def test_alphabets_refuse_level_five_before_building_it():
-    with pytest.raises(CapacityError, match="level 4"):
-        al._keyed_members(5, [(1,)] * 5)
+def test_alphabets_refuse_level_five_before_building_it(monkeypatch):
+    def no_keys(*args):
+        raise AssertionError("level 5 was keyed before the depth test")
+
+    monkeypatch.setattr(al, "_keyed_members", no_keys)
+    with pytest.raises(CapacityError, match="depth 6 exceeds the cap 5"):
+        al.alphabets(al.DEFAULT_DEPTH_CAP + 1)
 
 
 def test_level_four_order_matches_exact_integers():

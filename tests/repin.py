@@ -86,6 +86,20 @@ def output(entry: dict) -> bytes:
     return verifier.SUITES[entry["suite"]](**params).to_json_bytes()
 
 
+_OUTPUTS = {}
+
+
+def check(name: str, pins: dict, data: bytes = None) -> str:
+    """``diff`` of the key ``name`` of ``pins`` against ``data``, bytes its
+    caller computed, or else ``output`` of its entry; either is kept, so a
+    process computes each key once however many tests check it."""
+    if data is not None:
+        _OUTPUTS[name] = data
+    elif name not in _OUTPUTS:
+        _OUTPUTS[name] = output(pins[name])
+    return diff(name, pins[name], pin(_OUTPUTS[name]))
+
+
 def pin(data: bytes) -> dict:
     """What an entry records of its bytes: their SHA-256 and, for a report,
     each check's (passed, failed, inconclusive) counts."""

@@ -13,15 +13,15 @@ import repin
 from oracles import all_seqs
 
 # the registry entry each gate that runs a pinned call checks its report against
-_GATE_PINS = {e["gate"]: (k, e) for k, e in repin.load().items() if "gate" in e}
+_PINS = repin.load()
+_GATE_PINS = {e["gate"]: k for k, e in _PINS.items() if "gate" in e}
 
 
 def _gate(number, name, limit, started, failures=0, report=None):
     changed = ""
     if report is not None:
         failures += report.failed
-        key, entry = _GATE_PINS[number]
-        changed = repin.diff(key, entry, repin.pin(report.to_json_bytes()))
+        changed = repin.check(_GATE_PINS[number], _PINS, report.to_json_bytes())
     elapsed = time.perf_counter() - started
     verdict = "PASS" if failures == 0 and not changed and elapsed < limit else "FAIL"
     print(f"ACCEPTANCE {number} {name}: {verdict} ({elapsed:.1f}s, limit {limit}s)")

@@ -11,6 +11,10 @@ import pytest
 from hurewicz_kit import cascade, cli, verifier
 from hurewicz_kit import good_sequence as good
 
+import repin
+
+PINS = repin.load()
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -40,6 +44,17 @@ def test_alphabets_json(capsys):
     doc = json.loads(out)
     assert doc["schema"] == "hurewicz-kit/1"
     assert [lvl["size"] for lvl in doc["levels"]] == [2, 3, 7]
+
+
+# keys that test_verifier or gate 6 also check; repin.check computes each once
+@pytest.mark.parametrize("suite", ["no-isolated", "arrival-scan"])
+def test_verify_cli_defaults_match_recorded_hashes(suite):
+    assert repin.check(f"hurewicz-kit verify {suite}", PINS) == ""
+
+
+@pytest.mark.parametrize("argv", [("verify", "good-suite")])
+def test_good_path_outputs_match_recorded_hashes(argv):
+    assert repin.check(repin.key({"argv": list(argv)}), PINS) == ""
 
 
 def test_nodes(capsys):

@@ -20,7 +20,10 @@ from hurewicz_kit import verifier as vf
 from hurewicz_kit.base import CapacityError, Record, Tri
 from hurewicz_kit.prime_coding import SymbolicCode, encode, make_code_value_sparse
 
+import repin
 from oracles import pair_scan_relation_checks, sample_domain_point
+
+PINS = repin.load()
 
 
 class _Reached(Exception):
@@ -261,6 +264,23 @@ def test_mutation_report_detects_all_three():
     for c in r.checks:
         assert c.passed == 1 and c.failed == 0
         assert c.notes, "detection must carry a concrete counterexample"
+
+
+def test_reports_are_byte_deterministic():
+    runs = [
+        lambda: vf.verify_departure(depth=2, horizon=300, samples=8, seed=5),
+        lambda: vf.verify_no_isolated(depth=1, horizon=300, samples=5, seed=5),
+        lambda: vf.verify_arrival_scan(depth=1, horizon=120, max_chain=1),
+        lambda: vf.verify_cascade(trials=12, seed=5),
+        lambda: vf.mutation_report(),
+    ]
+    for run in runs:
+        assert run().to_json_bytes() == run().to_json_bytes()
+    # test_pin runs this pinned call once more: both runs give its pinned bytes
+    params = dict(max_s_len=1, max_entry=2, horizon=500, pair_max_len=1, pair_max_entry=2)
+    report = vf.verify_good_sequence(**params, max_u_len=3)
+    name = repin.key({"suite": "good-suite", "params": {**params, "max_u_len": 3}})
+    assert repin.diff(name, PINS[name], repin.pin(report.to_json_bytes())) == ""
 
 
 def test_report_schema():
@@ -576,6 +596,24 @@ def test_branch_index_repr():
 def test_relation_checks_match_pair_scan(depth):
     fast = [c.as_dict() for c in vf._relation_checks(depth)]
     assert fast == [c.as_dict() for c in pair_scan_relation_checks(depth)]
+
+
+# keys that test_cli or a gate also checks; repin.check computes each once
+_DEPARTURE_PINS = {
+    "no-isolated defaults": "hurewicz-kit verify no-isolated",
+    "arrival-scan defaults": "hurewicz-kit verify arrival-scan",
+    "acceptance gate 4": "departure depth=4 include=density",
+}
+
+
+@pytest.mark.parametrize("case", _DEPARTURE_PINS)
+def test_departure_reports_match_recorded_hashes(case):
+    assert repin.check(_DEPARTURE_PINS[case], PINS) == ""
+
+
+@pytest.mark.parametrize("case", ["mutation seed=0"])
+def test_cascade_reports_match_recorded_hashes(case):
+    assert repin.check("hurewicz-kit verify mutation --seed 0", PINS) == ""
 
 
 @pytest.mark.parametrize(

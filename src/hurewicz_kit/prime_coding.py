@@ -29,6 +29,13 @@ MATERIALIZE_BITS = 4096
 # Fixed-point scale for base-2 log estimates of code sizes.
 _LOG2_SCALE = 1 << 24
 
+# The longest sequence whose least code (every entry 0, the product of its
+# primes) is estimated within the cutoff: the largest n with
+# _cum_log2q[n] <= MATERIALIZE_BITS * _LOG2_SCALE.  Every code of a longer
+# sequence is at least that product, so it stays factored.  Written as its
+# value, so importing builds no table; a test derives it.
+_MATERIALIZABLE_LENGTH = 418
+
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 _log2q: list[int] = []          # round(log2(q_i) * _LOG2_SCALE)
 _cum_log2q: list[int] = [0]     # prefix sums of _log2q
@@ -275,14 +282,20 @@ def make_code_value_sparse(
     taken as they stand, unchecked: a tuple of non-1 pairs sorted by
     position, each position below ``length`` and none twice (a slice of a
     ``PointPrefix``'s overrides is one).  An int within the
-    MATERIALIZE_BITS cutoff, factored past it."""
+    MATERIALIZE_BITS cutoff, factored past it.
+
+    The size is summed over the prime logs only up to
+    ``_MATERIALIZABLE_LENGTH``: a longer sequence is factored without it,
+    as the sum would decide (its least code is already past the cutoff, and
+    a factored entry makes the sum None), so no table grows with the
+    length."""
     if length == 0:
         return 0
     if canonical:
         its = items
     else:
         its = _canonical_items(length, items) if items else ()
-    bits = _seq_bits_scaled(length, its)
+    bits = _seq_bits_scaled(length, its) if length <= _MATERIALIZABLE_LENGTH else None
     if bits is not None and bits <= MATERIALIZE_BITS * _LOG2_SCALE:
         value = _all_ones_code(length)
         for pos, v in its:
@@ -297,23 +310,24 @@ def make_code_value_sparse(
 def _all_ones_code(length: int) -> int:
     """Code of (1,) * length.
 
-    The codes of the materializable lengths, those whose least code (every
-    entry 0: the square root of this one) is estimated within the cutoff,
-    are kept in ``_ones_codes``, grown one length at a time from its last
-    entry up to the length asked for; a longer code is built on from that
-    entry and not kept.  Every value ``make_code_value_sparse``
-    materializes has a materializable length, and ``alphabet.member_valid``
-    asks only for a code at most a bit longer than the int it was handed,
-    so no entry outgrows the data its caller was handed."""
+    The codes of the materializable lengths (up to
+    ``_MATERIALIZABLE_LENGTH``) are kept in ``_ones_codes``, grown one
+    length at a time from its last entry up to the length asked for; a
+    longer code is built on from that entry by multiplying primes, and not
+    kept, and the prime-log table is not extended.  Every value
+    ``make_code_value_sparse`` materializes has a materializable length,
+    and ``alphabet.member_valid`` asks only for a code at most a bit longer
+    than the int it was handed, so no entry outgrows the data its caller
+    was handed."""
     codes = _ones_codes
     if length < len(codes):
         return codes[length]
-    _extend_log2q(length)
-    cap = MATERIALIZE_BITS * _LOG2_SCALE
+    if length > len(_primes):
+        _ensure_primes(length)
     value = codes[-1]
     for n in range(len(codes), length + 1):
         value *= _primes[n - 1] ** 2
-        if _cum_log2q[n] <= cap:
+        if n <= _MATERIALIZABLE_LENGTH:
             codes.append(value)
     return value
 

@@ -40,7 +40,6 @@ def test_primes_against_sieve():
 _COUNT_SIEVES = """
 import json
 from hurewicz_kit import prime_coding as pc
-from hurewicz_kit import verifier as vf
 
 sieves = []
 real_sieve = pc._sieve
@@ -48,23 +47,30 @@ pc._sieve = lambda bound: sieves.append(bound) or real_sieve(bound)
 for n in range(1, 300):
     pc.nth_prime(n)
 small = len(sieves)
-vf.verify_departure()
+for n in range(300, 10_236, 97):
+    pc.nth_prime(n)
+pc.encode((1,) * 10_236)
 print(json.dumps({"small": small, "sieves": sieves, "primes": pc._primes}))
 """
 
 
-def test_prime_table_grows_geometrically():
-    # a fresh interpreter, so the table starts at its six seed primes
+def _fresh_run(script: str) -> dict:
+    """The JSON a script prints in a fresh interpreter, whose tables start
+    at their seed entries."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
-        [sys.executable, "-c", _COUNT_SIEVES], env=env, capture_output=True,
+        [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, check=True,
     ).stdout
-    got = json.loads(out)
+    return json.loads(out)
+
+
+def test_prime_table_grows_geometrically():
+    got = _fresh_run(_COUNT_SIEVES)
     assert got["small"] <= 7  # log2(300 / 6) + 1
     sieves, primes = got["sieves"], got["primes"]
-    # a default departure call: at most one sieve per doubling of the table
-    # from 6 primes to its final 10^4 or so, with slack
+    # a run of growing requests, ending in a code of 10,236 primes: at most
+    # one sieve per doubling of the table from 6 primes, with slack
     assert len(primes) >= 10_236 and len(sieves) <= 16
     assert all(b2 >= 2 * b1 for b1, b2 in zip(sieves, sieves[1:]))
     assert primes == sieve_primes(primes[-1])
@@ -415,24 +421,35 @@ def test_code_values_refuse_negative_entries():
     assert pc.make_code_value((0,)) == 2
 
 
+def test_materializable_length_is_the_last_length_within_the_cutoff():
+    pc._extend_log2q(pc._MATERIALIZABLE_LENGTH + 1)
+    cap = pc.MATERIALIZE_BITS * pc._LOG2_SCALE
+    last = max(n for n, c in enumerate(pc._cum_log2q) if c <= cap)
+    assert last == pc._MATERIALIZABLE_LENGTH
+
+
 def test_tables_match_their_per_entry_formulas(monkeypatch):
     """From empty, the prime-log table grows to exactly the length asked
     for, and the all-ones table over the materializable lengths only; every
-    entry is its own formula."""
+    entry is its own formula.  A code too long to materialize grows
+    neither."""
+    monkeypatch.setattr(pc, "_primes", [2, 3, 5, 7, 11, 13])
     monkeypatch.setattr(pc, "_log2q", [])
     monkeypatch.setattr(pc, "_cum_log2q", [0])
     monkeypatch.setattr(pc, "_ones_codes", [1])
+    last = pc._MATERIALIZABLE_LENGTH
+    assert isinstance(pc.make_code_value_sparse(3000, ()), pc.SymbolicCode)
+    assert len(pc._primes) <= last + 1 and len(pc._log2q) <= last + 1
+    assert len(pc._ones_codes) == 1
     pc._extend_log2q(7)
     assert len(pc._log2q) == 7
-    pc.make_code_value_sparse(3000, ())
-    assert len(pc._log2q) == 3000 and len(pc._ones_codes) == 1
+    pc._extend_log2q(3000)
+    assert len(pc._log2q) == 3000
     assert pc._log2q == [round(math.log2(prime(i)) * pc._LOG2_SCALE) for i in range(3000)]
     assert pc._cum_log2q == list(itertools.accumulate(pc._log2q, initial=0))
     assert pc._all_ones_code(5) == j_code((1,) * 5)
     assert len(pc._ones_codes) == 6
     # the least code of each materializable length (every entry 0) fits
-    cap = pc.MATERIALIZE_BITS * pc._LOG2_SCALE
-    last = max(n for n, c in enumerate(pc._cum_log2q) if c <= cap)
     assert pc.make_code_value((0,) * last).bit_length() <= pc.MATERIALIZE_BITS
     assert isinstance(pc.make_code_value((0,) * (last + 1)), pc.SymbolicCode)
     assert len(pc._ones_codes) == last + 1
@@ -441,6 +458,69 @@ def test_tables_match_their_per_entry_formulas(monkeypatch):
     assert len(pc._ones_codes) == last + 1
     for n, code in enumerate(pc._ones_codes):
         assert code == math.prod(prime(i) ** 2 for i in range(n))
+
+
+def test_long_ones_code_extends_no_log_table(monkeypatch):
+    monkeypatch.setattr(pc, "_log2q", [])
+    monkeypatch.setattr(pc, "_cum_log2q", [0])
+    monkeypatch.setattr(pc, "_ones_codes", [1])
+    length = pc._MATERIALIZABLE_LENGTH + 40
+    assert pc._all_ones_code(length) == math.prod(prime(i) ** 2 for i in range(length))
+    assert pc._log2q == [] and len(pc._ones_codes) == pc._MATERIALIZABLE_LENGTH + 1
+
+
+def test_make_code_value_sparse_around_the_materializable_length():
+    """Past the materializable length the size sum is skipped; the value is
+    the one the sum decides, and the one the per-call oracle builds."""
+    last = pc._MATERIALIZABLE_LENGTH
+    cap = pc.MATERIALIZE_BITS * pc._LOG2_SCALE
+    factored = pc.make_code_value((5000,))
+    lengths = list(range(last - 2, last + 4)) + [3000, pc._EXACT_LENGTH_CAP + 1]
+    kinds = set()
+    for length in lengths:
+        for items in (
+            (),
+            tuple((p, 0) for p in range(length)),
+            ((0, factored),),
+            ((0, 0), (length - 1, factored)),
+        ):
+            got = pc.make_code_value_sparse(length, items)
+            bits = pc._seq_bits_scaled(length, pc._canonical_items(length, items))
+            assert isinstance(got, pc.SymbolicCode) == (bits is None or bits > cap)
+            want = code_value_per_call(length, items)
+            assert type(got) is type(want) and got == want, (length, items[:3])
+            kinds.add((length > last, type(got)))
+        # non-canonical items are refused at every length
+        for items, match in (
+            (((1, 5), (1, 6)), "twice"),
+            (((2, -1),), "naturals"),
+            (((length, 3),), "outside"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                pc.make_code_value_sparse(length, items)
+    assert kinds == {(False, int), (False, pc.SymbolicCode), (True, pc.SymbolicCode)}
+
+
+_COLD_SUITE_TABLES = """
+import json
+from hurewicz_kit import prime_coding as pc
+from hurewicz_kit import verifier as vf
+
+sizes = {}
+for suite in ("departure", "no-isolated"):
+    vf.SUITES[suite]()
+    sizes[suite] = (len(pc._primes), len(pc._log2q))
+print(json.dumps(sizes))
+"""
+
+
+def test_default_suites_build_short_tables():
+    # a default departure or no-isolated call rewrites coordinates up to
+    # index 10^4 and more; their codes are factored, so the prime and
+    # prime-log tables stay near the materializable length
+    for suite, (primes, logs) in _fresh_run(_COLD_SUITE_TABLES).items():
+        assert logs <= pc._MATERIALIZABLE_LENGTH + 1, suite
+        assert primes < 1000, suite
 
 
 def test_code_values_refuse_a_repeated_position():

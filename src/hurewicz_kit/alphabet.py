@@ -17,10 +17,10 @@ from .base import CapacityError, Tri
 from . import prime_coding
 from .prime_coding import (
     FIXED_LOG_ERROR,
+    MATERIALIZE_BITS,
     SymbolicCode,
     code_value_cmp,
     fixed_log,
-    make_code_value,
     nth_prime,
     scaled_log_sign,
 )
@@ -65,37 +65,18 @@ def member_cmp(level: int, x, y) -> int:
     return code_value_cmp(x, y)
 
 
-def _order_key(u: tuple, logs: list[int], ranks: dict) -> tuple:
-    """Sort key (tier, rank, S, coefficients) of the code of u⌢1.
-
-    ln code(u⌢1) = sum((u_j + 1) * ln q_j) + 2 * ln q_len(u), and the terms
-    that every member of the level shares cancel in any difference, so a
-    member whose entries are all ints is keyed by its coefficients u and
-    S = sum(u_j * fixed_log(q_j)); this is tier 1, rank 0.  A level-4 member
-    (a, b, c, d) whose level-3 entry d is factored is keyed (tier 2, rank of
-    d in A_3, S of (a, b, c)); see ``alphabets`` for why that is exact.
-    """
-    if len(u) == 4 and isinstance(u[3], SymbolicCode):
-        head = u[:3]
-        return (2, ranks[u[3]], sum(v * q for v, q in zip(head, logs)), head)
-    return (1, 0, sum(v * q for v, q in zip(u, logs)), u)
-
-
 def _certified_cmp(kx: tuple, ky: tuple) -> int | None:
-    """Order of two same-level members read off their keys; None when the
-    keys cannot decide it.
+    """Order of two same-level members read off their keys (S,
+    coefficients); None when the keys cannot decide it.
 
-    Different (tier, rank) decide by themselves.  Otherwise the gap
-    S_y - S_x equals sum(Δ_j * fixed_log(q_j)) over the coefficient
+    The gap S_y - S_x equals sum(Δ_j * fixed_log(q_j)) over the coefficient
     differences Δ (equal entries cancel exactly), so it lies within
     FIXED_LOG_ERROR * sum(|Δ_j|) of 2**FIXED_LOG_BITS * (ln y - ln x) (see
     prime_coding.fixed_log): a gap outside that interval decides the sign
     of ln y - ln x.
     """
-    if kx[:2] != ky[:2]:
-        return -1 if kx[:2] < ky[:2] else 1
-    gap = ky[2] - kx[2]
-    err = FIXED_LOG_ERROR * sum(abs(a - b) for a, b in zip(kx[3], ky[3]))
+    gap = ky[0] - kx[0]
+    err = FIXED_LOG_ERROR * sum(abs(a - b) for a, b in zip(kx[1], ky[1]))
     if gap > err:
         return -1
     if gap < -err:
@@ -105,32 +86,92 @@ def _certified_cmp(kx: tuple, ky: tuple) -> int | None:
 
 def _exact_cmp(a: tuple, b: tuple) -> int:
     """Exact order of two (key, member) pairs: ``_certified_cmp`` decides
-    when it can; else tier and rank are equal and the log ladder decides on
-    the keys' coefficient differences."""
+    when it can; else the log ladder decides on the keys' coefficient
+    differences."""
     c = _certified_cmp(a[0], b[0])
     if c is None:
-        diffs = [x - y for x, y in zip(a[0][3], b[0][3])]
+        diffs = [x - y for x, y in zip(a[0][1], b[0][1])]
         c = scaled_log_sign(zip(diffs, map(nth_prime, itertools.count())))
     return c
 
 
 def _keyed_members(level: int, lower: list[tuple]) -> list[tuple]:
-    """(key, member) for every member of A_level other than 1, unsorted,
-    given the sorted alphabets A_0 .. A_{level-1}."""
-    logs = [fixed_log(nth_prime(j)) for j in range(level)]
-    ranks = {m: r for r, m in enumerate(lower[3])} if level == 4 else {}
+    """(key, member) for every member code(u⌢1) of A_level other than 1
+    whose entries u are all ints, unsorted, given the sorted alphabets
+    A_0 .. A_{level-1}.
+
+    ln code(u⌢1) = sum((u_j + 1) * ln q_j) + 2 * ln q_len(u), and the terms
+    that every member of the level shares cancel in any difference, so the
+    key is S = sum(u_j * fixed_log(q_j)) and the coefficients u.  Each
+    member is the value ``make_code_value(u + (1,))`` gives: its scaled log
+    is the level's all-ones term plus sum((u_j - 1) * _log2q[j]), it is
+    materialized when that is within the cutoff and factored otherwise.
+    Every entry v of A_j contributes its item, that log term, its S term
+    and its factor q_j**(v-1) (taken only when the log term fits the
+    cutoff), and the product is walked one level at a time, combining
+    those parts.
+    """
+    length = level + 1
+    prime_coding._extend_log2q(length)
+    room = MATERIALIZE_BITS * prime_coding._LOG2_SCALE - 2 * prime_coding._cum_log2q[length]
+    # (coefficients, items, log term, S, factor or None past the cutoff)
+    combos = [((), (), 0, 0, 1)]
+    for j, members in enumerate(lower):
+        q = nth_prime(j)
+        log2q, logq = prime_coding._log2q[j], fixed_log(q)
+        parts = []
+        for v in members:
+            if v.__class__ is not SymbolicCode:
+                bits = (v - 1) * log2q
+                item = ((j, v),) if v != 1 else ()
+                parts.append((v, item, bits, v * logq, q ** (v - 1) if bits <= room else None))
+        # a combination within the cutoff has both its parts within it
+        combos = [
+            (u + (v,), its + item, bits + b, s + vs, f * vf if bits + b <= room else None)
+            for u, its, bits, s, f in combos
+            for v, item, b, vs, vf in parts
+        ]
+    ones = prime_coding._all_ones_code(length)
     return [
-        (_order_key(u, logs, ranks), make_code_value(u + (1,)))
-        for u in itertools.product(*lower)
+        ((s, u), ones * f if f is not None else tuple.__new__(SymbolicCode, (length, its)))
+        for u, its, _, s, f in combos
     ]
+
+
+def _laid_out_members(lower: list[tuple]) -> tuple:
+    """The members of A_4 whose level-3 entry d is factored, in order: for
+    each factored d in A_3 order, code(h, d, 1) for each head h = (a, b, c)
+    in the order A_3 gives code(h, 1) (see ``alphabets``).  Each is factored
+    (an entry is), so it is built from its items alone."""
+    a3 = lower[3]
+    heads = {m: u for (_, u), m in _keyed_members(3, lower[:3])}
+    items = [tuple((j, v) for j, v in enumerate(heads[m]) if v != 1) for m in a3[1:]]
+    return tuple(
+        tuple.__new__(SymbolicCode, (5, its + ((3, d),)))
+        for d in a3
+        if d.__class__ is SymbolicCode
+        for its in items
+    )
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be a natural")
+    if depth > DEFAULT_DEPTH_CAP:
+        raise CapacityError(
+            f"depth {depth} exceeds the cap {DEFAULT_DEPTH_CAP}; "
+            "node counts explode combinatorially"
+        )
 
 
 def alphabets(depth: int) -> list[tuple]:
     """A_0 .. A_{depth-1}, each sorted ascending by value.
 
-    Each member is keyed once (``_order_key``); the level is presorted by
-    key and then sorted by ``_exact_cmp``, so every decision is exact.  The
-    tier and rank rules at level 4 are the ones ``member_cmp`` applies.  Let
+    The members with int entries are keyed once (``_keyed_members``),
+    presorted by S and then sorted by ``_exact_cmp``, so every decision is
+    exact.  At level 4 the members whose level-3 entry is factored are laid
+    out in order without a key or a comparison (``_laid_out_members``), by
+    the rules ``member_cmp`` applies, which this proves.  Let
     x = code(a, b, c, d, 1) and y = code(a', b', c', d', 1) be level-4
     members with d < d' in A_3.  Then ln y - ln x >= (d' - d) * ln 7 - R,
     where R = 3 ln 2 + 287 ln 3 + (max A_2) ln 5 < 2**470 bounds the first
@@ -148,25 +189,22 @@ def alphabets(depth: int) -> list[tuple]:
     differing level-3 entry, when the larger one is factored, decides by the
     A_3 order.  The larger of two differing level-3 entries is factored
     whenever either is, because every int member of A_3 lies below every
-    factored one; in particular every member with an int d comes before
-    every member with a factored d (tier 1 before tier 2).  Members with
-    the same factored d differ only in (a, b, c), which their keys carry.
+    factored one; so every member with an int d comes before every member
+    with a factored d, and those follow by the rank of d in A_3.  Members
+    with the same factored d differ only in h = (a, b, c), and
+    ln y - ln x = ln code(h', 1) - ln code(h, 1): they follow A_3's own
+    order of its non-1 members.
     """
-    if depth < 0:
-        raise ValueError("depth must be a natural")
-    if depth > DEFAULT_DEPTH_CAP:
-        raise CapacityError(
-            f"depth {depth} exceeds the cap {DEFAULT_DEPTH_CAP}; "
-            "node counts explode combinatorially"
-        )
+    _check_depth(depth)
     while len(_alpha_cache) < depth:
         level = len(_alpha_cache)
         keyed = _keyed_members(level, _alpha_cache)
-        # presorted by (tier, rank, S), the exact pass needs about one
-        # comparison per member
-        keyed.sort(key=lambda km: km[0][:3])
+        # presorted by S, the exact pass needs about one comparison per member
+        keyed.sort(key=lambda km: km[0][0])
         keyed.sort(key=cmp_to_key(_exact_cmp))
-        _alpha_cache.append((1,) + tuple(m for _, m in keyed))
+        # only level 4 (the last within the depth cap) has a factored entry
+        laid = _laid_out_members(_alpha_cache) if level == 4 else ()
+        _alpha_cache.append((1,) + tuple(m for _, m in keyed) + laid)
     return [_alpha_cache[i] for i in range(depth)]
 
 
@@ -175,9 +213,13 @@ def alphabet_at(level: int) -> tuple:
 
 
 def node_count(p: int) -> int:
+    """The number of depth-p nodes, prod(|A_i| for i < p), from the size
+    recurrence |A_i| = 1 + prod(|A_j| for j < i) alone: no member is built.
+    Refuses the depths ``alphabets`` refuses."""
+    _check_depth(p)
     count = 1
-    for a in alphabets(p):
-        count *= len(a)
+    for _ in range(p):
+        count *= count + 1
     return count
 
 

@@ -8,7 +8,7 @@ decides membership so and rebuilds and re-sorts its image (and the
 verifier's two branch faults by their definitions over it), alphabet
 membership decoded anew on every call (and, for factored codes, recursing
 into every item), alphabets sorted by pairwise exact
-comparisons, brute-force enumeration of coded sequences and the same
+comparisons, alphabet members keyed and coded one at a time, brute-force enumeration of coded sequences and the same
 enumeration by trial division of every even number, the image
 prefixes of a node found by building explicit points and pushing them
 through the branch maps instead of reasoning about constraint truncations,
@@ -42,6 +42,7 @@ from hurewicz_kit.prime_coding import (
     MATERIALIZE_BITS,
     SymbolicCode,
     encode,
+    fixed_log,
     make_code_value,
     make_code_value_sparse,
     render_value,
@@ -218,6 +219,30 @@ def alphabets_by_comparator(depth: int) -> list[tuple]:
         members.sort(key=cmp_to_key(lambda a, b: alph.member_cmp(level, a, b)))
         levels.append(tuple(members))
     return levels
+
+
+def order_key_per_member(u: tuple, logs: list[int], ranks: dict) -> tuple:
+    """Sort key (tier, rank, S, coefficients) of the code of u⌢1: tier 1,
+    rank 0 and S = sum(u_j * fixed_log(q_j)) when every entry is an int;
+    for a level-4 member (a, b, c, d) whose level-3 entry d is factored,
+    tier 2, the rank of d in A_3 and S of (a, b, c)."""
+    if len(u) == 4 and isinstance(u[3], SymbolicCode):
+        head = u[:3]
+        return (2, ranks[u[3]], sum(v * q for v, q in zip(head, logs)), head)
+    return (1, 0, sum(v * q for v, q in zip(u, logs)), u)
+
+
+def keyed_members_per_member(level: int, lower: list[tuple]) -> list[tuple]:
+    """(key, member) for every member of A_level other than 1, unsorted and
+    in product order, given the sorted alphabets A_0 .. A_{level-1}: each
+    member keyed alone (``order_key_per_member``) and built by its own
+    ``make_code_value`` call."""
+    logs = [fixed_log(prime(j)) for j in range(level)]
+    ranks = {m: r for r, m in enumerate(lower[3])} if level == 4 else {}
+    return [
+        (order_key_per_member(u, logs, ranks), make_code_value(u + (1,)))
+        for u in itertools.product(*lower)
+    ]
 
 
 def find_branch_reencoding(s: tuple, x: PointPrefix, horizon: int = dep.DEFAULT_HORIZON):

@@ -1,5 +1,10 @@
 import itertools
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +18,7 @@ from oracles import (
     alphabets_by_comparator,
     first_disagreement_by_position_set,
     j_code,
+    keyed_members_per_member,
     member_valid_recursive,
     member_valid_uncached,
 )
@@ -261,11 +267,14 @@ def test_level_three_facts_behind_the_level_four_tiers():
 
 def _keys_by_member(level):
     lower = al.alphabets(level)
-    return {m: k for k, m in al._keyed_members(level, lower)}
+    return {m: k for k, m in keyed_members_per_member(level, lower)}
 
 
 @pytest.mark.parametrize("level", [3, 4])
 def test_certified_decisions_match_member_cmp(level):
+    # the per-member oracle's keys: a differing (tier, rank) is the layout
+    # rule alphabets() proves; an equal one leaves (S, coefficients) to
+    # _certified_cmp
     keys = _keys_by_member(level)
     members = al.alphabets(level + 1)[level][1:]
     assert sorted(keys, key=members.index) == list(members)
@@ -273,11 +282,16 @@ def test_certified_decisions_match_member_cmp(level):
 
     def check(x, y):
         kx, ky = keys[x], keys[y]
-        c = al._certified_cmp(kx, ky)
-        decided["tier or rank" if kx[:2] != ky[:2] else "interval" if c else None] += 1
+        if kx[:2] != ky[:2]:
+            c = -1 if kx[:2] < ky[:2] else 1
+            decided["tier or rank"] += 1
+        else:
+            c = al._certified_cmp(kx[2:], ky[2:])
+            decided["interval" if c else None] += 1
+            if c is not None:
+                assert al._certified_cmp(ky[2:], kx[2:]) == -c
         if c is not None:
             assert c == al.member_cmp(level, x, y), (x, y)
-            assert al._certified_cmp(ky, kx) == -c
 
     for x, y in zip(members, members[1:]):
         check(x, y)
@@ -292,19 +306,16 @@ def test_certified_decisions_match_member_cmp(level):
 
 def test_certified_cmp_needs_the_gap_outside_the_error_interval():
     # coefficient differences (1, -2) allow an error of 2 * 3 = 6 either way
-    x, y = (1, 0, 10, (5, 7)), (1, 0, 16, (6, 5))
+    x, y = (10, (5, 7)), (16, (6, 5))
     assert al._certified_cmp(x, y) is None
-    assert al._certified_cmp(x, (1, 0, 17, (6, 5))) == -1
-    assert al._certified_cmp((1, 0, 17, (6, 5)), x) == 1
-    assert al._certified_cmp(x, (1, 0, 4, (6, 5))) is None
-    assert al._certified_cmp(x, (1, 0, 3, (6, 5))) == 1
-    # tier, then rank, decide before any interval
-    assert al._certified_cmp((2, 0, 0, (0,)), (1, 0, 10**9, (10**9,))) == 1
-    assert al._certified_cmp((2, 5, 0, (0,)), (2, 6, -(10**9), (1,))) == -1
+    assert al._certified_cmp(x, (17, (6, 5))) == -1
+    assert al._certified_cmp((17, (6, 5)), x) == 1
+    assert al._certified_cmp(x, (4, (6, 5))) is None
+    assert al._certified_cmp(x, (3, (6, 5))) == 1
 
 
 def test_order_unchanged_when_every_interval_overlaps(monkeypatch):
-    # with no interval deciding, every pair of equal (tier, rank) falls to
+    # with no interval deciding, every pair the exact sort compares falls to
     # the log ladder on the keys' coefficient differences; the pairwise
     # comparator the sort is checked against is never called
     want = alphabets_by_comparator(5)
@@ -323,10 +334,58 @@ def test_order_unchanged_when_every_interval_overlaps(monkeypatch):
     monkeypatch.setattr(al, "member_cmp", refuse)
     monkeypatch.setattr(al, "_alpha_cache", [])
     assert al.alphabets(5) == want
+    # the sort compares the members with an int level-3 entry (tier 1)
+    # among themselves; it needs a comparison per adjacent pair of them
     keys = _keys_by_member(4)
     a4 = want[4][1:]
-    same_group = sum(keys[x][:2] == keys[y][:2] for x, y in zip(a4, a4[1:]))
-    assert len(calls) >= same_group > 0
+    compared = sum(keys[x][:2] == keys[y][:2] == (1, 0) for x, y in zip(a4, a4[1:]))
+    assert len(calls) >= compared > 0
+
+
+def test_level_keys_and_members_match_per_member_oracle(monkeypatch):
+    # levels 0-4 built afresh; each level's keyed members, in product
+    # order, are the oracle's members with int entries, keyed alike
+    monkeypatch.setattr(al, "_alpha_cache", [])
+    levels = al.alphabets(5)
+    for level in range(5):
+        lower = levels[:level]
+        want = [
+            ((k[2], k[3]), m)
+            for k, m in keyed_members_per_member(level, lower)
+            if k[:2] == (1, 0)
+        ]
+        got = al._keyed_members(level, lower)
+        assert got == want, level
+        assert [type(m) for _, m in got] == [type(m) for _, m in want], level
+        assert len(got) == (len(levels[level]) - 1 if level < 4 else 13 * 42)
+
+
+def _level_three_entry(m):
+    return m.entry(3) if isinstance(m, pc.SymbolicCode) else pc.decode(m)[3]
+
+
+def test_level_four_sort_gets_the_int_entries_and_lays_out_the_rest(monkeypatch):
+    # the exact sort is handed the 546 members with an int level-3 entry;
+    # the 1,260 with a factored one are laid out as the comparator sorts them
+    handed = {}
+    real = al._keyed_members
+
+    def recorded(level, lower):
+        handed[level] = real(level, lower)
+        return handed[level]
+
+    monkeypatch.setattr(al, "_keyed_members", recorded)
+    monkeypatch.setattr(al, "_alpha_cache", [])
+    a4 = al.alphabets(5)[4][1:]
+    want = alphabets_by_comparator(5)[4][1:]
+    int_entry = [m for m in want if isinstance(_level_three_entry(m), int)]
+    assert len(int_entry) == 546 and len(a4) - len(int_entry) == 1260
+    keyed = [m for _, m in handed[4]]
+    assert len(keyed) == 546 and set(keyed) == set(int_entry)
+    assert a4[:546] == want[:546] == tuple(int_entry)
+    laid = al._laid_out_members(al.alphabets(4))
+    assert laid == a4[546:] == want[546:]
+    assert all(isinstance(m, pc.SymbolicCode) for m in laid)
 
 
 def test_alphabets_refuse_level_five_before_building_it(monkeypatch):
@@ -435,6 +494,40 @@ def test_node_counts():
     assert len(al.enumerate_nodes(3)) == 42
     assert len(al.enumerate_nodes(4)) == 1806
     assert al.node_count(4) == 1806
+
+
+_REFUSE_DEPTH_FIVE = """
+import json
+from hurewicz_kit import alphabet as al
+from hurewicz_kit.base import CapacityError
+try:
+    al.require_node_count(5)
+    refused = None
+except CapacityError as e:
+    refused = str(e)
+print(json.dumps({"refused": refused, "cache": len(al._alpha_cache)}))
+"""
+
+
+def test_node_count_from_the_size_recurrence():
+    # in a fresh interpreter depth 5 is refused before any level is built
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _REFUSE_DEPTH_FIVE], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    got = json.loads(out)
+    assert got["refused"] == "depth 5 has 3263442 nodes, over the node-count cap 100000"
+    assert got["cache"] == 0
+    for p in range(al.DEFAULT_DEPTH_CAP + 1):
+        assert al.node_count(p) == math.prod(len(a) for a in al.alphabets(p)), p
+    assert al.node_count(5) == 1806 * 1807
+    # depths past the cap keep the alphabets' refusal
+    for call in (al.node_count, al.require_node_count):
+        with pytest.raises(CapacityError, match="^depth 6 exceeds the cap 5; node counts"):
+            call(al.DEFAULT_DEPTH_CAP + 1)
+        with pytest.raises(ValueError, match="depth must be a natural"):
+            call(-1)
 
 
 def test_nodes_sorted_no_duplicates():

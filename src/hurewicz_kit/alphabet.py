@@ -17,10 +17,10 @@ from .base import CapacityError, Tri
 from . import prime_coding
 from .prime_coding import (
     FIXED_LOG_ERROR,
-    MATERIALIZE_BITS,
     SymbolicCode,
     code_value_cmp,
     fixed_log,
+    make_code_value_sparse,
     nth_prime,
     scaled_log_sign,
 )
@@ -36,7 +36,13 @@ _alpha_cache: list[tuple] = []
 
 
 def member_cmp(level: int, x, y) -> int:
-    """Exact value order of two alphabet members at the given level."""
+    """Exact value order of two alphabet members at the given level.
+
+    Ints compare by value.  Up to level 4 any other pair compares by its
+    positions in the sorted A_level (``alphabets``), and a member not in it
+    raises ValueError.  Past level 4 an int against a factored member goes
+    to ``code_value_cmp`` (the materialization cutoff separates them with a
+    wide margin), and two factored members are refused."""
     if x == y:
         return 0
     if x == 1:
@@ -45,24 +51,15 @@ def member_cmp(level: int, x, y) -> int:
         return 1
     if isinstance(x, int) and isinstance(y, int):
         return -1 if x < y else 1
-    if level <= 3 or isinstance(x, int) or isinstance(y, int):
-        # level <= 3 factored members have plain-int entries; mixed pairs are
-        # separated by the materialization cutoff with a wide margin either way
+    if level < DEFAULT_DEPTH_CAP:
+        members = alphabet_at(level)
+        try:
+            return -1 if members.index(x) < members.index(y) else 1
+        except ValueError:
+            raise ValueError(f"not a member of A_{level}") from None
+    if isinstance(x, int) or isinstance(y, int):
         return code_value_cmp(x, y)
-    if level > 4:
-        raise CapacityError("ordering beyond level 4 exceeds the configured caps")
-    d1, d2 = x.entry(3), y.entry(3)
-    if d1 != d2 and (isinstance(d1, SymbolicCode) or isinstance(d2, SymbolicCode)):
-        # a differing level-3 entry past the cutoff outgrows every residual
-        # factor (distinct level-3 values have ratio >= 8)
-        return member_cmp(3, d1, d2)
-    if d1 == d2:
-        terms = []
-        for i in range(3):
-            terms.append((x.entry(i) + 1, nth_prime(i)))
-            terms.append((-(y.entry(i) + 1), nth_prime(i)))
-        return scaled_log_sign(terms)
-    return code_value_cmp(x, y)
+    raise CapacityError("ordering beyond level 4 exceeds the configured caps")
 
 
 def _certified_cmp(kx: tuple, ky: tuple) -> int | None:
@@ -102,39 +99,28 @@ def _keyed_members(level: int, lower: list[tuple]) -> list[tuple]:
 
     ln code(u⌢1) = sum((u_j + 1) * ln q_j) + 2 * ln q_len(u), and the terms
     that every member of the level shares cancel in any difference, so the
-    key is S = sum(u_j * fixed_log(q_j)) and the coefficients u.  Each
-    member is the value ``make_code_value(u + (1,))`` gives: its scaled log
-    is the level's all-ones term plus sum((u_j - 1) * _log2q[j]), it is
-    materialized when that is within the cutoff and factored otherwise.
-    Every entry v of A_j contributes its item, that log term, its S term
-    and its factor q_j**(v-1) (taken only when the log term fits the
-    cutoff), and the product is walked one level at a time, combining
-    those parts.
+    key is S = sum(u_j * fixed_log(q_j)) and the coefficients u.  The
+    product is walked one level at a time, each entry v of A_j adding its
+    item and its S term v * fixed_log(q_j); each member is then the value
+    ``make_code_value_sparse`` gives its items.
     """
-    length = level + 1
-    prime_coding._extend_log2q(length)
-    room = MATERIALIZE_BITS * prime_coding._LOG2_SCALE - 2 * prime_coding._cum_log2q[length]
-    # (coefficients, items, log term, S, factor or None past the cutoff)
-    combos = [((), (), 0, 0, 1)]
+    # (coefficients, items, S)
+    combos = [((), (), 0)]
     for j, members in enumerate(lower):
-        q = nth_prime(j)
-        log2q, logq = prime_coding._log2q[j], fixed_log(q)
-        parts = []
-        for v in members:
-            if v.__class__ is not SymbolicCode:
-                bits = (v - 1) * log2q
-                item = ((j, v),) if v != 1 else ()
-                parts.append((v, item, bits, v * logq, q ** (v - 1) if bits <= room else None))
-        # a combination within the cutoff has both its parts within it
-        combos = [
-            (u + (v,), its + item, bits + b, s + vs, f * vf if bits + b <= room else None)
-            for u, its, bits, s, f in combos
-            for v, item, b, vs, vf in parts
+        logq = fixed_log(nth_prime(j))
+        parts = [
+            (v, ((j, v),) if v != 1 else (), v * logq)
+            for v in members
+            if v.__class__ is not SymbolicCode
         ]
-    ones = prime_coding._all_ones_code(length)
+        combos = [
+            (u + (v,), its + item, s + vs)
+            for u, its, s in combos
+            for v, item, vs in parts
+        ]
     return [
-        ((s, u), ones * f if f is not None else tuple.__new__(SymbolicCode, (length, its)))
-        for u, its, _, s, f in combos
+        ((s, u), make_code_value_sparse(level + 1, its, canonical=True))
+        for u, its, s in combos
     ]
 
 
@@ -171,7 +157,7 @@ def alphabets(depth: int) -> list[tuple]:
     presorted by S and then sorted by ``_exact_cmp``, so every decision is
     exact.  At level 4 the members whose level-3 entry is factored are laid
     out in order without a key or a comparison (``_laid_out_members``), by
-    the rules ``member_cmp`` applies, which this proves.  Let
+    two rules this proves; ``member_cmp`` reads the order by position.  Let
     x = code(a, b, c, d, 1) and y = code(a', b', c', d', 1) be level-4
     members with d < d' in A_3.  Then ln y - ln x >= (d' - d) * ln 7 - R,
     where R = 3 ln 2 + 287 ln 3 + (max A_2) ln 5 < 2**470 bounds the first

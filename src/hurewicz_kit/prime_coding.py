@@ -447,7 +447,7 @@ def code_value_cmp(x, y) -> int:
     """Exact order of two code values (ints or factored forms).
 
     Raises CapacityError for pairs of factored values with non-materializable
-    entries; callers at alphabet level 4 resolve those by dominance first.
+    entries; ``alphabet.member_cmp`` orders those up to level 4 by position.
     """
     if x == y:
         return 0

@@ -7,9 +7,12 @@ anew, domain membership read one coordinate at a time, a branch map that
 decides membership so and rebuilds and re-sorts its image (and the
 verifier's two branch faults by their definitions over it), alphabet
 membership decoded anew on every call (and, for factored codes, recursing
-into every item), alphabets sorted by pairwise exact
-comparisons, alphabet members keyed and coded one at a time, brute-force enumeration of coded sequences and the same
-enumeration by trial division of every even number, the image
+into every item), alphabet members ordered by their values alone, with
+nothing read from the sorted alphabets whose positions the library's
+``member_cmp`` reads, and alphabets sorted by that order pairwise, alphabet
+members keyed and coded one at a time, brute-force enumeration of coded
+sequences and the same enumeration by trial division of every even number,
+the image
 prefixes of a node found by building explicit points and pushing them
 through the branch maps instead of reasoning about constraint truncations,
 the relation witness search building a witness object per witness, a relation
@@ -36,16 +39,18 @@ from hurewicz_kit import good_sequence as good
 from hurewicz_kit import relations as rel
 from hurewicz_kit.alphabet import PointPrefix, enumerate_nodes
 from hurewicz_kit.relations import EffectiveWitness, _expected_rewrite
-from hurewicz_kit.base import DomainError, HorizonError, Tri
+from hurewicz_kit.base import CapacityError, DomainError, HorizonError, Tri
 from hurewicz_kit.departure import BranchIndex, e_inv, level_start
 from hurewicz_kit.prime_coding import (
     MATERIALIZE_BITS,
     SymbolicCode,
+    code_value_cmp,
     encode,
     fixed_log,
     make_code_value,
     make_code_value_sparse,
     render_value,
+    scaled_log_sign,
 )
 from hurewicz_kit.verifier import Check, _index_family
 
@@ -208,15 +213,47 @@ def density_check_membership_per_stem(depth, horizon, by_stem, constraints) -> C
     return check
 
 
+def member_cmp_by_value(level: int, x, y) -> int:
+    """Exact value order of two alphabet members at the given level, decided
+    from the values alone: nothing is read from the sorted alphabets.
+    Levels <= 3 and mixed pairs go to ``code_value_cmp``; at level 4 a
+    differing level-3 entry that is factored decides by its own order (the
+    ``alphabets`` docstring proves the dominance), and an equal one leaves
+    the exact log sign of the first three entries; two factored members
+    past level 4 are refused."""
+    if x == y:
+        return 0
+    if x == 1:
+        return -1
+    if y == 1:
+        return 1
+    if isinstance(x, int) and isinstance(y, int):
+        return -1 if x < y else 1
+    if level <= 3 or isinstance(x, int) or isinstance(y, int):
+        return code_value_cmp(x, y)
+    if level > 4:
+        raise CapacityError("ordering beyond level 4 exceeds the configured caps")
+    d1, d2 = x.entry(3), y.entry(3)
+    if d1 != d2 and (isinstance(d1, SymbolicCode) or isinstance(d2, SymbolicCode)):
+        return member_cmp_by_value(3, d1, d2)
+    if d1 == d2:
+        terms = []
+        for i in range(3):
+            terms.append((x.entry(i) + 1, prime(i)))
+            terms.append((-(y.entry(i) + 1), prime(i)))
+        return scaled_log_sign(terms)
+    return code_value_cmp(x, y)
+
+
 def alphabets_by_comparator(depth: int) -> list[tuple]:
     """A_0 .. A_{depth-1}, each level built from the oracle's own lower levels
-    and sorted by pairwise ``member_cmp`` calls alone."""
+    and sorted by pairwise ``member_cmp_by_value`` calls alone."""
     levels: list[tuple] = []
     for level in range(depth):
         members = [1]
         for u in itertools.product(*levels):
             members.append(make_code_value(u + (1,)))
-        members.sort(key=cmp_to_key(lambda a, b: alph.member_cmp(level, a, b)))
+        members.sort(key=cmp_to_key(lambda a, b: member_cmp_by_value(level, a, b)))
         levels.append(tuple(members))
     return levels
 

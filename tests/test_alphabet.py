@@ -19,6 +19,7 @@ from oracles import (
     first_disagreement_by_position_set,
     j_code,
     keyed_members_per_member,
+    member_cmp_by_value,
     member_valid_recursive,
     member_valid_uncached,
 )
@@ -239,8 +240,73 @@ def test_point_prefix_refuses_a_repeated_position():
 def test_alphabets_sorted():
     for i, a in enumerate(al.alphabets(5)):
         for x, y in zip(a, a[1:]):
-            assert al.member_cmp(i, x, y) == -1
-            assert al.member_cmp(i, y, x) == 1
+            assert member_cmp_by_value(i, x, y) == -1
+            assert member_cmp_by_value(i, y, x) == 1
+
+
+def test_member_cmp_matches_the_value_oracle():
+    # the library reads positions in the sorted alphabets; the oracle
+    # decides from the values alone
+    levels = al.alphabets(5)
+    for level, a in enumerate(levels):
+        rng = random.Random(level)
+        pairs = list(zip(a, a[1:])) + [tuple(rng.sample(a, 2)) for _ in range(2000)]
+        for x, y in pairs:
+            for p, q in ((x, y), (y, x)):
+                assert al.member_cmp(level, p, q) == member_cmp_by_value(level, p, q), (
+                    level, p, q,
+                )
+    # depth-5 nodes whose level-4 entries are factored, half of the pairs
+    # equal below level 4 so that level 4 decides
+    factored = [m for m in levels[4] if isinstance(m, pc.SymbolicCode)]
+    rng = random.Random(5)
+    decided_at_four = 0
+    for k in range(2000):
+        x = tuple(rng.choice(a) for a in levels[:4]) + (rng.choice(factored),)
+        y = (x[:4] if k % 2 else tuple(rng.choice(a) for a in levels[:4])) + (
+            rng.choice(factored),
+        )
+        at = next((i for i in range(5) if x[i] != y[i]), None)
+        want = 0 if at is None else member_cmp_by_value(at, x[at], y[at])
+        decided_at_four += at == 4
+        assert al.lex_compare(x, y) == want and al.lex_compare(y, x) == -want, (x, y)
+    assert decided_at_four > 900
+
+
+def test_member_cmp_refuses_non_members():
+    a4 = al.alphabets(5)[4]
+    short = pc.make_code_value_sparse(3, ((0, 5000),))
+    assert isinstance(short, pc.SymbolicCode) and not al.member_valid(4, short)
+    assert not al.member_valid(4, 12345)
+    for bad in (short, 12345):
+        for x, y in ((a4[-1], bad), (bad, a4[-1])):
+            with pytest.raises(ValueError, match="^not a member of A_4$"):
+                al.member_cmp(4, x, y)
+        node = (1, 1, 1, 1, a4[-1])
+        with pytest.raises(ValueError, match="^not a member of A_4$"):
+            al.lex_compare(node, node[:4] + (bad,))
+
+
+def test_member_cmp_past_level_four_keeps_its_value_rules():
+    # level 5 has no sorted alphabet: an int against a factored member is
+    # ordered by code_value_cmp, and two factored members are refused
+    factored = [m for m in al.alphabets(4)[3] if isinstance(m, pc.SymbolicCode)]
+    x, y = (pc.make_code_value_sparse(6, ((3, m),), canonical=True) for m in factored[:2])
+    assert isinstance(x, pc.SymbolicCode) and isinstance(y, pc.SymbolicCode)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(
+            CapacityError, match="^ordering beyond level 4 exceeds the configured caps$"
+        ):
+            al.member_cmp(5, a, b)
+    # a factored member with int entries only, and two int members
+    wide = pc.make_code_value_sparse(6, ((2, max(al.alphabets(3)[2])),), canonical=True)
+    assert isinstance(wide, pc.SymbolicCode)
+    ones, small = pc.make_code_value((1,) * 6), pc.make_code_value((4, 1, 1, 1, 1, 1))
+    for i in (ones, small):
+        for v in (x, wide):
+            assert al.member_cmp(5, i, v) == pc.code_value_cmp(i, v) == -1
+            assert al.member_cmp(5, v, i) == pc.code_value_cmp(v, i) == 1
+    assert al.member_cmp(5, 1, x) == -1 and al.member_cmp(5, wide, 1) == 1
 
 
 def test_alphabets_match_comparator_sort():
@@ -291,7 +357,7 @@ def test_certified_decisions_match_member_cmp(level):
             if c is not None:
                 assert al._certified_cmp(ky[2:], kx[2:]) == -c
         if c is not None:
-            assert c == al.member_cmp(level, x, y), (x, y)
+            assert c == member_cmp_by_value(level, x, y), (x, y)
 
     for x, y in zip(members, members[1:]):
         check(x, y)

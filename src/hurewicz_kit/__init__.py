@@ -49,7 +49,6 @@ from .departure import (
     e,
     e_inv,
     find_branch,
-    find_branches,
     in_domain,
 )
 from .relations import (
@@ -69,7 +68,6 @@ from .good_sequence import (
     IndexMap,
     convergence_bound,
     disagreement_witness,
-    disagreement_witnesses,
     h_eval,
     sigma,
 )

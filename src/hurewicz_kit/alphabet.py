@@ -33,15 +33,28 @@ DEFAULT_DEPTH_CAP = 5
 NODE_COUNT_CAP = 100_000
 
 _alpha_cache: list[tuple] = []
+_ranks: dict[int, tuple[tuple, dict]] = {}  # level -> (A_level, {member: position})
+
+
+def member_rank(level: int, v) -> int:
+    """The position of v in the sorted A_level, or ValueError: one dict per
+    level, built on first use and again when the cached A_level is replaced."""
+    members = alphabet_at(level)
+    if _ranks.get(level, (None,))[0] is not members:
+        _ranks[level] = (members, {m: k for k, m in enumerate(members)})
+    try:
+        return _ranks[level][1][v]
+    except (KeyError, TypeError):  # TypeError: an unhashable v is no member
+        raise ValueError(f"not a member of A_{level}") from None
 
 
 def member_cmp(level: int, x, y) -> int:
     """Exact value order of two alphabet members at the given level.
 
     Ints compare by value.  Up to level 4 any other pair compares by its
-    positions in the sorted A_level (``alphabets``), and a member not in it
-    raises ValueError.  Past level 4 an int against a factored member goes
-    to ``code_value_cmp`` (the materialization cutoff separates them with a
+    ranks (``member_rank``), and a member not in A_level raises ValueError.
+    Past level 4 an int against a factored member goes to
+    ``code_value_cmp`` (the materialization cutoff separates them with a
     wide margin), and two factored members are refused."""
     if x == y:
         return 0
@@ -52,11 +65,7 @@ def member_cmp(level: int, x, y) -> int:
     if isinstance(x, int) and isinstance(y, int):
         return -1 if x < y else 1
     if level < DEFAULT_DEPTH_CAP:
-        members = alphabet_at(level)
-        try:
-            return -1 if members.index(x) < members.index(y) else 1
-        except ValueError:
-            raise ValueError(f"not a member of A_{level}") from None
+        return -1 if member_rank(level, x) < member_rank(level, y) else 1
     if isinstance(x, int) or isinstance(y, int):
         return code_value_cmp(x, y)
     raise CapacityError("ordering beyond level 4 exceeds the configured caps")
@@ -157,7 +166,7 @@ def alphabets(depth: int) -> list[tuple]:
     presorted by S and then sorted by ``_exact_cmp``, so every decision is
     exact.  At level 4 the members whose level-3 entry is factored are laid
     out in order without a key or a comparison (``_laid_out_members``), by
-    two rules this proves; ``member_cmp`` reads the order by position.  Let
+    two rules this proves; ``member_cmp`` reads it by ``member_rank``.  Let
     x = code(a, b, c, d, 1) and y = code(a', b', c', d', 1) be level-4
     members with d < d' in A_3.  Then ln y - ln x >= (d' - d) * ln 7 - R,
     where R = 3 ln 2 + 287 ln 3 + (max A_2) ln 5 < 2**470 bounds the first
@@ -381,23 +390,14 @@ class PointPrefix:
             values[p] = v
         if len(values) != len(own) + len(added):
             raise ValueError("added overrides repeat a position")
-        image = object.__new__(PointPrefix)
-        image.length = length
-        image.tail_ones = self.tail_ones
         # positions are distinct, so the pairs sort by position alone
-        image.overrides = tuple(sorted(self.overrides + added))
-        image.override_map = values
-        return image
+        items = tuple(sorted(self.overrides + added))
+        return _checked_prefix(length, self.tail_ones, items, values)
 
     def without(self, positions) -> "PointPrefix":
         """This prefix with 1 at every coordinate in the set ``positions``."""
         items = tuple(item for item in self.overrides if item[0] not in positions)
-        x = object.__new__(PointPrefix)
-        x.length = self.length
-        x.tail_ones = self.tail_ones
-        x.overrides = items
-        x.override_map = dict(items)
-        return x
+        return _checked_prefix(self.length, self.tail_ones, items, dict(items))
 
     @classmethod
     def from_entries(cls, entries, tail_ones: bool = False) -> "PointPrefix":
@@ -412,9 +412,6 @@ class PointPrefix:
         if self.tail_ones:
             return 1
         return Tri.UNKNOWN
-
-    def decidable_limit(self) -> float:
-        return float("inf") if self.tail_ones else float(self.length)
 
     def entries(self) -> tuple:
         return tuple(self.override_map.get(i, 1) for i in range(self.length))
@@ -444,6 +441,14 @@ class PointPrefix:
             body = f"len={self.length}" + (f" [{ov}]" if ov else "")
         tail = "+1^w" if self.tail_ones else "+?"
         return f"({body}){tail}"
+
+
+def _checked_prefix(length: int, tail_ones: bool, overrides: tuple, override_map: dict):
+    """A PointPrefix of checked fields, bypassing the constructor; it owns the map."""
+    x = object.__new__(PointPrefix)
+    x.length, x.tail_ones = length, tail_ones
+    x.overrides, x.override_map = overrides, override_map
+    return x
 
 
 def _short(v) -> str:

@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _VERIFY_FLAGS:
         # absent unless given, so a flag the suite ignores can be refused
         p.add_argument(_flag(name), type=int, default=argparse.SUPPRESS)
-    p.add_argument("--inject-fault", dest="fault", choices=verifier.ALL_FAULTS,
+    p.add_argument("--inject-fault", dest="fault", choices=tuple(verifier.FAULTS),
                    default=argparse.SUPPRESS,
                    help="deliberately corrupt one rule to demonstrate detection")
     p.add_argument("--out")

@@ -12,12 +12,12 @@ ranking the s parts by their coded value (slot n of the enumeration is the
 glued map for the n-th sequence in code order).
 
 ``find_branch(s, x)`` finds the one branch at stem s whose domain holds x,
-greedily, level by level; ``find_branches(stems, x)`` does so for many stems
-at once, scanning each level once: a stem's levels are its parent's plus
-one, so over a prefix-closed list of stems it makes one level scan per stem.
-Which levels those are depends on the stems alone (``stem_walk``), so a
-caller that places many points under one stem list builds that walk once
-and runs it at each point (``walk_branches``).
+greedily, level by level; ``walk_branches`` does so for many stems at once,
+scanning each level once: a stem's levels are its parent's plus one, so
+over a prefix-closed list of stems it makes one level scan per stem.  Which
+levels those are depends on the stems alone (``stem_walk``), so a caller
+that places many points under one stem list builds that walk once and runs
+it at each point.
 """
 
 from __future__ import annotations
@@ -174,21 +174,12 @@ def find_branch(
     one at this s-level containing x (domains over t are pairwise disjoint).
     Never definitely fails: a finite prefix cannot refute every t, and a scan
     leaving the index horizon reports unknown.  The one-stem case of
-    ``find_branches``."""
-    return find_branches((s,), x, horizon)[0]
-
-
-def find_branches(
-    stems, x: PointPrefix, horizon: int = DEFAULT_HORIZON
-) -> list[tuple[Tri, tuple[int, ...] | None]]:
-    """``find_branch(s, x, horizon)`` for every stem s, in order, with each
-    level scanned once: ``walk_branches`` over the ``stem_walk`` of the
-    stems."""
-    return walk_branches(stem_walk(stems), x, horizon)
+    ``walk_branches``."""
+    return walk_branches(stem_walk((s,)), x, horizon)[0]
 
 
 def stem_walk(stems) -> tuple[tuple, tuple]:
-    """The level scans ``find_branches`` makes for these stems, whatever
+    """The level scans ``walk_branches`` makes for these stems, whatever
     the point: (levels, ends).
 
     The first |s| levels of a stem's scan are its parent's (s less its last
@@ -346,8 +337,10 @@ def apply_fn(n: int, x: PointPrefix) -> tuple[Tri, PointPrefix | None]:
 def branch_by_rank(n: int, p: int) -> BranchIndex:
     """Branch number (n, p): s = e(n), t the p-th tuple of length |s|+1 in
     increasing code order."""
+    if p < 0:
+        raise ValueError("branch rank must be a natural")
     s = e(n)
     tails = [w for w in sequences_below(CODE_CAP + 1) if len(w) == len(s) + 1]
-    if not 0 <= p < len(tails):
+    if p >= len(tails):
         raise CapacityError("branch rank beyond the enumeration cap")
     return BranchIndex(s, tails[p])

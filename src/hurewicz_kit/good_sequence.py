@@ -13,8 +13,8 @@ at two distinct indices disagree.  Everything past u depends only on the two
 indices and |u|, so witness_bits sweeps a pair over many words on plain
 bytes: it checks the two indices once and reads the shared tail once per run
 of words of equal length, yielding one witness (u + tail, k) per word as it
-goes.  disagreement_witnesses is the same sweep at the public API, taking
-BitPrefix words too and wrapping each witness in a BitPrefix.
+goes.  disagreement_witness is the one-word case at the public API, taking
+a BitPrefix word too and wrapping its witness in a BitPrefix.
 """
 
 from __future__ import annotations
@@ -150,26 +150,14 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
     strict prefix of the other (same shape one level up).  The two source
     coordinates are distinct, land past |u| for a large enough power, and get
     opposite bits.  Everything past u depends only on (s, t, |u|), so the
-    prefix is u followed by the tail of _witness_core.
+    prefix is u followed by the tail of _witness_core (witness_bits).  A
+    BitPrefix u with a tail is refused: no finite prefix extends it.
     """
-    return next(disagreement_witnesses(s, t, (u,)))
-
-
-def disagreement_witnesses(s, t, words):
-    """disagreement_witness(s, t, u) for each word u of ``words``, in order,
-    yielded one at a time: witness_bits over the words' bits, each witness
-    wrapped in a BitPrefix.  A BitPrefix word with a tail is refused with
-    ValueError when the sweep reaches it, since no finite prefix extends the
-    infinite word it stands for."""
-    return ((BitPrefix(x), k) for x, k in witness_bits(s, t, map(_word_bits, words)))
-
-
-def _word_bits(u) -> bytes:
-    if not isinstance(u, BitPrefix):
-        return bytes(u)
-    if u.tail:
+    if isinstance(u, BitPrefix) and u.tail:
         raise ValueError(f"a witness extends a finite word, not {u!r}")
-    return u.bits
+    bits = u.bits if isinstance(u, BitPrefix) else bytes(u)
+    x, k = next(witness_bits(s, t, (bits,)))
+    return BitPrefix(x), k
 
 
 def witness_bits(s, t, words):
@@ -245,8 +233,11 @@ def agreement_below_bound(s, k: int, horizon: int) -> int | None:
     differ, or None; expected None by the convergence bound.  Both maps are
     read _WINDOW values at a time, so memory does not grow with the horizon;
     each window's two lists are compared whole, and only a window where they
-    differ is scanned for its first differing index."""
+    differ is scanned for its first differing index.  Refuses a negative
+    horizon."""
     s = _check_index(s)
+    if horizon < 0:
+        raise ValueError("horizon must be a natural")
     parent, child = _index_map(s), _index_map(_check_index(s + (k,)))
     limit = min(convergence_bound(s, k), horizon)
     for start in range(0, limit, _WINDOW):

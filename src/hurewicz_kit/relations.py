@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .alphabet import alphabets, enumerate_nodes
+from .alphabet import alphabets, enumerate_nodes, member_rank
 from .base import Record
 from .departure import BranchIndex, e_inv, level_start
 from .prime_coding import is_code, make_code_value
@@ -40,6 +40,8 @@ def _witness_search(s: tuple, t: tuple) -> list[tuple]:
     t-cylinder, shortest stems first, as raw (stem, t part, cut) triples: the
     witness branch is (stem, t part) and ``cut`` is as in EffectiveWitness."""
     L = len(s)
+    if len(t) != L:
+        raise ValueError("relation needs equal-length nodes")
     remaining = []
     for q in range(L):
         if s[q] != t[q]:
@@ -84,26 +86,14 @@ def _search_level(s: tuple, u: tuple, v: tuple, todo: frozenset, found: list) ->
         idx *= q
 
 
-def _least_rank(found: list) -> int | None:
-    """The least enumeration rank over the stems of ``_witness_search``'s
-    triples, or None when there are none."""
-    return min((e_inv(stem) for stem, _, _ in found), default=None)
-
-
 def rel_R(s: tuple, t: tuple) -> bool:
     """Whether some branch map sends a point of the s-cylinder into the
     t-cylinder (equal lengths; forces s lexicographically <= t)."""
-    return bool(_search(s, t))
+    return bool(_witness_search(s, t))
 
 
 def rel_witnesses(s: tuple, t: tuple) -> list[EffectiveWitness]:
-    return [EffectiveWitness(BranchIndex(u, v), cut) for u, v, cut in _search(s, t)]
-
-
-def _search(s: tuple, t: tuple) -> list[tuple]:
-    if len(s) != len(t):
-        raise ValueError("relation needs equal-length nodes")
-    return _witness_search(s, t)
+    return [EffectiveWitness(BranchIndex(u, v), cut) for u, v, cut in _witness_search(s, t)]
 
 
 class PsiResult(Record):
@@ -122,9 +112,8 @@ def psi(s: tuple, t: tuple) -> PsiResult:
     at a stem.  The witness is the first stem of least rank in search order;
     only that one is built.
     """
-    rank, best = min(
-        ((e_inv(w[0]), w) for w in _search(s, t)), key=itemgetter(0), default=(None, None)
-    )
+    ranked = ((e_inv(w[0]), w) for w in _witness_search(s, t))
+    rank, best = min(ranked, key=itemgetter(0), default=(None, None))
     if best is None:
         return PsiResult(None, None)
     u, v, cut = best
@@ -177,12 +166,12 @@ def t_graph(p: int) -> RelationGraph:
     these candidates.  Each candidate is a node: code(s|q ⌢ 1) belongs to A_q
     because s|q is a depth-q node.  Nodes are the product of the sorted
     alphabets with 1 first, so t's index is s's index plus, for q in D, the
-    rewritten value's position in A_q times the product of the later alphabet
-    sizes; it exceeds s's index, matching the relation's lexicographic
-    direction.  One pass over the nodes searches each node against itself
-    (its loop) and then its candidates, one witness search each, and the
-    least rank of its stems is the ``psi`` rank (no witness object is
-    built); edges come out in increasing (i, j) order, as a scan
+    rewritten value's position in A_q (``member_rank``) times the product of
+    the later alphabet sizes; it exceeds s's index, matching the relation's
+    lexicographic direction.  One pass over the nodes searches each node
+    against itself (its loop) and then its candidates, one witness search
+    each, and the least rank of its stems is the ``psi`` rank (no witness
+    object is built); edges come out in increasing (i, j) order, as a scan
     over all pairs would give them.  Cost: nodes × (candidates + 1)
     searches, with at most 2^k - 1 candidates per node for k coded positions
     below p.
@@ -206,18 +195,18 @@ def t_graph(p: int) -> RelationGraph:
     weight = [1] * p
     for q in range(p - 2, -1, -1):
         weight[q] = weight[q + 1] * len(levels[q + 1])
-    position = {q: {m: k for k, m in enumerate(levels[q])} for q in coded}
     edges, loops, loop_ranks = [], [], []
     for i, s in enumerate(nodes):
         partners = [i]
         for q in coded:
             if s[q] == 1:
-                step = position[q][_expected_rewrite(s[:q])] * weight[q]
+                step = member_rank(q, _expected_rewrite(s[:q])) * weight[q]
                 partners += [j + step for j in partners]
         for j in sorted(partners):
-            rank = _least_rank(_witness_search(s, nodes[j]))
-            if rank is None:
+            found = _witness_search(s, nodes[j])
+            if not found:
                 continue
+            rank = min(e_inv(stem) for stem, _, _ in found)
             if j == i:
                 loops.append(i)
                 loop_ranks.append(rank)

@@ -57,7 +57,6 @@ FAULTS = {
     ),
     FAULT_EPSILON_NONSTRICT: (("cascade",), dict(trials=20)),
 }
-ALL_FAULTS = tuple(FAULTS)
 
 _COUNTEREXAMPLE_CAP = 5
 

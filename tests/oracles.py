@@ -765,7 +765,7 @@ def agreement_below_bound_per_k(s, k: int, horizon: int) -> int | None:
 def first_disagreement_by_position_set(x: PointPrefix, y: PointPrefix):
     """first_disagreement by sorting the union of both override positions and
     reading each side's value at every position in turn."""
-    limit = min(x.decidable_limit(), y.decidable_limit())
+    limit = min(float("inf") if z.tail_ones else z.length for z in (x, y))
     for i in sorted(set(x.override_map) | set(y.override_map)):
         if i >= limit:
             break

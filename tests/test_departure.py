@@ -190,7 +190,7 @@ def _find_branches_cases():
 def test_find_branches_matches_per_stem_find_branch():
     outcomes = []
     for stems, x, horizon in _find_branches_cases():
-        got = dep.find_branches(stems, x, horizon)
+        got = dep.walk_branches(dep.stem_walk(stems), x, horizon)
         assert got == [dep.find_branch(s, x, horizon) for s in stems]
         assert got == [find_branch_reencoding(s, x, horizon) for s in stems]
         outcomes.append({outcome for outcome, _ in got})
@@ -208,7 +208,7 @@ def test_find_branches_scans_each_level_once(monkeypatch):
 
     monkeypatch.setattr(dep, "_scan_level", counted)
     stems, x, horizon = _find_branches_cases()[0]
-    dep.find_branches(stems, x, horizon)
+    dep.walk_branches(dep.stem_walk(stems), x, horizon)
     # one scan per stem of a prefix-closed list, none of them repeated
     assert len(scans) == len(set(scans)) == len(stems) == 148
 
@@ -229,7 +229,6 @@ def test_find_branches_matches_reencoding_oracle_on_every_small_node():
         for x in points:
             for horizon in (10**15, 10**4):
                 want = [find_branch_reencoding(s, x, horizon) for s in stem_list]
-                assert dep.find_branches(stem_list, x, horizon) == want, x
                 assert dep.walk_branches(walk, x, horizon) == want, x
                 outcomes.update(outcome for outcome, _ in want)
     assert outcomes == {Tri.YES, Tri.UNKNOWN}
@@ -537,6 +536,13 @@ def test_find_branch_horizon_cap():
     # the horizon is inclusive: an index at it is read, one past it is not
     assert dep.find_branch((10,), al.ALL_ONES, horizon=30720) == (Tri.YES, (0, 0))
     assert dep.find_branch((10,), al.ALL_ONES, horizon=30719) == (Tri.UNKNOWN, None)
+
+
+def test_branch_by_rank_refuses_a_negative_rank():
+    # a usage error, as e(-1) is, not a rank beyond the enumeration cap
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="natural"):
+            dep.branch_by_rank(n, -1)
 
 
 def test_branch_by_rank_and_slot():

@@ -342,13 +342,15 @@ class PointPrefix:
     ``overrides`` holds the non-1 (position, value) pairs sorted by position,
     every position below ``length`` and none twice, and ``override_map``
     maps the same positions to their values; both are read-only, and no
-    two prefixes share a map.  The constructor refuses a position given
-    twice.
+    two prefixes share a map.  The constructor refuses a negative length and
+    a position given twice.
     """
 
     __slots__ = ("length", "tail_ones", "overrides", "override_map")
 
     def __init__(self, length: int, overrides=(), tail_ones: bool = False):
+        if length < 0:
+            raise ValueError("prefix length must be a natural")
         given = tuple(overrides)
         values = dict(given)
         if len(values) != len(given):

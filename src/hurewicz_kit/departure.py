@@ -173,8 +173,8 @@ def find_branch(
     candidate index reads 1 at x.  When it succeeds the branch is the unique
     one at this s-level containing x (domains over t are pairwise disjoint).
     Never definitely fails: a finite prefix cannot refute every t, and a scan
-    leaving the index horizon reports unknown.  The one-stem case of
-    ``walk_branches``."""
+    leaving the index horizon reports unknown; a negative horizon is
+    refused.  The one-stem case of ``walk_branches``."""
     return walk_branches(stem_walk((s,)), x, horizon)[0]
 
 
@@ -214,7 +214,9 @@ def walk_branches(
     """``find_branch(s, x, horizon)`` for every stem s of the ``stem_walk``
     ``walk``, in order: each level scanned once, at base prefix ⌢ t(parent),
     and a parent the scan gave no verdict (t None) gives its children
-    none."""
+    none.  Refuses a negative horizon."""
+    if horizon < 0:
+        raise ValueError("horizon must be a natural")
     levels, ends = walk
     found: list[tuple | None] = [()]  # t by slot
     for prefix, parent in levels:

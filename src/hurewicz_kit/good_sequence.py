@@ -9,12 +9,14 @@ divisor.  Maps at different indices disagree densely, and extending the index
 moves the first possible disagreement out beyond J(s⌢k)/q_{|s|} - 1.
 
 A dense-disagreement witness extends a word u to a prefix on which the maps
-at two distinct indices disagree.  Everything past u depends only on the two
-indices and |u|, so witness_bits sweeps a pair over many words on plain
-bytes: it checks the two indices once and reads the shared tail once per run
-of words of equal length, yielding one witness (u + tail, k) per word as it
-goes.  disagreement_witness is the one-word case at the public API, taking
-a BitPrefix word too and wrapping its witness in a BitPrefix.
+at two distinct indices disagree.  Past u it is all 0s but a single 1, and
+it depends only on the two indices and |u|, so witness_bits sweeps a pair
+over many words in sparse form: it checks the two indices once, runs one
+search over the candidate output indices for the pair, resumed as the words
+grow, and yields one witness (u, end, one, k) per word as it goes, never
+building its bytes.  disagreement_witness is the one-word case at the public
+API and the one place a witness is built: it takes a BitPrefix word too and
+wraps its witness in a BitPrefix.
 """
 
 from __future__ import annotations
@@ -150,22 +152,29 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
     strict prefix of the other (same shape one level up).  The two source
     coordinates are distinct, land past |u| for a large enough power, and get
     opposite bits.  Everything past u depends only on (s, t, |u|), so the
-    prefix is u followed by the tail of _witness_core (witness_bits).  A
-    BitPrefix u with a tail is refused: no finite prefix extends it.
+    prefix is built here from witness_bits' sparse form: u, then 0s to its
+    end, with a single 1.  A BitPrefix u with a tail is refused: no finite
+    prefix extends it.
     """
     if isinstance(u, BitPrefix) and u.tail:
         raise ValueError(f"a witness extends a finite word, not {u!r}")
     bits = u.bits if isinstance(u, BitPrefix) else bytes(u)
-    x, k = next(witness_bits(s, t, (bits,)))
-    return BitPrefix(x), k
+    head, end, one, k = next(witness_bits(s, t, (bits,)))
+    x = bytearray(end)
+    x[: len(head)] = head
+    x[one] = 1
+    return BitPrefix(bytes(x)), k
 
 
 def witness_bits(s, t, words):
-    """(u + tail, k) for each bytes word u of ``words``, in order, yielded one
-    at a time: the witness bits and the disagreeing output index.  s and t
-    are checked here, before the first word; the tail and output index come
-    from _witness_core once per run of words of equal length, so words may
-    come in any order of lengths."""
+    """(head, end, one, k) for each bytes word u of ``words``, in order,
+    yielded one at a time: the witness in sparse form and the disagreeing
+    output index.  The witness is head (u itself), then 0s up to end, with a
+    single 1 at one; it is never built here.  s and t are checked here,
+    before the first word.  One candidate search runs per call
+    (_candidates); it advances while a word covers its candidate's nearer
+    source and restarts only when a word is shorter than the one before, so
+    words may come in any order of lengths."""
     s = _check_index(s)
     t = _check_index(t)
     if s == t:
@@ -173,54 +182,70 @@ def witness_bits(s, t, words):
     return _sweep(s, t, words)
 
 
-def _sweep(s: tuple[int, ...], t: tuple[int, ...], words):
-    n = None
-    for u in words:
-        if len(u) != n:
-            n = len(u)
-            tail, k = _witness_core(s, t, n)
-        yield u + tail, k
-
-
-# Longest witness tail _witness_core builds.  A tail grows exponentially with
-# the indices' entries (the pair (1), (30) needs 2^31 - 2 bytes); acceptance
-# gate 6's longest is 1,248 bytes.
+# Longest witness tail past its word that witness_bits accepts.  A tail grows
+# exponentially with the indices' entries (the pair (1), (30) needs 2^31 - 2
+# bytes); acceptance gate 6's longest is 1,248 bytes.  The sweep never builds
+# a tail, but disagreement_witness does, so a longer one is refused.
 WITNESS_TAIL_CAP = 1 << 16
 
 
-def _witness_core(s: tuple[int, ...], t: tuple[int, ...], n: int) -> tuple[bytes, int]:
-    """(tail, k) for distinct checked indices s and t and a word of length n:
-    the output index k, whose two source coordinates a and b are distinct and
-    both at least n, and the witness bits past the word, tail = word[n:], all
-    0 but a 1 at b - n.  a lies under the index taking bit 0, b under the one
-    taking bit 1, and the tail ends at max(a, b).  A tail longer than
-    WITNESS_TAIL_CAP is refused with CapacityError before it is built."""
+def _sweep(s: tuple[int, ...], t: tuple[int, ...], words):
+    """The sparse witnesses of witness_bits for distinct checked indices.
+
+    A power serves length n when its two source coordinates a and b are both
+    at least n, so the powers that serve n shrink as n grows: the first to
+    serve a longer word is at or after the first to serve a shorter one.  The
+    search therefore advances from its current candidate while min(a, b) < n
+    and starts over from power 1 only when a word is shorter than the one
+    before.  a lies under the index taking bit 0, b under the one taking bit
+    1, and the witness ends at max(a, b) + 1.  A tail past the word longer
+    than WITNESS_TAIL_CAP is refused with CapacityError."""
+    s, t, base, step = _orient(s, t)
+    n = None
+    for u in words:
+        if len(u) != n:
+            if n is None or len(u) < n:
+                search = _candidates(s, t, base, step)
+                k, a, b = next(search)
+            n = len(u)
+            while min(a, b) < n:
+                k, a, b = next(search)
+            end = max(a, b) + 1
+            if end - n > WITNESS_TAIL_CAP:
+                raise CapacityError(
+                    f"the witness for indices {s} and {t} past a word of length {n} "
+                    f"needs a tail of {end - n} bytes, over the cap {WITNESS_TAIL_CAP}"
+                )
+        yield u, end, b, k
+
+
+def _orient(s: tuple[int, ...], t: tuple[int, ...]):
+    """(s, t, base, step) for distinct checked indices: the pair ordered so
+    that s takes bit 0 and t bit 1, and the output indices k = base * step^p
+    - 1 whose source coordinates are searched.  With a first differing level
+    m, t is the side with the larger entry there, base its level-(m+1)
+    divisor and step q_{m+2}; with one index a strict prefix of the other, t
+    is the longer, base its last divisor and step the next prime past it."""
     m = next((i for i in range(min(len(s), len(t))) if s[i] != t[i]), None)
     if m is not None:
         if s[m] > t[m]:
             s, t = t, s
-        base = _divisors(t)[m]
-        step = nth_prime(m + 2)
-    else:
-        if len(s) > len(t):
-            s, t = t, s
-        base = _divisors(t)[-1]
-        step = nth_prime(len(t) + 1)
+        return s, t, _divisors(t)[m], nth_prime(m + 2)
+    if len(s) > len(t):
+        s, t = t, s
+    return s, t, _divisors(t)[-1], nth_prime(len(t) + 1)
+
+
+def _candidates(s: tuple[int, ...], t: tuple[int, ...], base: int, step: int):
+    """(k, a, b) for k = base * step^p - 1, p = 0, 1, ..., with a = sigma_s(k)
+    and b = sigma_t(k) distinct, in increasing power."""
     sig_s, sig_t = _index_map(s), _index_map(t)
     power = 1
     while True:
         k = base * power - 1
         a, b = sig_s(k), sig_t(k)
-        if a != b and min(a, b) >= n:
-            size = max(a, b) + 1 - n
-            if size > WITNESS_TAIL_CAP:
-                raise CapacityError(
-                    f"the witness for indices {s} and {t} past a word of length {n} "
-                    f"needs a tail of {size} bytes, over the cap {WITNESS_TAIL_CAP}"
-                )
-            tail = bytearray(size)
-            tail[b - n] = 1
-            return bytes(tail), k
+        if a != b:
+            yield k, a, b
         power *= step
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import compress, count
 
 from .base import CapacityError, Tri, _below
 from . import alphabet as alph
@@ -755,14 +754,15 @@ def verify_good_sequence(
             "checks (ordered index pairs x words)"
         )
     witness = Check("disagreement-witness")
-    # Every word gets its own witness and its own check, from one raw witness
-    # sweep per ordered pair (good.witness_bits: plain bytes, one witness at
-    # a time, no BitPrefix).  The pair's two index maps are looked up once
-    # per pair, and the two source coordinates and the farther of them once
-    # per run of words with the same k (one run per word length).  A witness
-    # passes when both source bits lie inside it, they differ, and it extends
-    # its word.  The sweep runs before the index-map checks, so a witness
-    # tail over WITNESS_TAIL_CAP is refused before them.
+    # Every word gets its own witness and its own check, from one sparse
+    # witness sweep per ordered pair (good.witness_bits: each witness as its
+    # word, its end and the position of its one 1, never built as bytes).
+    # The pair's two index maps are looked up once per pair, and the two
+    # source coordinates and the farther of them once per run of words with
+    # the same k.  A witness passes when both source bits lie inside it, they
+    # differ, and it extends its word; each is read in O(1).  The sweep runs
+    # before the index-map checks, so a witness tail over WITNESS_TAIL_CAP is
+    # refused before them.
     family = _index_family(pair_max_len, pair_max_entry)
     # with no pair, the cap above does not bound the words: list none
     words = list(_all_words(max_u_len)) if pairs else []
@@ -774,11 +774,15 @@ def verify_good_sequence(
             sig_t = good._index_map(t)
             last_k = None
             passed = 0
-            for u, (x, k) in zip(words, good.witness_bits(s, t, words)):
+            for u, (head, end, one, k) in zip(words, good.witness_bits(s, t, words)):
                 if k != last_k:
                     last_k, src_s, src_t = k, sig_s(k), sig_t(k)
                     far = max(src_s, src_t)
-                if far < len(x) and x[src_s] != x[src_t] and x.startswith(u):
+                # past the head a bit reads as a bool, equal to its int
+                n = len(head)
+                bit_s = head[src_s] if src_s < n else src_s == one
+                bit_t = head[src_t] if src_t < n else src_t == one
+                if far < end and bit_s != bit_t and head == u:
                     passed += 1
                 else:
                     witness.fail(s=s, t=t, u=u.hex(), k=k)
@@ -805,12 +809,18 @@ def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Che
 
     The values come from one sieve per map (IndexMap.prefix).  A repeated value
     shows as a set smaller than the horizon, and only then does the scan for
-    the first repeat run.  The coprime indices come from a second sieve, a
-    bytearray over the level divisors built here, independent of
-    IndexMap.prefix, so a position IndexMap.prefix leaves unwritten or writes
-    wrongly is caught."""
+    the first repeat run.  The coprime indices are read through a second
+    sieve over the level divisors, built here independent of IndexMap.prefix:
+    it sets every k of the first min(horizon, 2000) values whose successor a
+    level divisor divides to k, and the result is compared with the identity
+    as one list, so a coprime position IndexMap.prefix leaves unwritten or
+    writes wrongly is caught.  Only on a mismatch does the scan for the first
+    moved k run."""
     injective = Check("index-map-injective")
     fixes = Check("index-map-fixes-coprime")
+    # one identity for every map: the masked values take their ints from it,
+    # so the comparison mostly meets the same objects
+    identity = list(range(min(horizon, 2000)))
     for s in _index_family(max_s_len, max_entry):
         values = good._index_map(s).prefix(horizon)
         collision = None
@@ -822,10 +832,12 @@ def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Che
                     break
                 seen[v] = k
         injective.require(collision is None, s=s, collision=collision)
-        coprime = bytearray(b"\x01") * min(horizon, 2000)
+        masked = values[: len(identity)]
         for d in good._divisors(s):
-            coprime[d - 1 :: d] = bytes(len(range(d - 1, len(coprime), d)))
-        bad = next((k for k in compress(count(), coprime) if values[k] != k), None)
+            masked[d - 1 :: d] = identity[d - 1 :: d]
+        bad = None
+        if masked != identity:
+            bad = next(k for k, v in enumerate(masked) if v != k)
         fixes.require(bad is None, s=s, moved=bad)
     return injective, fixes
 

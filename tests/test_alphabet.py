@@ -237,6 +237,15 @@ def test_point_prefix_refuses_a_repeated_position():
     assert x != al.PointPrefix(3, [(1, 7), (2, 4)], tail_ones=True)
 
 
+def test_point_prefix_refuses_a_negative_length():
+    # a negative length would build a prefix reading UNKNOWN at coordinate 0
+    for length in (-1, -3):
+        for tail_ones in (False, True):
+            with pytest.raises(ValueError, match="length"):
+                al.PointPrefix(length, (), tail_ones=tail_ones)
+    assert al.PointPrefix(0).length == 0
+
+
 def test_alphabets_sorted():
     for i, a in enumerate(al.alphabets(5)):
         for x, y in zip(a, a[1:]):

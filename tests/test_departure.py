@@ -142,6 +142,17 @@ def test_find_branch_examples():
     assert dep.find_branch((0,), bare) == (Tri.UNKNOWN, None)
 
 
+def test_branch_walks_refuse_a_negative_horizon():
+    # a negative horizon would scan nothing and report unknown
+    for horizon in (-1, -5):
+        with pytest.raises(ValueError, match="horizon"):
+            dep.find_branch((0,), al.ALL_ONES, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            dep.walk_branches(dep.stem_walk([(), (0,)]), al.ALL_ONES, horizon)
+    # horizon 0 is a natural: it is scanned, and passed at once
+    assert dep.find_branch((), al.ALL_ONES, horizon=0) == (Tri.UNKNOWN, None)
+
+
 def test_find_branch_unique_among_enumerated():
     x = al.point_from_node((1, 1, 900))
     for s in [(), (0,), (1,), (0, 0)]:

@@ -173,6 +173,13 @@ def test_index_check_rejects_at_every_entry_point():
                     call(s)
 
 
+def _built(head, end, one, k):
+    """A sparse witness as (bytes, k): head, then 0s up to end with one 1;
+    bytes() of a negative count raises, so a 1 inside the head or past the
+    end is refused."""
+    return head + bytes(one - len(head)) + b"\x01" + bytes(end - one - 1), k
+
+
 def test_witness_batches_match_single_words():
     # lengths go down and repeat, with a single word between two of one
     # length, so a tail kept across a change of length would be caught
@@ -186,11 +193,58 @@ def test_witness_batches_match_single_words():
             single = [gs.disagreement_witness(s, t, u) for u in words]
             uncached = [disagreement_witness_uncached(s, t, u) for u in words]
             assert single == uncached, (s, t)
-            # the raw sweep the good suite reads: the same words as bytes
-            raw = list(gs.witness_bits(s, t, [getattr(u, "bits", u) for u in words]))
-            assert raw == [(x.bits, k) for x, k in single], (s, t)
-            assert raw == [(x.bits, k) for x, k in uncached], (s, t)
-            assert all(type(x) is bytes for x, _ in raw)
+            # the sparse sweep the good suite reads, over the same words as
+            # bytes, each witness built here into its bytes
+            raw = [getattr(u, "bits", u) for u in words]
+            built = [_built(*w) for w in gs.witness_bits(s, t, raw)]
+            assert built == [(x.bits, k) for x, k in single], (s, t)
+            assert built == [(x.bits, k) for x, k in uncached], (s, t)
+
+
+def test_sparse_sweep_matches_uncached_on_a_length_3_family():
+    # every word up to length 5, shuffled so that lengths go up and down and
+    # the candidate search both resumes and restarts, for every ordered pair
+    # of the indices up to length 3 with entries 1 and 2
+    words = list(vf._all_words(5))
+    random.Random(3).shuffle(words)
+    family = vf._index_family(3, 2)
+    for s in family:
+        for t in family:
+            if s == t:
+                continue
+            built = [_built(*w) for w in gs.witness_bits(s, t, words)]
+            want = [disagreement_witness_uncached(s, t, u) for u in words]
+            assert built == [(x.bits, k) for x, k in want], (s, t)
+
+
+def test_index_map_moving_one_coprime_index_fails_the_fixes_check(monkeypatch):
+    # (1, 2) has level divisors 2 and 36, so 100 is coprime: 101 is odd.  The
+    # map is spoiled there alone, through both of its readers; the suite and
+    # the per-k oracle must each report that one moved index
+    target, moved = (1, 2), 100
+    assert all((moved + 1) % d for d in gs._divisors(target))
+    true_call, true_prefix = gs.IndexMap.__call__, gs.IndexMap.prefix
+
+    def spoiled_call(self, k):
+        return -1 if (self.s, k) == (target, moved) else true_call(self, k)
+
+    def spoiled_prefix(self, n, start=0):
+        out = true_prefix(self, n, start)
+        if self.s == target and start <= moved < n:
+            out[moved - start] = -1
+        return out
+
+    monkeypatch.setattr(gs.IndexMap, "__call__", spoiled_call)
+    monkeypatch.setattr(gs.IndexMap, "prefix", spoiled_prefix)
+    report = vf.verify_good_sequence(
+        max_s_len=2, max_entry=2, horizon=300, pair_max_len=0, max_u_len=0
+    )
+    fixes = report.checks[1].as_dict()
+    assert fixes["name"] == "index-map-fixes-coprime"
+    assert fixes["failed"] == 1 and fixes["passed"] == 6
+    assert [(c["s"], c["moved"]) for c in fixes["counterexamples"]] == [("(1,2)", moved)]
+    oracle = per_k_index_map_checks(2, 2, 300)[1].as_dict()
+    assert oracle == fixes
 
 
 def test_witness_refuses_word_with_tail():

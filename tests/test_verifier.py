@@ -646,26 +646,27 @@ def test_good_suite_refuses_negative_parameters(param):
 
 
 @pytest.mark.parametrize(
-    "spoil", ["flip the source bit", "drop the word", "cut before the farther source"]
+    "spoil", ["move the 1 off its source", "change the head", "end at the farther source"]
 )
 def test_good_suite_checks_every_witness(monkeypatch, spoil):
     # one spoiled (s, t, u) out of 6 pairs x 15 words, spoiled inside the
-    # pair's raw witness sweep, must fail exactly one check, so the witness
-    # check cannot run once per pair or per length
+    # pair's sparse witness sweep, must fail exactly one check, so the
+    # witness check cannot run once per pair or per length
     true_witnesses = vf.good.witness_bits
     target = ((1,), (2,), bytes([1, 0]))
 
     def spoiled(s, t, words):
-        for u, (x, k) in zip(words, true_witnesses(s, t, words)):
+        for u, (head, end, one, k) in zip(words, true_witnesses(s, t, words)):
             if (s, t, u) == target:
                 a, b = vf.good.sigma(s, k), vf.good.sigma(t, k)
-                if spoil == "cut before the farther source":
-                    x = x[: max(a, b)]
+                if spoil == "move the 1 off its source":
+                    # to the first position past the head that is no source
+                    one = min({len(head), len(head) + 1, len(head) + 2} - {a, b})
+                elif spoil == "change the head":
+                    head = bytes([head[0] ^ 1]) + head[1:]
                 else:
-                    bits = bytearray(x)
-                    bits[a if spoil == "flip the source bit" else 0] ^= 1
-                    x = bytes(bits)
-            yield x, k
+                    end = max(a, b)
+            yield head, end, one, k
 
     monkeypatch.setattr(vf.good, "witness_bits", spoiled)
     report = vf.verify_good_sequence(

@@ -50,6 +50,17 @@ def _divisors(s: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# 0, 1, 2, ...: a prefix of at most _IDENTITY_CAP values starts as a slice
+# of this one list, grown on demand and never past the largest such n asked
+# for, so its sieve creates no int for the indices it leaves fixed.  The cap
+# is the good suite's HORIZON_CAP, so every suite sieve reads the table; a
+# longer prefix, such as a far window of agreement_below_bound, starts from
+# its own range, so the table, kept for the life of the process, stays at
+# most 10^6 ints (36 MB).
+_IDENTITY: list[int] = []
+_IDENTITY_CAP = 10**6
+
+
 class IndexMap:
     """sigma_s as a callable; h_s(x)(k) = x(sigma_s(k))."""
 
@@ -80,7 +91,12 @@ class IndexMap:
         run later, so each k keeps the value of the deepest level dividing k+1."""
         if n < 0 or start < 0:
             raise ValueError("prefix bounds must be naturals")
-        out = list(range(start, n))
+        if n > _IDENTITY_CAP:
+            out = list(range(start, n))
+        else:
+            if n > len(_IDENTITY):
+                _IDENTITY.extend(range(len(_IDENTITY), n))
+            out = _IDENTITY[start:n]
         for d, c in zip(self._divs, self._codes):
             q = start // d + 1  # the least q with q*d - 1 >= start
             out[q * d - 1 - start :: d] = range(c * q - d - 1, c * (n // d) - d, c)
@@ -101,11 +117,15 @@ class BitPrefix(Record):
     """Finite binary word, optionally extended by repeating ``tail`` forever.
 
     A ``Record`` of (bits: bytes, tail: bytes | None), so both are
-    read-only."""
+    read-only.  Each byte of both is a bit, 0 or 1; any other byte is refused
+    with ValueError."""
 
     __slots__ = ("bits", "tail")
 
     def __init__(self, bits: bytes, tail: bytes | None = None):
+        for word in (bits, tail or b""):
+            if word.translate(None, b"\x00\x01"):
+                raise ValueError(f"a bit is 0 or 1, not a byte of {bytes(word)!r}")
         super().__init__(bits, tail)
 
     def bit(self, k: int):
@@ -153,13 +173,14 @@ def disagreement_witness(s, t, u: BitPrefix | bytes) -> tuple[BitPrefix, int]:
     coordinates are distinct, land past |u| for a large enough power, and get
     opposite bits.  Everything past u depends only on (s, t, |u|), so the
     prefix is built here from witness_bits' sparse form: u, then 0s to its
-    end, with a single 1.  A BitPrefix u with a tail is refused: no finite
-    prefix extends it.
+    end, with a single 1.  A BitPrefix u with a tail is refused, since no
+    finite prefix extends it, and so is a word with a byte other than 0 or 1.
     """
-    if isinstance(u, BitPrefix) and u.tail:
+    if not isinstance(u, BitPrefix):
+        u = BitPrefix(bytes(u))
+    if u.tail:
         raise ValueError(f"a witness extends a finite word, not {u!r}")
-    bits = u.bits if isinstance(u, BitPrefix) else bytes(u)
-    head, end, one, k = next(witness_bits(s, t, (bits,)))
+    head, end, one, k = next(witness_bits(s, t, (u.bits,)))
     x = bytearray(end)
     x[: len(head)] = head
     x[one] = 1
@@ -259,7 +280,9 @@ def agreement_below_bound(s, k: int, horizon: int) -> int | None:
     read _WINDOW values at a time, so memory does not grow with the horizon;
     each window's two lists are compared whole, and only a window where they
     differ is scanned for its first differing index.  Refuses a negative
-    horizon."""
+    horizon.  The good suite makes the same check on the values its
+    index-map checks sieve (verifier._index_map_checks), not through this
+    one-pair form."""
     s = _check_index(s)
     if horizon < 0:
         raise ValueError("horizon must be a natural")

@@ -59,9 +59,11 @@ FAULTS = {
 
 _COUNTEREXAMPLE_CAP = 5
 
-# Largest good-suite horizon: the injectivity check holds one index map's
-# prefix of that length and its set at a time, about 120-135 bytes per index:
-# 120-135 MB at the cap, with a family of 2 maps or of 5.
+# Largest good-suite horizon.  The index-map checks hold, at a time, the
+# identity table IndexMap.prefix slices (kept after the call), one map's
+# values and their set, and one parent's values: a peak RSS (VmHWM) of
+# 156 MB at the cap with the default maps, in one process with nothing else
+# loaded (Python 3.11, 2 CPUs).
 HORIZON_CAP = 10**6
 # Largest good-suite sweeps, counted before any index or word is listed.  The
 # index-map checks read every index map on [0, horizon); the witness check
@@ -788,41 +790,42 @@ def verify_good_sequence(
                     witness.fail(s=s, t=t, u=u.hex(), k=k)
             witness.ok(passed)
 
-    injective, fixes = _index_map_checks(max_s_len, max_entry, horizon)
-    agree = Check("extension-agreement-horizon")
-
-    for s in _index_family(max_s_len - 1, max_entry):
-        previous = None
-        for k in range(1, max_entry + 1):
-            b = good.convergence_bound(s, k)
-            moved = good.agreement_below_bound(s, k, horizon)
-            agree.require(moved is None, s=s, k=k, first_disagreement=moved)
-            if previous is not None:
-                agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
-            previous = b
+    injective, fixes, agree = _index_map_checks(max_s_len, max_entry, horizon)
     return VerificationReport("good-suite", params, [injective, fixes, agree, witness])
 
 
-def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Check, Check]:
-    """Injectivity of each index map on [0, horizon), and that it fixes every
-    k below min(horizon, 2000) whose successor no level divisor divides.
+def _index_map_checks(
+    max_s_len: int, max_entry: int, horizon: int
+) -> tuple[Check, Check, Check]:
+    """Injectivity of each index map on [0, horizon), that it fixes every k
+    below min(horizon, 2000) whose successor no level divisor divides, and
+    that each map s⌢k agrees with its parent s below min(convergence_bound(s,
+    k), horizon), with those bounds increasing in k.
 
-    The values come from one sieve per map (IndexMap.prefix).  A repeated value
-    shows as a set smaller than the horizon, and only then does the scan for
-    the first repeat run.  The coprime indices are read through a second
-    sieve over the level divisors, built here independent of IndexMap.prefix:
-    it sets every k of the first min(horizon, 2000) values whose successor a
-    level divisor divides to k, and the result is compared with the identity
-    as one list, so a coprime position IndexMap.prefix leaves unwritten or
-    writes wrongly is caught.  Only on a mismatch does the scan for the first
-    moved k run."""
+    Each map is sieved once per role (IndexMap.prefix): the root at the
+    horizon; each parent s of _index_family(max_s_len - 1, max_entry), in
+    order, to the largest of its children's agreement limits; and each of
+    its children s⌢k, so every map of the family in breadth-first order, at
+    the horizon, or only to its limit when s⌢k is longer than max_s_len (the
+    length-1 maps at max_s_len 0).  The injectivity and coprime-fix checks
+    read the child's values, and the agreement check compares them with the
+    parent's below the limit.  A repeated value shows as a set smaller than
+    the horizon, and a moved index or a disagreement as two unequal lists;
+    only then does the scan for the first repeat, moved k or differing index
+    run.  The coprime indices are read through a second sieve over the level
+    divisors, built here independent of IndexMap.prefix: it sets every k of
+    the first min(horizon, 2000) values whose successor a level divisor
+    divides to k, and the result is compared with the identity as one list,
+    so a coprime position IndexMap.prefix leaves unwritten or writes wrongly
+    is caught."""
     injective = Check("index-map-injective")
     fixes = Check("index-map-fixes-coprime")
+    agree = Check("extension-agreement-horizon")
     # one identity for every map: the masked values take their ints from it,
     # so the comparison mostly meets the same objects
     identity = list(range(min(horizon, 2000)))
-    for s in _index_family(max_s_len, max_entry):
-        values = good._index_map(s).prefix(horizon)
+
+    def check(s, values):
         collision = None
         if len(set(values)) != horizon:
             seen: dict[int, int] = {}
@@ -839,7 +842,30 @@ def _index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> tuple[Che
         if masked != identity:
             bad = next(k for k, v in enumerate(masked) if v != k)
         fixes.require(bad is None, s=s, moved=bad)
-    return injective, fixes
+
+    check((), good._index_map(()).prefix(horizon))
+    for s in _index_family(max_s_len - 1, max_entry):
+        # the bounds are checked to increase below, not assumed to
+        bounds = [good.convergence_bound(s, k) for k in range(1, max_entry + 1)]
+        parent = good._index_map(s).prefix(min(max(bounds, default=0), horizon))
+        previous = None
+        for k, b in enumerate(bounds, 1):
+            child = s + (k,)
+            limit = min(b, horizon)
+            if len(child) > max_s_len:
+                values = good._index_map(child).prefix(limit)
+            else:
+                values = good._index_map(child).prefix(horizon)
+                check(child, values)
+            moved = None
+            if values[:limit] != parent[:limit]:
+                moved = next(n for n, (p, c) in enumerate(zip(parent, values)) if p != c)
+            del values  # freed before the next child's sieve: one child held at a time
+            agree.require(moved is None, s=s, k=k, first_disagreement=moved)
+            if previous is not None:
+                agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
+            previous = b
+    return injective, fixes, agree
 
 
 def _index_family(max_len: int, max_entry: int):

@@ -688,10 +688,12 @@ def check_admissibility_fraction(
 
 
 def per_k_index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> list[Check]:
-    """The verifier's injectivity and coprime-fixes checks by calling each
-    index map on every k in turn."""
+    """The verifier's injectivity, coprime-fixes and extension-agreement
+    checks by calling each index map on every k in turn, with fresh maps and
+    one agreement scan per (s, k)."""
     injective = Check("index-map-injective")
     fixes = Check("index-map-fixes-coprime")
+    agree = Check("extension-agreement-horizon")
     for s in _index_family(max_s_len, max_entry):
         sig = good.IndexMap(s)
         seen: dict[int, int] = {}
@@ -713,7 +715,16 @@ def per_k_index_map_checks(max_s_len: int, max_entry: int, horizon: int) -> list
             None,
         )
         fixes.require(bad is None, s=s, moved=bad)
-    return [injective, fixes]
+    for s in _index_family(max_s_len - 1, max_entry):
+        previous = None
+        for k in range(1, max_entry + 1):
+            b = good.convergence_bound(s, k)
+            moved = agreement_below_bound_per_k(s, k, horizon)
+            agree.require(moved is None, s=s, k=k, first_disagreement=moved)
+            if previous is not None:
+                agree.require(b > previous, s=s, k=k, bound=b, previous=previous)
+            previous = b
+    return [injective, fixes, agree]
 
 
 def disagreement_witness_uncached(s, t, u) -> tuple[good.BitPrefix, int]:

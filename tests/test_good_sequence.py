@@ -61,33 +61,142 @@ def test_prefix_matches_naive():
             gs.IndexMap((1,)).prefix(*bounds)
 
 
-def test_index_map_checks_match_per_k_sweeps(monkeypatch):
-    def as_dicts(checks):
-        return [c.as_dict() for c in checks]
+def _as_dicts(checks):
+    return [c.as_dict() for c in checks]
 
-    assert as_dicts(vf._index_map_checks(3, 4, 3000)) == as_dicts(
+
+def _every_divisor_one_too_large(divs):
+    return tuple(d + 1 for d in divs)
+
+
+def _first_divisor_one_too_large_past_length_1(divs):
+    return (divs[0] + 1,) + divs[1:] if len(divs) > 1 else divs
+
+
+def test_index_map_checks_match_per_k_sweeps(monkeypatch):
+    assert _as_dicts(vf._index_map_checks(3, 4, 3000)) == _as_dicts(
         per_k_index_map_checks(3, 4, 3000)
     )
     # maps built with every level divisor one too large collide and move
-    # indices whose successor no true divisor divides; both sweeps must
-    # report the same first collision and the same moved index
+    # indices whose successor no true divisor divides; maps whose first
+    # divisor alone is one too large past length 1 also leave their parents
+    # below the agreement bound.  Both sweeps must report the same first
+    # collision, moved index and disagreement, and each check must fail
+    # under one of the faults
     true_init = gs.IndexMap.__init__
+    failing = set()
+    for spoil in (_every_divisor_one_too_large, _first_divisor_one_too_large_past_length_1):
 
-    def faulty_init(self, s):
-        true_init(self, s)
-        self._divs = tuple(d + 1 for d in self._divs)
+        def faulty_init(self, s):
+            true_init(self, s)
+            self._divs = spoil(self._divs)
 
-    # the suite reads its maps from the per-index cache: empty it on both
-    # sides so the faulty maps are built here and not kept afterwards
-    gs._index_map.cache_clear()
-    monkeypatch.setattr(gs.IndexMap, "__init__", faulty_init)
-    try:
-        faulty = as_dicts(vf._index_map_checks(2, 3, 500))
-        assert faulty == as_dicts(per_k_index_map_checks(2, 3, 500))
-    finally:
-        monkeypatch.undo()
+        # the suite reads its maps from the per-index cache: empty it on both
+        # sides so the faulty maps are built here and not kept afterwards
         gs._index_map.cache_clear()
-    assert all(c["failed"] and c["counterexamples"] for c in faulty)
+        monkeypatch.setattr(gs.IndexMap, "__init__", faulty_init)
+        try:
+            faulty = _as_dicts(vf._index_map_checks(2, 3, 500))
+            assert faulty == _as_dicts(per_k_index_map_checks(2, 3, 500)), spoil
+        finally:
+            monkeypatch.undo()
+            gs._index_map.cache_clear()
+        failing |= {c["name"] for c in faulty if c["failed"] and c["counterexamples"]}
+    assert failing == {
+        "index-map-injective", "index-map-fixes-coprime", "extension-agreement-horizon"
+    }
+
+
+def test_index_map_checks_match_per_k_sweeps_at_the_edges():
+    # no children (max_entry 0), one child per parent, the length-1 maps
+    # sieved only for the agreement check (max_s_len 0), and empty or
+    # one-value horizons
+    for max_s_len in (0, 1, 2):
+        for max_entry in (0, 1, 2):
+            for horizon in (0, 1, 2, 40):
+                params = (max_s_len, max_entry, horizon)
+                assert _as_dicts(vf._index_map_checks(*params)) == _as_dicts(
+                    per_k_index_map_checks(*params)
+                ), params
+
+
+def test_agreement_check_reads_the_parent_to_the_largest_limit(monkeypatch):
+    # bounds that fall with k: the first child's limit is the largest, so a
+    # parent sieved only to the last child's limit would be too short to
+    # compare (or to scan for the first disagreement); the suite must match
+    # the per-k oracle, reporting each fall and each disagreement
+    true_bound = gs.convergence_bound
+    monkeypatch.setattr(gs, "convergence_bound", lambda s, k: true_bound(s, 4 - k))
+    agree = vf._index_map_checks(2, 3, 3000)[2].as_dict()
+    assert agree == per_k_index_map_checks(2, 3, 3000)[2].as_dict()
+    assert agree["failed"] and any("previous" in c for c in agree["counterexamples"])
+    assert any("first_disagreement" in c for c in agree["counterexamples"])
+
+
+def test_agreement_check_finds_a_disagreement_below_a_moved_bound(monkeypatch):
+    # bounds moved past the first true disagreement: the suite and the per-k
+    # scan both find it, 11 for the map at (1, 1) against (1)
+    true_bound = gs.convergence_bound
+    monkeypatch.setattr(gs, "convergence_bound", lambda s, k: 3 * true_bound(s, k) + 2)
+    checks = vf._index_map_checks(2, 4, 3000)
+    assert _as_dicts(checks) == _as_dicts(per_k_index_map_checks(2, 4, 3000))
+    agree = checks[2].as_dict()
+    assert {"s": "(1)", "k": 1, "first_disagreement": 11} in agree["counterexamples"]
+
+
+def test_good_suite_sieves_each_map_once(monkeypatch):
+    # the index-maps benchmark call: the root and each of its 84 children at
+    # the horizon, and each of the 21 parents once to its largest limit
+    calls = []
+    true_prefix = gs.IndexMap.prefix
+
+    def counted(self, n, start=0):
+        calls.append((self.s, n, start))
+        return true_prefix(self, n, start)
+
+    monkeypatch.setattr(gs.IndexMap, "prefix", counted)
+    report = vf.verify_good_sequence(
+        max_s_len=3, max_entry=4, horizon=3000, pair_max_len=2, pair_max_entry=3,
+        max_u_len=7,
+    )
+    assert report.failed == 0
+    assert len(calls) == 106
+    assert len({(s, n) for s, n, _ in calls if n == 3000}) == 85
+
+
+def test_prefix_identity_table(monkeypatch):
+    # a fresh table, read in increasing and then decreasing (n, start): each
+    # prefix equals the naive map, and the table grows only to the largest n
+    table = []
+    monkeypatch.setattr(gs, "_IDENTITY", table)
+    sig = gs.IndexMap((1, 2))
+    asked = [(10, 3), (50, 1), (300, 7), (2999, 100)]
+    largest = 0
+    for n, start in asked + asked[::-1]:
+        out = sig.prefix(n, start)
+        assert out == [naive_sigma((1, 2), k) for k in range(start, n)], (n, start)
+        largest = max(largest, n)
+        assert len(table) == largest
+        # a caller's list is its own: changing it changes no later prefix
+        out[:] = [-1] * len(out)
+    assert table == list(range(2999))
+    assert sig.prefix(300, 7) == [naive_sigma((1, 2), k) for k in range(7, 300)]
+    assert gs.IndexMap(()).prefix(20, 5) == list(range(5, 20))
+    assert len(table) == 2999
+
+
+def test_prefix_identity_table_stops_at_its_cap(monkeypatch):
+    # every suite sieve reads the table; a longer prefix, here any past 100,
+    # starts from its own range and leaves the table as it was
+    assert vf.HORIZON_CAP <= gs._IDENTITY_CAP
+    table = []
+    monkeypatch.setattr(gs, "_IDENTITY", table)
+    monkeypatch.setattr(gs, "_IDENTITY_CAP", 100)
+    sig = gs.IndexMap((2, 1))
+    assert sig.prefix(100, 90) == [naive_sigma((2, 1), k) for k in range(90, 100)]
+    assert sig.prefix(150, 120) == [naive_sigma((2, 1), k) for k in range(120, 150)]
+    assert gs.agreement_below_bound((1,), 3, 3000) == agreement_below_bound_per_k((1,), 3, 3000)
+    assert table == list(range(100))
 
 
 def test_witness_matches_uncached_search():
@@ -270,6 +379,18 @@ def test_bit_prefix_tail():
     assert gs.BitPrefix(bytes([1, 0])).bit(2) is Tri.UNKNOWN
     with pytest.raises(IndexError):
         x.bit(-1)
+
+
+def test_bit_prefix_refuses_bytes_other_than_bits():
+    # in the bits and in the tail, built directly or from a witness's word
+    for bits, tail in [(b"\x02", None), (b"01", None), (b"\x01", b"\x00\x02"), (b"", b"\xff")]:
+        with pytest.raises(ValueError, match="0 or 1"):
+            gs.BitPrefix(bits, tail)
+    with pytest.raises(ValueError, match="0 or 1"):
+        gs.disagreement_witness((1,), (2,), b"\x02")
+    with pytest.raises(ValueError, match="0 or 1"):
+        gs.disagreement_witness((1,), (2,), bytearray(b"\x00\x07"))
+    assert gs.BitPrefix(bytearray(b"\x00\x01"), b"").bit(1) == 1
 
 
 def test_bit_prefix_value_semantics():

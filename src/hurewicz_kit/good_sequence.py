@@ -50,15 +50,19 @@ def _divisors(s: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-# 0, 1, 2, ...: a prefix of at most _IDENTITY_CAP values starts as a slice
-# of this one list, grown on demand and never past the largest such n asked
-# for, so its sieve creates no int for the indices it leaves fixed.  The cap
-# is the good suite's HORIZON_CAP, so every suite sieve reads the table; a
-# longer prefix, such as a far window of agreement_below_bound, starts from
-# its own range, so the table, kept for the life of the process, stays at
-# most 10^6 ints (36 MB).
+# 0, 1, 2, ...: a prefix of at most len(_IDENTITY) values starts as a slice
+# of this one list, so its sieve creates no int for the indices it leaves
+# fixed; a longer prefix starts from its own range.  Only _extend_identity
+# grows it, which the good suite calls with its horizon (at most
+# verifier.HORIZON_CAP), so it is kept for the life of the process at the
+# largest horizon asked.
 _IDENTITY: list[int] = []
-_IDENTITY_CAP = 10**6
+
+
+def _extend_identity(n: int) -> None:
+    """Grow _IDENTITY to at least n values."""
+    if n > len(_IDENTITY):
+        _IDENTITY.extend(range(len(_IDENTITY), n))
 
 
 class IndexMap:
@@ -91,12 +95,10 @@ class IndexMap:
         run later, so each k keeps the value of the deepest level dividing k+1."""
         if n < 0 or start < 0:
             raise ValueError("prefix bounds must be naturals")
-        if n > _IDENTITY_CAP:
-            out = list(range(start, n))
-        else:
-            if n > len(_IDENTITY):
-                _IDENTITY.extend(range(len(_IDENTITY), n))
+        if n <= len(_IDENTITY):
             out = _IDENTITY[start:n]
+        else:
+            out = list(range(start, n))
         for d, c in zip(self._divs, self._codes):
             q = start // d + 1  # the least q with q*d - 1 >= start
             out[q * d - 1 - start :: d] = range(c * q - d - 1, c * (n // d) - d, c)

@@ -60,10 +60,11 @@ FAULTS = {
 _COUNTEREXAMPLE_CAP = 5
 
 # Largest good-suite horizon.  The index-map checks hold, at a time, the
-# identity table IndexMap.prefix slices (kept after the call), one map's
-# values and their set, and one parent's values: a peak RSS (VmHWM) of
-# 156 MB at the cap with the default maps, in one process with nothing else
-# loaded (Python 3.11, 2 CPUs).
+# identity table IndexMap.prefix slices (grown to the horizon and kept after
+# the call, so at most HORIZON_CAP ints), one map's values and their set,
+# and one parent's values: a peak RSS (VmHWM) of 154-156 MB at the cap with
+# the default maps, in one process with nothing else loaded (Python 3.11,
+# 2 CPUs).
 HORIZON_CAP = 10**6
 # Largest good-suite sweeps, counted before any index or word is listed.  The
 # index-map checks read every index map on [0, horizon); the witness check
@@ -812,18 +813,20 @@ def _index_map_checks(
     parent's below the limit.  A repeated value shows as a set smaller than
     the horizon, and a moved index or a disagreement as two unequal lists;
     only then does the scan for the first repeat, moved k or differing index
-    run.  The coprime indices are read through a second sieve over the level
-    divisors, built here independent of IndexMap.prefix: it sets every k of
-    the first min(horizon, 2000) values whose successor a level divisor
-    divides to k, and the result is compared with the identity as one list,
-    so a coprime position IndexMap.prefix leaves unwritten or writes wrongly
-    is caught."""
+    run.  Every sieve starts as a slice of good_sequence's identity table,
+    grown here to the horizon.  The coprime indices are read through a
+    second sieve over the level divisors, built here independent of
+    IndexMap.prefix: it sets every k of the first min(horizon, 2000) values
+    whose successor a level divisor divides to k, and the result is
+    compared with the identity as one list, so a coprime position
+    IndexMap.prefix leaves unwritten or writes wrongly is caught."""
     injective = Check("index-map-injective")
     fixes = Check("index-map-fixes-coprime")
     agree = Check("extension-agreement-horizon")
     # one identity for every map: the masked values take their ints from it,
     # so the comparison mostly meets the same objects
     identity = list(range(min(horizon, 2000)))
+    good._extend_identity(horizon)
 
     def check(s, values):
         collision = None

@@ -78,14 +78,19 @@ def test_index_map_checks_match_per_k_sweeps(monkeypatch):
         per_k_index_map_checks(3, 4, 3000)
     )
     # maps built with every level divisor one too large collide and move
-    # indices whose successor no true divisor divides; maps whose first
-    # divisor alone is one too large past length 1 also leave their parents
-    # below the agreement bound.  Both sweeps must report the same first
-    # collision, moved index and disagreement, and each check must fail
-    # under one of the faults
+    # indices whose successor no true divisor divides, but agree with their
+    # parents; maps whose first divisor alone is one too large past length 1
+    # also leave their parents below the agreement bound.  Under each fault
+    # both sweeps must report the same first collision, moved index and
+    # disagreement, and exactly the checks that fault breaks must fail, each
+    # with counterexamples
     true_init = gs.IndexMap.__init__
-    failing = set()
-    for spoil in (_every_divisor_one_too_large, _first_divisor_one_too_large_past_length_1):
+    maps_only = {"index-map-injective", "index-map-fixes-coprime"}
+    faults = [
+        (_every_divisor_one_too_large, maps_only),
+        (_first_divisor_one_too_large_past_length_1, maps_only | {"extension-agreement-horizon"}),
+    ]
+    for spoil, broken in faults:
 
         def faulty_init(self, s):
             true_init(self, s)
@@ -101,10 +106,8 @@ def test_index_map_checks_match_per_k_sweeps(monkeypatch):
         finally:
             monkeypatch.undo()
             gs._index_map.cache_clear()
-        failing |= {c["name"] for c in faulty if c["failed"] and c["counterexamples"]}
-    assert failing == {
-        "index-map-injective", "index-map-fixes-coprime", "extension-agreement-horizon"
-    }
+        failing = {c["name"] for c in faulty if c["failed"] and c["counterexamples"]}
+        assert failing == broken, spoil
 
 
 def test_index_map_checks_match_per_k_sweeps_at_the_edges():
@@ -165,14 +168,16 @@ def test_good_suite_sieves_each_map_once(monkeypatch):
 
 
 def test_prefix_identity_table(monkeypatch):
-    # a fresh table, read in increasing and then decreasing (n, start): each
-    # prefix equals the naive map, and the table grows only to the largest n
+    # a fresh table, grown and read in increasing and then decreasing
+    # (n, start): each prefix equals the naive map, and the table is never
+    # longer than the largest n asked
     table = []
     monkeypatch.setattr(gs, "_IDENTITY", table)
     sig = gs.IndexMap((1, 2))
     asked = [(10, 3), (50, 1), (300, 7), (2999, 100)]
     largest = 0
     for n, start in asked + asked[::-1]:
+        gs._extend_identity(n)
         out = sig.prefix(n, start)
         assert out == [naive_sigma((1, 2), k) for k in range(start, n)], (n, start)
         largest = max(largest, n)
@@ -185,18 +190,23 @@ def test_prefix_identity_table(monkeypatch):
     assert len(table) == 2999
 
 
-def test_prefix_identity_table_stops_at_its_cap(monkeypatch):
-    # every suite sieve reads the table; a longer prefix, here any past 100,
-    # starts from its own range and leaves the table as it was
-    assert vf.HORIZON_CAP <= gs._IDENTITY_CAP
-    table = []
+def test_prefix_past_the_table_leaves_it_as_it_was(monkeypatch):
+    # only the good suite grows the table, to its horizon; a prefix or an
+    # agreement window past the table, here a narrow far one, starts from
+    # its own range
+    table = list(range(100))
     monkeypatch.setattr(gs, "_IDENTITY", table)
-    monkeypatch.setattr(gs, "_IDENTITY_CAP", 100)
     sig = gs.IndexMap((2, 1))
     assert sig.prefix(100, 90) == [naive_sigma((2, 1), k) for k in range(90, 100)]
     assert sig.prefix(150, 120) == [naive_sigma((2, 1), k) for k in range(120, 150)]
+    far = 10**6
+    assert sig.prefix(far, far - 2) == [naive_sigma((2, 1), k) for k in (far - 2, far - 1)]
     assert gs.agreement_below_bound((1,), 3, 3000) == agreement_below_bound_per_k((1,), 3, 3000)
     assert table == list(range(100))
+    vf._index_map_checks(1, 2, 500)
+    assert table == list(range(500))
+    vf._index_map_checks(1, 2, 300)
+    assert table == list(range(500))
 
 
 def test_witness_matches_uncached_search():

@@ -204,6 +204,10 @@ def alphabets(depth: int) -> list[tuple]:
 
 
 def alphabet_at(level: int) -> tuple:
+    """A_level, sorted.  Refuses a negative level as ``alphabets`` refuses
+    a negative depth, and a level whose depth level + 1 it refuses."""
+    if level < 0:
+        raise ValueError("depth must be a natural")
     return alphabets(level + 1)[level]
 
 
@@ -344,6 +348,17 @@ class PointPrefix:
     maps the same positions to their values; both are read-only, and no
     two prefixes share a map.  The constructor refuses a negative length and
     a position given twice.
+
+    Some producers build a prefix from fields they have already proven
+    valid (``_checked_prefix``), skipping the constructor:
+    - ``with_overrides`` tests each added pair and the merged count;
+    - ``without`` keeps a subset of valid overrides;
+    - ``departure.image`` adds rewrites at indices a decided membership has
+      read as 1, each the code of a nonempty sequence (never 1), below the
+      new length, and refuses a repeated or out-of-range index in O(1);
+    - the departure suite's sampler (``verifier._SamplePlan``) writes
+      distinct dict keys with non-1 members, at positions below the length
+      (its plan checks the constrained ones once).
     """
 
     __slots__ = ("length", "tail_ones", "overrides", "override_map")

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from functools import lru_cache
 
 from .base import CapacityError, DomainError, HorizonError, Record, Tri
-from .alphabet import PointPrefix
+from .alphabet import PointPrefix, _checked_prefix
 from .prime_coding import decode, encode, make_code_value_sparse, nth_prime
 
 DEFAULT_HORIZON = 10**6
@@ -130,6 +130,13 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
     readable too, and x reads 1 there: the rewrites are added to x's
     overrides.  The rewrite at each must-be-1 index q is
     ``_rewrite_value(x, q)``, the rule ``apply_inverse`` checks.
+
+    The image is built from its fields without ``with_overrides``' per-pair
+    tests, which cannot fail here: x has no override at a must-be-1 index
+    (it reads 1 there), and a rewrite codes a nonempty sequence, so it is
+    never 1.  What a constraint built by hand could still break is refused
+    in O(1): a must-be-1 index given twice (the merged map comes up short)
+    and one outside [0, length) (the merged pairs' ends, by position).
     """
     membership = cons.membership(x)
     if membership is Tri.NO:
@@ -139,7 +146,16 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
         raise HorizonError(needed, f"prefix too short to decide membership in {b}")
     ones = cons.ones
     rewrites = tuple([(q, _rewrite_value(x, q)) for q in ones])
-    return x.with_overrides(max(x.length, ones[-1] + 1), rewrites)
+    values = x.override_map.copy()
+    values.update(rewrites)
+    if len(values) != len(x.overrides) + len(ones):
+        raise ValueError(f"the domain of {b} repeats a must-be-1 index")
+    # positions are distinct, so the pairs sort by position alone
+    items = tuple(sorted(x.overrides + rewrites))
+    length = max(x.length, ones[-1] + 1)
+    if items[0][0] < 0 or items[-1][0] >= length:
+        raise ValueError(f"the domain of {b} has a must-be-1 index outside the prefix")
+    return _checked_prefix(length, x.tail_ones, items, values)
 
 
 def _rewrite_value(x: PointPrefix, q: int):

@@ -288,8 +288,10 @@ def make_code_value_sparse(
     ``_MATERIALIZABLE_LENGTH``: a longer sequence is factored without it,
     as the sum would decide (its least code is already past the cutoff, and
     a factored entry makes the sum None), so no table grows with the
-    length."""
-    if length == 0:
+    length.  A negative length is refused."""
+    if length <= 0:
+        if length:
+            raise ValueError("sequence length must be a natural")
         return 0
     if canonical:
         its = items

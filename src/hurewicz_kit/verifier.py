@@ -28,7 +28,13 @@ from . import cascade as casc
 from . import departure as dep
 from . import good_sequence as good
 from . import relations as rel
-from .alphabet import PointPrefix, first_disagreement, member_cmp, member_valid
+from .alphabet import (
+    PointPrefix,
+    _checked_prefix,
+    first_disagreement,
+    member_cmp,
+    member_valid,
+)
 from .departure import BranchIndex, CylinderConstraint
 from .prime_coding import (
     SymbolicCode,
@@ -242,12 +248,20 @@ class _SamplePlan:
     noise coordinates at unblocked indices, in that order: the values and
     the bits ``random.Random``'s own ``randrange`` and ``choice`` would
     draw.
+
+    A draw builds its prefix from fields valid as they stand, unchecked:
+    positions are distinct dict keys, every value is a member other than 1
+    (``_non_one_members`` holds none, ``_noise_value`` gives None for it),
+    noise positions lie below the length, and every must-not-be-1 index is
+    in [0, top], so below the length too (checked once, by the plan).
     """
 
     __slots__ = ("top", "blocked", "non_ones")
 
     def __init__(self, cons: dep.CylinderConstraint):
-        self.top = cons.ones[-1]
+        self.top = top = cons.ones[-1]
+        if top < 0 or not all(0 <= q <= top for q in cons.non_ones):
+            raise ValueError("a constrained index lies outside the sampled prefix")
         self.blocked = frozenset(cons.ones + cons.non_ones)
         self.non_ones = tuple((q, _non_one_members(q)) for q in cons.non_ones)
 
@@ -261,7 +275,9 @@ class _SamplePlan:
             v = _noise_value(i, bits)
             if v is not None:
                 overrides[i] = v
-        return PointPrefix(length, overrides.items(), tail_ones=True)
+        # positions are distinct, so the pairs sort by position alone
+        items = tuple(sorted(overrides.items()))
+        return _checked_prefix(length, True, items, overrides)
 
 
 # --- branch faults -------------------------------------------------------------
@@ -471,8 +487,10 @@ def _density_check(depth, horizon, by_stem, constraints) -> Check:
     tail, lands via greedy discovery in exactly one enumerated branch domain
     per stem with coded value below the horizon (domains as the suite's
     ``constraints`` gives them).  The stems' level walk is built once and
-    run at every node."""
+    run at every node.  Passes are counted, and a payload is built only
+    for a failure."""
     check = Check("density-unique-branch")
+    passed = 0
     stems = dep.sequences_below(horizon)
     walk = dep.stem_walk(stems)
     # (s, t) -> (branch, its top index, its constraint)
@@ -506,14 +524,17 @@ def _density_check(depth, horizon, by_stem, constraints) -> Check:
                     check.fail(stem=s, node=node, found=found)
                     continue
                 expected = 1 if top < horizon else 0
-                check.require(
-                    hits == expected,
-                    stem=s,
-                    node=node,
-                    found=found,
-                    domains_hit=hits,
-                    expected=expected,
-                )
+                if hits == expected:
+                    passed += 1
+                else:
+                    check.fail(
+                        stem=s,
+                        node=node,
+                        found=found,
+                        domains_hit=hits,
+                        expected=expected,
+                    )
+    check.ok(passed)
     return check
 
 
@@ -530,6 +551,9 @@ def _relation_checks(relations_depth: int) -> list[Check]:
     loops and edges whose two nodes end in the same label, and the rank of
     their truncation (s, t) is that of its loop or edge at the depth below,
     or None when (s, t) is unrelated.
+
+    The per-node checks count their passes and build a payload only for a
+    failure.
     """
     self_rank = Check("self-relation-rank-zero")
     profile = Check("self-relation-profile")
@@ -537,18 +561,23 @@ def _relation_checks(relations_depth: int) -> list[Check]:
     forest = Check("chain-forest")
     parent_nodes: tuple = ()
     parent_ranks: dict = {}
+    profile_ok = self_rank_ok = 0
     for p in range(relations_depth + 1):
         g = rel.t_graph(p)
         loop_rank = dict(zip(g.loops, g.loop_ranks))
         ranks = {(i, j): r for i, j, r in g.edges}  # related index pair -> psi
         for i, nd in enumerate(g.nodes):
             related = i in loop_rank
-            profile.require(
-                related == rel.self_related_profile(nd), node=nd, related=related
-            )
+            if related == rel.self_related_profile(nd):
+                profile_ok += 1
+            else:
+                profile.fail(node=nd, related=related)
             if related:
                 ranks[i, i] = loop_rank[i]
-                self_rank.require(ranks[i, i] == 0, node=nd)
+                if ranks[i, i] == 0:
+                    self_rank_ok += 1
+                else:
+                    self_rank.fail(node=nd)
         if p:
             # node i of depth p is parent node i // width with label i % width
             labels = alph.alphabet_at(p - 1)
@@ -578,6 +607,8 @@ def _relation_checks(relations_depth: int) -> list[Check]:
             edges=report.edge_count,
             cycle=report.cycle,
         )
+    profile.ok(profile_ok)
+    self_rank.ok(self_rank_ok)
     return [self_rank, profile, append, forest]
 
 

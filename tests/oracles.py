@@ -20,8 +20,9 @@ graph and relation checks built by testing every pair of nodes, the
 cascade generator, radius and admissibility check in ``Fraction`` arithmetic,
 the index-map checks, witnesses and agreement scan one index at a time, the
 first disagreement of two prefixes over the sorted union of their override
-positions, the density check testing every domain per node and stem, and the
-domain sampler building its members anew on every draw.
+positions, the density check testing every domain per node and stem, the
+domain sampler building its members anew on every draw, and the point-prefix
+invariants read off a prefix's fields one by one.
 """
 
 from __future__ import annotations
@@ -821,3 +822,15 @@ def sample_domain_point(cons: dep.CylinderConstraint, rng: random.Random) -> Poi
         if v != 1:
             overrides[i] = v
     return PointPrefix(length, overrides.items(), tail_ones=True)
+
+
+def assert_prefix_invariants(x: PointPrefix) -> None:
+    """The invariants every ``PointPrefix`` keeps, however it was built:
+    a natural length, overrides sorted by distinct positions in [0, length),
+    no value 1, and ``override_map`` holding the same pairs."""
+    assert x.length >= 0, x
+    positions = [p for p, _ in x.overrides]
+    assert positions == sorted(set(positions)), x
+    assert all(0 <= p < x.length for p in positions), x
+    assert all(v != 1 for _, v in x.overrides), x
+    assert x.override_map == dict(x.overrides), x

@@ -304,6 +304,17 @@ def test_member_rank_is_the_position_in_the_sorted_alphabet():
             al.member_rank(4, bad)
 
 
+def test_negative_levels_are_refused_as_negative_depths():
+    # level -1 would index alphabets(0), which is empty
+    al.alphabets(4)
+    for level in (-1, -2, -5):
+        with pytest.raises(ValueError, match="^depth must be a natural$"):
+            al.alphabet_at(level)
+        with pytest.raises(ValueError, match="^depth must be a natural$"):
+            al.member_rank(level, 1)
+    assert al.alphabet_at(0) == (1, 4) and al.member_rank(0, 4) == 1
+
+
 def test_member_cmp_follows_a_rebuilt_alphabet(monkeypatch):
     # positions are read again when a level's cached tuple is a new one:
     # swap two A_4 members in a fresh cache, and the order follows the swap

@@ -10,6 +10,7 @@ from hurewicz_kit.base import CapacityError, DomainError, HorizonError, Tri
 
 from oracles import (
     apply_rebuilding,
+    assert_prefix_invariants,
     code_value_per_call,
     codes_by_trial_division,
     codes_in_order,
@@ -100,6 +101,31 @@ def test_apply_rewrite_reads_the_input_not_the_partial_image():
     assert y.coord(2) == 900
     assert y.coord(30) == pc.make_code_value_sparse(31, ())
     assert pc.decode(y.coord(30)) == (1,) * 31
+
+
+def test_image_refuses_a_hand_built_constraint_it_cannot_rewrite():
+    # the image skips the per-pair tests a decided membership makes
+    # redundant; what a constraint built by hand can still break is refused,
+    # and the point is left as it was
+    b = branch((), (0,))
+    x = al.PointPrefix(3, ((1, 4),), tail_ones=True)
+    before = (_fields(x), dict(x.override_map))
+    cases = [
+        ((2, 2), "repeats a must-be-1 index"),
+        ((2, 5, 2), "repeats a must-be-1 index"),
+        ((7, 2), "outside the prefix"),  # unsorted: the length stops at 3
+        ((-1, 2), "outside the prefix"),
+    ]
+    for ones, message in cases:
+        cons = dep.CylinderConstraint(ones, ())
+        assert cons.membership(x) is Tri.YES, ones
+        with pytest.raises(ValueError, match=message):
+            dep.image(b, cons, x)
+        assert (_fields(x), x.override_map) == before, ones
+    # the same indices, each once and in order, are rewritten
+    y = dep.image(b, dep.CylinderConstraint((2, 7), ()), x)
+    assert_prefix_invariants(y)
+    assert y.length == 8 and [p for p, _ in y.overrides] == [1, 2, 7]
 
 
 @pytest.mark.parametrize(
@@ -444,10 +470,12 @@ def test_apply_matches_rebuilding_oracle():
         rng = random.Random(b.top_index())
         for _ in range(20):
             x = plan.draw(rng.getrandbits)
+            assert_prefix_invariants(x)
             _assert_canonical(x)
             for fault, (_, want) in BRANCH_MAPS.items():
                 constraints, image = vf._branch_maps(fault)
                 y = image(b, constraints(b), x)
+                assert_prefix_invariants(y)
                 _assert_canonical(y)
                 assert _fields(y) == _fields(want(b, x)), (b, fault)
             outcome, back = dep.apply_inverse(b, dep.apply(b, x))

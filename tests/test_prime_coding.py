@@ -421,6 +421,16 @@ def test_code_values_refuse_negative_entries():
     assert pc.make_code_value((0,)) == 2
 
 
+def test_sparse_code_values_refuse_a_negative_length():
+    # a negative length would read the all-ones table from its far end
+    pc._all_ones_code(4)
+    for length in (-1, -3):
+        for canonical in (False, True):
+            with pytest.raises(ValueError, match="length must be a natural"):
+                pc.make_code_value_sparse(length, (), canonical=canonical)
+    assert pc.make_code_value_sparse(0, ()) == 0
+
+
 def test_materializable_length_is_the_last_length_within_the_cutoff():
     pc._extend_log2q(pc._MATERIALIZABLE_LENGTH + 1)
     cap = pc.MATERIALIZE_BITS * pc._LOG2_SCALE

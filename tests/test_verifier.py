@@ -21,7 +21,11 @@ from hurewicz_kit.base import CapacityError, Record, Tri
 from hurewicz_kit.prime_coding import SymbolicCode, encode, make_code_value_sparse
 
 import repin
-from oracles import pair_scan_relation_checks, sample_domain_point
+from oracles import (
+    assert_prefix_invariants,
+    pair_scan_relation_checks,
+    sample_domain_point,
+)
 
 PINS = repin.load()
 
@@ -105,10 +109,23 @@ def test_sample_plan_draws_match_oracle_sampler():
                 slow = random.Random(seed * 1_000_003 + b.top_index())
                 for _ in range(10):
                     x, y = plan.draw(fast.getrandbits), sample_domain_point(cons, slow)
+                    assert_prefix_invariants(x)
                     assert (x.length, x.tail_ones, x.overrides) == (
                         y.length, y.tail_ones, y.overrides
                     ), (b, fault, seed)
                 assert fast.getstate() == slow.getstate(), (b, fault, seed)
+
+
+def test_sample_plan_refuses_a_constrained_index_past_its_draws():
+    # a draw's length can stop right past the top must-be-1 index, so a
+    # must-not-be-1 index past it (or below 0) is refused once, by the plan
+    for ones, non_ones in (((4,), (9,)), ((4,), (-1,)), ((-2,), ())):
+        with pytest.raises(ValueError, match="outside the sampled prefix"):
+            vf._SamplePlan(dep.CylinderConstraint(ones, non_ones))
+    plan = vf._SamplePlan(dep.CylinderConstraint((4,), (0, 3)))
+    bits = random.Random(0).getrandbits
+    for _ in range(50):
+        assert_prefix_invariants(plan.draw(bits))
 
 
 def test_stabilization_check_catches_a_change_past_the_top(monkeypatch):

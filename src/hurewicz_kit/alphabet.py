@@ -355,10 +355,12 @@ class PointPrefix:
     - ``without`` keeps a subset of valid overrides;
     - ``departure.image`` adds rewrites at indices a decided membership has
       read as 1, each the code of a nonempty sequence (never 1), below the
-      new length, and refuses a repeated or out-of-range index in O(1);
+      new length (``CylinderConstraint``'s constructor proves its must-be-1
+      indices distinct naturals);
     - the departure suite's sampler (``verifier._SamplePlan``) writes
       distinct dict keys with non-1 members, at positions below the length
-      (its plan checks the constrained ones once).
+      (the same constructor proves the constrained ones naturals no larger
+      than the top).
     """
 
     __slots__ = ("length", "tail_ones", "overrides", "override_map")

@@ -55,9 +55,34 @@ class BranchIndex(Record):
 
 class CylinderConstraint(Record):
     """Clopen domain data: must-be-1 and must-not-be-1 coordinate index sets.
-    A ``Record`` of (ones: tuple[int, ...], non_ones: tuple[int, ...])."""
+    A ``Record`` of (ones: tuple[int, ...], non_ones: tuple[int, ...]).
+
+    The constructor is the one owner of a constraint's well-formedness, so
+    its consumers (``image``, the departure suite's sampler and its
+    checks) rely on it unchecked: ``ones`` is nonempty, both fields are
+    strictly increasing naturals, they share no index, and every
+    must-not-be-1 index lies below the top must-be-1 index ``ones[-1]``,
+    the largest index the domain reads.  Anything else is refused with a
+    ``ValueError`` naming both fields; a copy or pickle rebuilds through
+    the constructor too."""
 
     __slots__ = ("ones", "non_ones")
+
+    def __init__(self, ones: tuple[int, ...], non_ones: tuple[int, ...]):
+        if not ones:
+            why = "no must-be-1 index"
+        elif not _increasing_naturals(ones):
+            why = "must-be-1 indices are not strictly increasing naturals"
+        elif not _increasing_naturals(non_ones):
+            why = "must-not-be-1 indices are not strictly increasing naturals"
+        elif non_ones and non_ones[-1] >= ones[-1]:
+            why = "a must-not-be-1 index at or past the top must-be-1 index"
+        elif not set(ones).isdisjoint(non_ones):
+            why = "an index both must and must not be 1"
+        else:
+            super().__init__(ones, non_ones)
+            return
+        raise ValueError(f"malformed constraint ones={ones!r} non_ones={non_ones!r}: {why}")
 
     def membership(self, x: PointPrefix) -> Tri:
         """Domain membership on the decidable range: a readable violation is
@@ -83,6 +108,13 @@ class CylinderConstraint(Record):
             else:
                 unknown = True
         return Tri.UNKNOWN if unknown else Tri.YES
+
+
+def _increasing_naturals(indices: tuple[int, ...]) -> bool:
+    """No negative entry and each entry below the next: naturals, each once."""
+    return (not indices or indices[0] >= 0) and all(
+        a < b for a, b in zip(indices, indices[1:])
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -134,28 +166,23 @@ def image(b: BranchIndex, cons: CylinderConstraint, x: PointPrefix) -> PointPref
     The image is built from its fields without ``with_overrides``' per-pair
     tests, which cannot fail here: x has no override at a must-be-1 index
     (it reads 1 there), and a rewrite codes a nonempty sequence, so it is
-    never 1.  What a constraint built by hand could still break is refused
-    in O(1): a must-be-1 index given twice (the merged map comes up short)
-    and one outside [0, length) (the merged pairs' ends, by position).
+    never 1.  The constraint's constructor has already proven its must-be-1
+    indices distinct naturals with ``ones[-1]`` the largest index the
+    domain reads, so every rewrite lies in [0, length) and the horizon
+    needed is ``ones[-1]``.
     """
     membership = cons.membership(x)
     if membership is Tri.NO:
         raise DomainError(f"point is outside the domain of {b}")
-    if membership is Tri.UNKNOWN:
-        needed = max(cons.ones + cons.non_ones)
-        raise HorizonError(needed, f"prefix too short to decide membership in {b}")
     ones = cons.ones
+    if membership is Tri.UNKNOWN:
+        raise HorizonError(ones[-1], f"prefix too short to decide membership in {b}")
     rewrites = tuple([(q, _rewrite_value(x, q)) for q in ones])
     values = x.override_map.copy()
     values.update(rewrites)
-    if len(values) != len(x.overrides) + len(ones):
-        raise ValueError(f"the domain of {b} repeats a must-be-1 index")
     # positions are distinct, so the pairs sort by position alone
     items = tuple(sorted(x.overrides + rewrites))
-    length = max(x.length, ones[-1] + 1)
-    if items[0][0] < 0 or items[-1][0] >= length:
-        raise ValueError(f"the domain of {b} has a must-be-1 index outside the prefix")
-    return _checked_prefix(length, x.tail_ones, items, values)
+    return _checked_prefix(max(x.length, ones[-1] + 1), x.tail_ones, items, values)
 
 
 def _rewrite_value(x: PointPrefix, q: int):

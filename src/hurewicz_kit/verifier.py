@@ -253,15 +253,14 @@ class _SamplePlan:
     positions are distinct dict keys, every value is a member other than 1
     (``_non_one_members`` holds none, ``_noise_value`` gives None for it),
     noise positions lie below the length, and every must-not-be-1 index is
-    in [0, top], so below the length too (checked once, by the plan).
+    a natural below the top, so below the length too (the constraint's
+    constructor proved it).
     """
 
     __slots__ = ("top", "blocked", "non_ones")
 
     def __init__(self, cons: dep.CylinderConstraint):
-        self.top = top = cons.ones[-1]
-        if top < 0 or not all(0 <= q <= top for q in cons.non_ones):
-            raise ValueError("a constrained index lies outside the sampled prefix")
+        self.top = cons.ones[-1]
         self.blocked = frozenset(cons.ones + cons.non_ones)
         self.non_ones = tuple((q, _non_one_members(q)) for q in cons.non_ones)
 
@@ -337,9 +336,10 @@ def verify_departure(
 ) -> VerificationReport:
     """Finite-depth checks of the branch-map axioms against the concrete family.
 
-    Covers: well-formed constraint sets; strict lexicographic increase and
-    coordinate stabilization beyond the top rewritten index; alphabet closure
-    and injectivity of the rewrites; nested domains with the disagreement
+    Covers: well-formed constraint sets (a malformed one is refused by its
+    constructor); strict lexicographic increase and coordinate
+    stabilization beyond the top rewritten index; alphabet closure and
+    injectivity of the rewrites; nested domains with the disagreement
     bound between a branch and its extensions; pairwise disjointness of
     same-level branch domains; density (greedy placement of every node in
     exactly one enumerated branch domain per stem); and the relation axioms
@@ -384,8 +384,11 @@ def _branch_axiom_checks(cons_of, by_stem, samples, seed, image):
     the table holds.  A branch's parent is within the horizon too: its
     must-be-1 indices are some of the branch's.
 
-    A sample's checks count a pass and build no payload; only a failure
-    builds one."""
+    ``constraint-wellformedness`` passes once per constraint of the table:
+    each got past ``CylinderConstraint``'s constructor, which refuses a
+    malformed one, so a faulty constraint function stops the suite with
+    its ``ValueError`` instead.  A sample's checks count a pass and build
+    no payload; only a failure builds one."""
     wellformed = Check("constraint-wellformedness")
     lex = Check("lex-increase")
     stab = Check("stabilization-beyond-top")
@@ -396,16 +399,9 @@ def _branch_axiom_checks(cons_of, by_stem, samples, seed, image):
     disjoint = Check("branch-disjointness")
     lex_ok = stab_ok = closure_ok = inject_ok = bound_ok = 0
 
+    wellformed.ok(len(cons_of))
     for b, cons in cons_of.items():
         ones = cons.ones
-        increasing = all(a < c for a, c in zip(ones, ones[1:]))
-        wellformed.require(
-            increasing and not (set(ones) & set(cons.non_ones)),
-            branch=b,
-            ones=ones,
-            non_ones=cons.non_ones,
-        )
-
         top_index = b.top_index()
         first, past = ones[0], ones[-1] + 1
         draw = _SamplePlan(cons).draw

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: a bounded sieve, direct product
 evaluation of the coding, decoding by trial division, branch discovery
 re-encoding every level's base, branch constraints encoding every index
-anew, domain membership read one coordinate at a time, a branch map that
-decides membership so and rebuilds and re-sorts its image (and the
+anew and their well-formedness read by set operations, domain membership
+read one coordinate at a time, a branch map that decides membership so
+and rebuilds and re-sorts its image (and the
 verifier's two branch faults by their definitions over it), alphabet
 membership decoded anew on every call (and, for factored codes, recursing
 into every item), alphabet members ordered by their values alone, with
@@ -304,6 +305,22 @@ def find_branch_reencoding(s: tuple, x: PointPrefix, horizon: int = dep.DEFAULT_
             p += 1
             idx *= q
     return Tri.YES, tuple(t)
+
+
+def constraint_well_formed(ones: tuple, non_ones: tuple) -> bool:
+    """Whether (ones, non_ones) is a clopen domain as the branch maps read
+    it, by set operations on the two fields: some index must be 1, each
+    field lists a set of naturals once in increasing order, no index is in
+    both, and the largest index either names is the last must-be-1 one."""
+    named = ones + non_ones
+    return (
+        len(ones) > 0
+        and list(ones) == sorted(set(ones))
+        and list(non_ones) == sorted(set(non_ones))
+        and min(named) >= 0
+        and not set(ones) & set(non_ones)
+        and max(named) == ones[-1]
+    )
 
 
 def constraints_by_encoding(b: dep.BranchIndex) -> dep.CylinderConstraint:

@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hurewicz_kit import alphabet as al
 from hurewicz_kit import departure as dep
@@ -14,6 +17,7 @@ from oracles import (
     code_value_per_call,
     codes_by_trial_division,
     codes_in_order,
+    constraint_well_formed,
     constraints_by_encoding,
     decode_trial_division,
     density_check_membership_per_stem,
@@ -57,11 +61,48 @@ def test_constraints_examples():
 
 
 def test_constraint_indices_increase_and_stay_disjoint():
-    for b in dep.branches_within(2000):
+    # every branch served is built well formed (the constructor refuses any
+    # other), with the indices encoded anew and its top index last
+    branches = dep.branches_within(dep.CODE_CAP + 1)
+    assert len(branches) == 1_665
+    for b in branches:
         c = dep.constraints(b)
-        assert all(x < y for x, y in zip(c.ones, c.ones[1:]))
-        assert not set(c.ones) & set(c.non_ones)
-        assert b.top_index() == c.ones[-1]
+        assert c == constraints_by_encoding(b), b
+        assert c.ones[-1] == b.top_index(), b
+
+
+_INDICES = st.one_of(
+    st.lists(st.integers(-2, 12), max_size=4),
+    st.lists(st.integers(0, 12), max_size=4, unique=True).map(sorted),
+).map(tuple)
+
+
+@given(_INDICES, _INDICES)
+@example((), ())  # image and the sampler once read ones[-1] of it: IndexError
+@example((2, 2), ())
+@example((2, 5, 2), ())
+@example((7, 2), ())
+@example((-1, 2), ())
+@example((4,), (9,))
+@example((4,), (-1,))
+@example((-2,), ())
+def test_constraint_constructor_accepts_exactly_the_well_formed(ones, non_ones):
+    if not constraint_well_formed(ones, non_ones):
+        with pytest.raises(ValueError, match=r"ones=.* non_ones="):
+            dep.CylinderConstraint(ones, non_ones)
+        return
+    c = dep.CylinderConstraint(ones, non_ones)
+    assert (c.ones, c.non_ones) == (ones, non_ones)
+    # a copy or a pickle rebuilds through the constructor
+    for dup in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(dup) is dep.CylinderConstraint and dup == c
+
+
+def test_a_constraint_with_no_must_be_1_index_is_refused_when_built():
+    with pytest.raises(ValueError, match="no must-be-1 index"):
+        dep.image(branch((), (0,)), dep.CylinderConstraint((), ()), al.ALL_ONES)
+    with pytest.raises(ValueError, match="no must-be-1 index"):
+        vf._SamplePlan(dep.CylinderConstraint((), ()))
 
 
 def test_constraints_match_encoding_oracle():
@@ -103,27 +144,14 @@ def test_apply_rewrite_reads_the_input_not_the_partial_image():
     assert pc.decode(y.coord(30)) == (1,) * 31
 
 
-def test_image_refuses_a_hand_built_constraint_it_cannot_rewrite():
-    # the image skips the per-pair tests a decided membership makes
-    # redundant; what a constraint built by hand can still break is refused,
-    # and the point is left as it was
+def test_image_rewrites_a_hand_built_constraint():
+    # the image skips the per-pair tests a decided membership and the
+    # constraint's constructor make redundant, and leaves the point as it was
     b = branch((), (0,))
     x = al.PointPrefix(3, ((1, 4),), tail_ones=True)
     before = (_fields(x), dict(x.override_map))
-    cases = [
-        ((2, 2), "repeats a must-be-1 index"),
-        ((2, 5, 2), "repeats a must-be-1 index"),
-        ((7, 2), "outside the prefix"),  # unsorted: the length stops at 3
-        ((-1, 2), "outside the prefix"),
-    ]
-    for ones, message in cases:
-        cons = dep.CylinderConstraint(ones, ())
-        assert cons.membership(x) is Tri.YES, ones
-        with pytest.raises(ValueError, match=message):
-            dep.image(b, cons, x)
-        assert (_fields(x), x.override_map) == before, ones
-    # the same indices, each once and in order, are rewritten
     y = dep.image(b, dep.CylinderConstraint((2, 7), ()), x)
+    assert (_fields(x), x.override_map) == before
     assert_prefix_invariants(y)
     assert y.length == 8 and [p for p, _ in y.overrides] == [1, 2, 7]
 
@@ -286,10 +314,20 @@ def test_density_check_builds_one_stem_walk(monkeypatch):
 
 
 def _swapped_constraints(b):
-    """b's constraint with its two index sets swapped: its own branch's
-    domain misses every point it was found at."""
-    cons = dep.constraints(b)
-    return dep.CylinderConstraint(cons.non_ones, cons.ones)
+    """A well-formed wrong domain for b, its top index's demand swapped:
+    not 1 at b's top index, 1 at the next.  Its own branch's domain misses
+    every point it was found at, which reads 1 at that top index."""
+    top = b.top_index()
+    return dep.CylinderConstraint((top + 1,), (top,))
+
+
+def test_swapping_a_constraints_index_sets_is_refused():
+    # the swapped pair names its top must-be-1 index as a must-not-be-1 one
+    # past every other, or, with no must-not-be-1 index, has no must-be-1
+    for b in dep.branches_within(300):
+        cons = dep.constraints(b)
+        with pytest.raises(ValueError, match="malformed constraint"):
+            dep.CylinderConstraint(cons.non_ones, cons.ones)
 
 
 @pytest.mark.parametrize(

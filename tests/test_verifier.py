@@ -116,16 +116,28 @@ def test_sample_plan_draws_match_oracle_sampler():
                 assert fast.getstate() == slow.getstate(), (b, fault, seed)
 
 
-def test_sample_plan_refuses_a_constrained_index_past_its_draws():
-    # a draw's length can stop right past the top must-be-1 index, so a
-    # must-not-be-1 index past it (or below 0) is refused once, by the plan
-    for ones, non_ones in (((4,), (9,)), ((4,), (-1,)), ((-2,), ())):
-        with pytest.raises(ValueError, match="outside the sampled prefix"):
-            vf._SamplePlan(dep.CylinderConstraint(ones, non_ones))
+def test_sample_plan_draws_a_hand_built_constraint():
+    # a draw's length can stop right past the top must-be-1 index; the
+    # constraint's constructor keeps every must-not-be-1 index below it
     plan = vf._SamplePlan(dep.CylinderConstraint((4,), (0, 3)))
     bits = random.Random(0).getrandbits
     for _ in range(50):
         assert_prefix_invariants(plan.draw(bits))
+
+
+def test_departure_stops_at_a_malformed_constraint(monkeypatch):
+    """A constraint function that reverses the must-be-1 indices builds no
+    constraint: the suite stops with the constructor's refusal, which
+    stands in for a failed constraint-wellformedness check."""
+    constraints = dep.constraints
+
+    def reversed_ones(b):
+        c = constraints(b)
+        return dep.CylinderConstraint(c.ones[::-1], c.non_ones)
+
+    monkeypatch.setattr(dep, "constraints", reversed_ones)
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        vf.verify_departure(depth=1, horizon=300, samples=5, include=("branch-axioms",))
 
 
 def test_stabilization_check_catches_a_change_past_the_top(monkeypatch):
@@ -507,9 +519,10 @@ def test_append_check_fails_on_a_planted_rank_change(monkeypatch):
 
 
 # Each frozen record with the fields of one instance.  Every two-field record
-# takes the same two values, so records of different classes with equal
-# fields are compared too.
-_PAIR = ((1,), (1, 2))
+# takes the same two values, valid for each (a well-formed constraint and a
+# branch index), so records of different classes with equal fields are
+# compared too.
+_PAIR = ((2,), (0, 1))
 _FROZEN_RECORDS = [
     (dep.BranchIndex, _PAIR),
     (dep.CylinderConstraint, _PAIR),
@@ -601,7 +614,7 @@ def test_records_are_exactly_the_frozen_records():
     with pytest.raises(TypeError, match="two fields"):
         type("OneField", (Record,), {"__slots__": ("a",)})
     with pytest.raises(TypeError, match="takes 2 fields"):
-        dep.CylinderConstraint((1,))
+        rel.EffectiveWitness((1,))
 
 
 def test_branch_index_repr():

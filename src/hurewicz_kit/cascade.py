@@ -12,11 +12,17 @@ by construction.  The conditions checked are
        earlier-sibling gap,
 
 and the derived inequality: whenever s and t first differ at level i with
-s(i) < t(i), d(s, t) >= d(s|i+1, s|i) / 3.  All arithmetic is exact: every
-sample holds integer numerators over one common denominator (a power of two
-for generated samples, which are dyadic), and the checkers compute with those
-integers.  ``Fraction`` appears only in violation payloads, in ``epsilon``,
-and in ``CascadeSample.values`` and ``d``, which derive it on request.
+s(i) < t(i), d(s, t) >= d(s|i+1, s|i) / 3.
+
+A sample is three arrays aligned by index: its nodes in level order (by
+length, then lexicographically, so a parent comes before its children and
+siblings come together in label order), each node's position as an integer
+numerator over one common scale (a power of two for generated samples, which
+are dyadic), and each node's parent index.  Generation, admissibility and
+separation read positions, parents and labels by index and compute with the
+integers; node tuples appear only in violation payloads.  ``Fraction``
+appears only there, in ``epsilon``, and in ``CascadeSample.values`` and
+``d``, which derive it on request.
 """
 
 from __future__ import annotations
@@ -43,47 +49,113 @@ def _level_order(node: tuple) -> tuple:
     return (len(node), node)
 
 
-def _tree(nodes) -> tuple:
-    """The nodes by length, then lexicographically.  The checks walk parent
-    links, so the family must be closed under prefixes with natural labels."""
-    present = set(nodes)
-    for n in present:
-        if n and (n[-1] < 0 or n[:-1] not in present):
-            raise ValueError(f"sample nodes must form a tree of natural labels: {n}")
-    return tuple(sorted(present, key=_level_order))
+def _parents(nodes) -> tuple:
+    """The parent index of each node, -1 for the root, for nodes that are
+    distinct tuples of natural labels in level order and closed under
+    prefixes: the rule every checker relies on.  Anything else raises a
+    ValueError naming the field."""
+    if type(nodes) is not tuple:
+        raise ValueError(f"nodes must be a tuple, not {type(nodes).__name__}")
+    index: dict[tuple, int] = {}
+    parents = []
+    last = None
+    for i, node in enumerate(nodes):
+        if type(node) is not tuple or not all(type(k) is int and k >= 0 for k in node):
+            raise ValueError(f"nodes must be tuples of natural labels: {node!r}")
+        key = (len(node), node)
+        if last is not None and not last < key:
+            raise ValueError(f"nodes must come once each, in level order: {node} after {last[1]}")
+        last = key
+        if node:
+            p = index.get(node[:-1])
+            if p is None:
+                raise ValueError(f"nodes must be closed under prefixes: {node} without {node[:-1]}")
+        else:
+            p = -1
+        index[node] = i
+        parents.append(p)
+    return tuple(parents)
 
 
 class CascadeSample(Record):
     """Finite family of tree nodes at abstract rational positions, so the
     metric axioms hold by construction.
 
-    Positions are held as integers over one common denominator: node n sits
-    at ``nums[n] / scale``, and the checkers compute with those integers.
-    ``values``, the positions as Fractions, and ``d``, the distance as a
-    Fraction, are derived from them on request.  A ``Record`` of its three
-    fields, but unhashable, as ``nums`` is.
+    Three arrays aligned by index: ``nodes``, the tree in level order;
+    ``positions``, node i sitting at ``positions[i] / scale``; and
+    ``parents``, the index of node i's parent (-1 for the root).  The
+    checkers compute with those integers and indices.
+
+    ``CascadeSample(nodes, positions, scale)`` validates once.  It refuses,
+    with a ``ValueError`` naming the field, nodes that are not distinct
+    tuples of natural labels in level order closed under prefixes,
+    positions that are not a tuple of one int per node, and a scale that is
+    not a positive int; it derives ``parents`` itself.  Copies and pickles
+    rebuild through it.  ``gen_cascade``, which knows the parents of the
+    complete tree it draws, builds through the trusted ``_trusted`` instead.
+
+    ``nums`` (node -> numerator), ``values`` (node -> Fraction) and ``d``
+    (a distance as a Fraction) are derived on request.  ``d`` finds a node
+    by bisection in the level order and raises a ``ValueError`` naming a
+    node the sample does not hold.  A ``Record`` of its four fields.
     """
 
-    __slots__ = ("nodes", "nums", "scale")
+    __slots__ = ("nodes", "positions", "scale", "parents")
 
-    def __init__(self, nodes: tuple, nums: dict, scale: int = 1):
-        super().__init__(nodes, nums, scale)
+    def __init__(self, nodes: tuple, positions: tuple, scale: int = 1):
+        parents = _parents(nodes)
+        if type(positions) is not tuple or len(positions) != len(nodes) or not all(
+            type(x) is int for x in positions
+        ):
+            raise ValueError(f"positions must be a tuple of {len(nodes)} ints: {positions!r}")
+        if type(scale) is not int or scale < 1:
+            raise ValueError(f"scale must be a positive int: {scale!r}")
+        super().__init__(nodes, positions, scale, parents)
 
-    __hash__ = None  # nums is a dict
+    @classmethod
+    def _trusted(cls, nodes: tuple, positions: tuple, scale: int, parents: tuple):
+        """The sample of fields already known to be well formed, built
+        without the constructor's checks."""
+        sample = object.__new__(cls)
+        Record.__init__(sample, nodes, positions, scale, parents)
+        return sample
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the validating constructor
+        return type(self), (self.nodes, self.positions, self.scale)
 
     @classmethod
     def from_values(cls, values: dict) -> "CascadeSample":
-        scale = math.lcm(1, *(Fraction(v).denominator for v in values.values()))
-        nums = {n: int(v * scale) for n, v in values.items()}
-        return cls(_tree(values), nums=nums, scale=scale)
+        """The sample of a node -> rational position map: its nodes sorted
+        into level order, over the least common denominator.  Each value is
+        taken exactly, as ``Fraction(value)``, a float too."""
+        values = {n: Fraction(v) for n, v in values.items()}
+        scale = math.lcm(1, *(v.denominator for v in values.values()))
+        nodes = tuple(sorted(values, key=_level_order))
+        return cls(nodes, tuple(int(values[n] * scale) for n in nodes), scale)
+
+    @property
+    def nums(self) -> dict:
+        """node -> numerator over ``scale``."""
+        return dict(zip(self.nodes, self.positions))
 
     @property
     def values(self) -> dict:
         """node -> position as a Fraction."""
-        return {n: Fraction(x, self.scale) for n, x in self.nums.items()}
+        scale = self.scale
+        return {n: Fraction(x, scale) for n, x in zip(self.nodes, self.positions)}
+
+    def _index(self, node: tuple) -> int:
+        """The level-order index of ``node``, found by bisection."""
+        nodes = self.nodes
+        i = bisect_left(nodes, (len(node), node), key=_level_order)
+        if i == len(nodes) or nodes[i] != node:
+            raise ValueError(f"the sample holds no node {node}")
+        return i
 
     def d(self, y: tuple, z: tuple) -> Fraction:
-        return Fraction(abs(self.nums[y] - self.nums[z]), self.scale)
+        pos = self.positions
+        return Fraction(abs(pos[self._index(y)] - pos[self._index(z)]), self.scale)
 
 
 def _radius(k: int, low, unit: int) -> Fraction:
@@ -96,16 +168,27 @@ def _radius(k: int, low, unit: int) -> Fraction:
 def epsilon(sample: CascadeSample, child: tuple) -> Fraction:
     """The admissible-radius minimum for a child node s⌢k.
 
-    The ancestor chain of s must be covered by the sample (missing entries
-    raise); sibling terms run over the labels below k that the sample holds,
+    The sample must hold s (else a ValueError names it), and so its ancestor
+    chain; sibling terms run over the labels below k that the sample holds,
     which in a complete family is every positive label below k.
     """
     if not child:
         raise ValueError("the root has no admissible radius")
     s, k = child[:-1], child[-1]
-    nums = sample.nums
-    terms = [abs(nums[s[: i + 1]] - nums[s[:i]]) for i in range(len(s))]
-    terms += [abs(nums[s + (j,)] - nums[s]) for j in range(k) if s + (j,) in nums]
+    nodes, pos, parents = sample.nodes, sample.positions, sample.parents
+    i = j = sample._index(s)
+    terms = []
+    while parents[j] >= 0:  # the consecutive gaps of s's chain
+        p = parents[j]
+        terms.append(abs(pos[j] - pos[p]))
+        j = p
+    # s's children come together, in label order, from the first node of
+    # their length at or after s
+    at = pos[i]
+    j = bisect_left(nodes, (len(child), s), key=_level_order)
+    while j < len(nodes) and parents[j] == i and nodes[j][-1] < k:
+        terms.append(abs(pos[j] - at))
+        j += 1
     return _radius(k, min(terms, default=math.inf), sample.scale)
 
 
@@ -119,45 +202,50 @@ class ConditionReport(Record):
 def check_admissibility(sample: CascadeSample) -> ConditionReport:
     """Both admissibility conditions over every non-root node of the sample.
 
-    One walk down the tree in level order, where each parent's children come
+    One walk down the level order, where each parent's children come
     together: a node's least gap term is the least consecutive gap on its
-    parent's chain, carried down, or the least gap of its earlier siblings,
-    kept as the walk passes them.  In units of 1/scale, s⌢k at gap g from s
-    is inside its radius exactly when g·2^k < scale and 4g < every gap term,
-    so every comparison is between integers.  A radius violation carries the
-    gap and the radius as Fractions."""
-    nums = sample.nums
+    parent's chain, carried down in a list indexed by node, or the least gap
+    of its earlier siblings, kept as the walk passes them.  In units of
+    1/scale, s⌢k at gap g from s is inside its radius exactly when
+    g·2^k < scale and 4g < every gap term, so every comparison is between
+    integers.  Ancestors are found by walking parent indices.  A radius
+    violation carries the gap and the radius as Fractions; ancestor
+    collisions are listed root first."""
+    nodes, pos, parents = sample.nodes, sample.positions, sample.parents
     unit = sample.scale
     # generated samples never put a node on an ancestor's position, so the
     # per-ancestor test runs only when two positions coincide
-    collide = len(set(nums.values())) < len(nums)
-    chain = {(): math.inf}  # node -> least consecutive gap from the root to it
+    collide = len(set(pos)) < len(pos)
+    chain = [math.inf] * len(pos)  # least consecutive gap from the root to each node
     violations = []
-    parent = None
-    for node in sample.nodes:
-        if not node:
-            continue
-        if node[:-1] != parent:
-            parent = node[:-1]
-            at = nums[parent]
-            top = low = chain[parent]  # low takes in the earlier siblings' gaps
-        k = node[-1]
-        x = nums[node]
+    parent = -1
+    for i in range(1, len(pos)):
+        p = parents[i]
+        if p != parent:
+            parent = p
+            at = pos[p]
+            top = low = chain[p]  # low takes in the earlier siblings' gaps
+        k = nodes[i][-1]
+        x = pos[i]
         g = x - at if x > at else at - x
         if g << k >= unit or g << 2 >= low:
-            violations.append(("radius", node, Fraction(g, unit), _radius(k, low, unit)))
+            violations.append(("radius", nodes[i], Fraction(g, unit), _radius(k, low, unit)))
         if collide:
-            for i in range(len(node)):
-                if nums[node[:i]] == x:
-                    violations.append(("ancestor-collision", node, node[:i]))
-        chain[node] = g if g < top else top
+            on = []
+            while p >= 0:
+                if pos[p] == x:
+                    on.append(p)
+                p = parents[p]
+            violations += [("ancestor-collision", nodes[i], nodes[a]) for a in reversed(on)]
+        chain[i] = g if g < top else top
         if g < low:
             low = g
     return ConditionReport(not violations, tuple(violations))
 
 
 def check_separation(sample: CascadeSample, s: tuple, t: tuple, i: int) -> bool:
-    """d(s, t) >= d(s|i+1, s|i) / SEPARATION_FACTOR for a first-divergence triple."""
+    """d(s, t) >= d(s|i+1, s|i) / SEPARATION_FACTOR for a first-divergence
+    triple; a node the sample does not hold raises a ValueError naming it."""
     if not (i < min(len(s), len(t)) and s[:i] == t[:i] and s[i] < t[i]):
         raise ValueError("need s and t first differing at level i with s(i) < t(i)")
     return SEPARATION_FACTOR * sample.d(s, t) >= sample.d(s[: i + 1], s[:i])
@@ -219,33 +307,32 @@ def check_separation_all(sample: CascadeSample) -> tuple[int, list]:
     triples, where ``later`` holds the sorted numerators of those subtrees;
     the least gap is found by binary search in ``later`` (_least_gap: of
     sub x's hull ends when no member of ``later`` falls inside that hull,
-    the usual case, else of each member of sub x).  One walk over the nodes from the last up (in
-    level order, and in label order under each parent, so every node comes
-    after its subtree and its later siblings' subtrees) merges each
-    subtree's sorted numerators into its parent's; a leaf's are its own.
-    Only when an inequality fails are the violators listed, by
-    check_separation on each eligible triple.
+    the usual case, else of each member of sub x).  One walk over the node
+    indices from the last up (in level order, and in label order under each
+    parent, so every node comes after its subtree and its later siblings'
+    subtrees) merges each subtree's sorted numerators into its parent's, in
+    a list indexed by node; a leaf's are its own.  Only when an inequality
+    fails are the violators listed, by check_separation on each eligible
+    triple.
     """
-    nums = sample.nums
-    # node -> sorted numerators of the subtrees of the children walked so far
-    merged: dict[tuple, list] = {}
+    pos, parents = sample.positions, sample.parents
+    # per node: sorted numerators of the subtrees of its children walked so far
+    merged: list = [None] * len(pos)
     checked = 0
     hit = False
-    for x in reversed(sample.nodes):
-        if not x:  # the root, last: no sibling, no inequality
-            break
-        sub = merged.pop(x, None)
+    # from the last node up; the root, index 0, has no sibling
+    for x, w, v in zip(range(len(pos) - 1, 0, -1), reversed(parents), reversed(pos)):
+        sub = merged[x]
         if sub is None:  # a leaf
-            sub = [nums[x]]
+            sub = [v]
         else:
-            insort(sub, nums[x])
-        w = x[:-1]
-        later = merged.get(w)
+            insort(sub, v)
+        later = merged[w]
         if later is None:
             merged[w] = sub
         else:
             checked += len(sub) * len(later)
-            hit = hit or SEPARATION_FACTOR * _least_gap(sub, later) < abs(nums[x] - nums[w])
+            hit = hit or SEPARATION_FACTOR * _least_gap(sub, later) < abs(v - pos[w])
             merged[w] = sorted(later + sub)  # a merge of two sorted runs
     if not hit:
         return checked, []
@@ -297,11 +384,13 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     ``getrandbits``: the same values and the same bits consumed, without
     ``randrange``'s two Python frames per draw.
 
-    The sample holds only those integers and the scale; its ``values`` are
-    derived from them on request.  Its nodes, the complete tree with labels
-    1..branching, come out in level order by construction (each level's
-    nodes, each followed by every label, make the next level), so no sort
-    runs.
+    The nodes, the complete tree with labels 1..branching, come out in level
+    order by construction (each level's nodes, each followed by every label,
+    make the next level), so no sort runs, and in that order child k of node
+    i sits at index branching·i + k.  The draw walk writes each position at
+    its node's index, and the parents follow from the same arithmetic; the
+    sample is built through the trusted path, with no validation pass.
+    Its ``values`` are derived from the integers on request.
 
     Raises CapacityError, before drawing anything, when the sample would hold
     more than SAMPLE_BITS_CAP numerator bits (check_sample_capacity).
@@ -310,18 +399,27 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
     getbits = random.Random(seed).getrandbits
     one = 1 << bits
     labels = range(1, branching + 1)
-    nums = {(): 0}
+    # the complete tree in level order: each level's nodes, each followed by
+    # its labels 1..branching, give the next level
+    nodes, level = [()], [()]
+    for _ in range(depth if branching else 0):
+        level = [n + (k,) for n in level for k in labels]
+        nodes += level
+    inner = len(nodes) - len(level)  # node i has children exactly when i < inner
+    pos = [0] * len(nodes)
     # the draw order: a node's children are all placed, then each child's
-    # subtree in label order.  Entries: (node, positions of the node and its
-    # ancestors, least consecutive gap on its chain)
-    stack = [((), (0,), math.inf)] if depth else []
+    # subtree in label order.  Entries: (node index, positions of the node
+    # and its ancestors, least consecutive gap on its chain)
+    stack = [(0, (0,), math.inf)] if inner else []
     while stack:
-        node, ancestors, chain = stack.pop()
-        v = nums[node]
+        i, ancestors, chain = stack.pop()
+        v = pos[i]
         low = chain  # the least gap term, earlier siblings included
-        inner = len(node) + 1 < depth  # the children have children of their own
+        first = branching * i
+        deeper = first + 1 < inner  # the children have children of their own
         kids = []
         for k in labels:
+            c = first + k
             eps = one >> k
             if low < eps << 2:
                 if low & 3:
@@ -332,30 +430,24 @@ def gen_cascade(seed: int, depth: int, branching: int) -> CascadeSample:
                 if off & 255:
                     raise ArithmeticError(f"inexact offset at scale 2^{bits}")
                 g = off >> 8
-                pos = v + g if _below(getbits, 2) else v - g
-                if pos not in ancestors:
+                x = v + g if _below(getbits, 2) else v - g
+                if x not in ancestors:
                     break
-            child = node + (k,)
-            nums[child] = pos
+            pos[c] = x
             if g < low:
                 low = g
-            if inner:
-                kids.append((child, ancestors + (pos,), g if g < chain else chain))
+            if deeper:
+                kids.append((c, ancestors + (x,), g if g < chain else chain))
         stack.extend(reversed(kids))
 
     mask = 0
-    for x in nums.values():
+    for x in pos:
         mask |= x
     zeros = (mask & -mask).bit_length() - 1 if mask else bits
-    if zeros:
-        nums = {n: x >> zeros for n, x in nums.items()}
-    # the complete tree in level order: each level's nodes, each followed by
-    # its labels 1..branching, give the next level
-    nodes, level = [()], [()]
-    for _ in range(depth if branching else 0):
-        level = [n + (k,) for n in level for k in labels]
-        nodes += level
-    return CascadeSample(tuple(nodes), nums=nums, scale=1 << (bits - zeros))
+    parents = (-1, *[i for i in range(inner) for _ in labels])
+    return CascadeSample._trusted(
+        tuple(nodes), tuple([x >> zeros for x in pos]), 1 << (bits - zeros), parents
+    )
 
 
 def tight_child_sample() -> CascadeSample:

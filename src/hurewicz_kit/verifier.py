@@ -965,7 +965,9 @@ def verify_cascade(
     """Seeded cascade samples: admissibility by construction, then the derived
     separation inequality on every eligible triple, in exact arithmetic.
     Includes negative controls that the strict radius check must reject;
-    ``epsilon-nonstrict`` checks with _nonstrict_admissibility instead."""
+    ``epsilon-nonstrict`` checks with _nonstrict_admissibility instead.
+    A trial's checks count a pass and build no payload; only a failure
+    builds one."""
     if trials < 0 or max_depth < 1 or max_branching < 1:
         raise ValueError(
             "cascade needs trials >= 0 and max_depth, max_branching >= 1"
@@ -987,23 +989,27 @@ def verify_cascade(
     boundary = Check("boundary-control-rejected")
     control = Check("violating-control-detected")
 
-    triples_total = 0
+    triples_total = valid_ok = implication_ok = 0
     for t in range(trials):
         depth = 1 + t % max_depth
         branching = 1 + (t // max_depth) % max_branching
         sample = casc.gen_cascade(seed + t, depth, branching)
         report = admissible(sample)
-        valid.require(
-            report.ok, trial=t, depth=depth, branching=branching,
-            violations=report.violations[:2],
-        )
         if not report.ok:
+            valid.fail(
+                trial=t, depth=depth, branching=branching,
+                violations=report.violations[:2],
+            )
             continue
+        valid_ok += 1
         checked, bad = casc.check_separation_all(sample)
         triples_total += checked
-        implication.require(
-            not bad, trial=t, depth=depth, branching=branching, first=bad[:2]
-        )
+        if bad:
+            implication.fail(trial=t, depth=depth, branching=branching, first=bad[:2])
+        else:
+            implication_ok += 1
+    valid.ok(valid_ok)
+    implication.ok(implication_ok)
     implication.notes.append(f"eligible triples checked: {triples_total}")
 
     tight = casc.tight_child_sample()

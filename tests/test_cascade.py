@@ -1,7 +1,11 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurewicz_kit import cascade as cs
 from hurewicz_kit import verifier as vf
@@ -89,6 +93,37 @@ def test_separation_factor_moves_both_checks(monkeypatch, factor, violators):
         if not cs.check_separation(sample, s, t, i)
     ]
     assert cs.check_separation_all(sample) == (4, violators) and per_triple == violators
+
+
+# An admissible sample whose least ratio d(s, t) / d(s|i+1, s|i) is 0.3656,
+# at ((1, 1, 1), (2, 1, 1)): the root at 0 and (1,) at D = 1/4, then each of
+# (2,), (1, 1), (1, 1, 1), (2, 1), (2, 1, 1) placed 127/128 of its radius
+# from its parent, toward the other subtree.
+_CLOSE_TO_A_THIRD = {
+    (): Fraction(0),
+    (1,): Fraction(1, 4),
+    (2,): Fraction(127, 2048),
+    (1, 1): Fraction(385, 2048),
+    (2, 1): Fraction(81153, 1048576),
+    (1, 1, 1): Fraction(180991, 1048576),
+    (2, 1, 1): Fraction(43598719, 536870912),
+}
+
+
+@pytest.mark.parametrize("factor, violators", [
+    (3, []),
+    (Fraction(7, 3), [
+        ((1, 1), (2, 1, 1), 0), ((1, 1, 1), (2, 1), 0), ((1, 1, 1), (2, 1, 1), 0),
+    ]),
+])
+def test_separation_fails_the_false_bound_3_7(monkeypatch, factor, violators):
+    # the bound 1/3 holds on this sample and 3/7 does not, so a checker
+    # changed to 3/7 fails here
+    sample = cs.CascadeSample.from_values(_CLOSE_TO_A_THIRD)
+    assert cs.check_admissibility(sample).ok
+    monkeypatch.setattr(cs, "SEPARATION_FACTOR", factor)
+    assert cs.check_separation_all(sample) == (9, violators)
+    assert [t for t in cs.eligible_triples(sample) if not cs.check_separation(sample, *t)] == violators
 
 
 def test_violating_sample_breaks_the_inequality():
@@ -265,6 +300,9 @@ def test_generator_matches_fraction_oracle(seed):
         assert sample.values == oracle.values, (depth, branching)
         # the integer form is the one from_values derives by LCM
         assert sample == oracle, (depth, branching)
+        # the trusted build holds what the validating constructor derives
+        rebuilt = cs.CascadeSample(sample.nodes, sample.positions, sample.scale)
+        assert rebuilt == sample, (depth, branching)
 
 
 @pytest.mark.parametrize("shape", [*_SHAPES, (0, 4), (3, 0), (0, 0), (323, 1)])
@@ -359,6 +397,89 @@ def test_samples_must_be_trees():
         cs.CascadeSample.from_values({(): Fraction(0), (1, 1): Fraction(1, 4)})
     with pytest.raises(ValueError):
         cs.CascadeSample.from_values({(): Fraction(0), (-1,): Fraction(1, 4)})
+
+
+@pytest.mark.parametrize("fields, field", [
+    ((((), (1, 1)), (0, 1), 4), "nodes"),  # (1, 1) without its parent
+    ((((1,), ()), (1, 0), 4), "nodes"),  # out of level order
+    ((((), (1,), (1,)), (0, 1, 1), 4), "nodes"),  # a node twice
+    ((((), (-1,)), (0, 1), 4), "nodes"),  # a negative label
+    ((((), (1,)), (0,), 4), "positions"),  # one position short
+    ((((), (1,)), {(): 0, (1,): 1}, 4), "positions"),  # not an array
+    ((((), (1,)), (0, Fraction(1, 2)), 4), "positions"),  # not an integer
+    ((((), (1,)), (0, 1), 0), "scale"),
+    ((((), (1,)), (0, 1), -4), "scale"),
+], ids=["orphan", "out-of-order", "twice", "negative-label", "short", "dict", "fraction",
+        "scale-0", "scale-negative"])
+def test_sample_refuses_fields_its_checks_cannot_read(fields, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        cs.CascadeSample(*fields)
+
+
+def test_from_values_sorts_into_level_order_exactly():
+    sample = cs.CascadeSample.from_values({(1,): Fraction(1, 4), (): Fraction(0)})
+    assert sample == cs.CascadeSample(((), (1,)), (0, 1), 4)
+    assert sample.parents == (-1, 0)
+    # a float is taken exactly, even over a scale that is not a power of two
+    values = {(): 0.1, (1,): Fraction(1, 3)}
+    assert cs.CascadeSample.from_values(values).values == {n: Fraction(v) for n, v in values.items()}
+
+
+def test_a_node_the_sample_lacks_is_named():
+    sample = cs.gen_cascade(0, 2, 2)
+    name = re.escape("(9,)")
+    with pytest.raises(ValueError, match=name):
+        cs.check_separation(sample, (1,), (9,), 0)
+    with pytest.raises(ValueError, match=name):
+        sample.d((9,), ())
+    with pytest.raises(ValueError, match=name):
+        cs.epsilon(sample, (9, 1))
+
+
+def test_copies_and_pickles_rebuild_through_the_constructor(monkeypatch):
+    sample = cs.gen_cascade(3, 3, 2)
+    built = []
+    true_init = cs.CascadeSample.__init__
+
+    def init(self, *fields):
+        built.append(fields)
+        true_init(self, *fields)
+
+    monkeypatch.setattr(cs.CascadeSample, "__init__", init)
+    fields = (sample.nodes, sample.positions, sample.scale)
+    for rebuild in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        assert rebuild(sample) == sample and built.pop() == fields
+    assert hash(sample) == hash(cs.CascadeSample(*fields))
+
+
+@st.composite
+def _trees(draw):
+    """A prefix-closed tree of up to 40 nodes (labels from 0, siblings
+    missing, depth uneven up to 4) at dyadic positions, some coinciding."""
+    nodes = [()]
+    size = draw(st.integers(1, 40))
+    for _ in range(2 * size):  # a child already there or too deep is skipped
+        child = draw(st.sampled_from(nodes)) + (draw(st.integers(0, 4)),)
+        if len(child) <= 4 and child not in nodes and len(nodes) < size:
+            nodes.append(child)
+    nodes.sort(key=cs._level_order)
+    # each node a step from its parent that shrinks with depth, as in a
+    # cascade; a step of 0 puts it on its parent
+    at = {(): 0}
+    for node in nodes[1:]:
+        at[node] = at[node[:-1]] + draw(st.integers(-8, 8)) * 16 ** (4 - len(node))
+    scale = 1 << draw(st.integers(0, 20))
+    return cs.CascadeSample(tuple(nodes), tuple(at[n] for n in nodes), scale)
+
+
+@settings(deadline=None)
+@given(_trees())
+def test_index_walks_match_the_oracles_on_any_tree(sample):
+    strict = oracles.check_admissibility_fraction(sample, strict=True)
+    assert cs.check_admissibility(sample) == strict
+    relaxed = oracles.check_admissibility_fraction(sample, strict=False)
+    assert vf._nonstrict_admissibility(sample) == relaxed
+    assert cs.check_separation_all(sample) == _slow_scan(sample)
 
 
 # Each cascade check must be able to fail.  The faults are planted at the
